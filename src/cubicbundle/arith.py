@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime
+#: largest |numerator| or |denominator| that :func:`cube_class` factors
+CUBE_CLASS_LIMIT = 10 ** 12
 
 
 class InvalidPoint(ValueError):
@@ -91,16 +92,12 @@ class CubeClass:
 
 
 def _cube_free_exponents(n: int) -> dict[int, int]:
-    """Prime -> exponent mod 3 (nonzero only) for a positive integer.
-
-    Trial division up to the cube root; the cofactor then has at most two
-    prime factors so it is 1, p, p^2 or p*q, which a square test, a
-    primality test and one desk-scale factorization settle.
-    """
+    """Prime -> exponent mod 3 (nonzero only) for a positive integer, by
+    trial division up to the square root; what is left above 1 is prime."""
     exps: dict[int, int] = {}
     m = n
     p = 2
-    while p * p * p <= m:
+    while p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -109,28 +106,23 @@ def _cube_free_exponents(n: int) -> dict[int, int]:
             if e % 3:
                 exps[p] = e % 3
         p += 1 if p == 2 else 2
-    # a perfect-cube cofactor contributes nothing mod 3
-    if m > 1 and exact_cube_root(m) is None:
-        s = math.isqrt(m)
-        if s * s == m and isprime(s):
-            exps[s] = exps.get(s, 0) + 2
-        elif isprime(m):
-            exps[m] = exps.get(m, 0) + 1
-        else:
-            for q, e in factorint(m).items():
-                if e % 3:
-                    exps[q] = exps.get(q, 0) + (e % 3)
-    return {p: e % 3 for p, e in exps.items() if e % 3}
+    if m > 1:
+        exps[m] = 1
+    return exps
 
 
 def cube_class(numerator: int, denominator: int) -> CubeClass:
     """Class of numerator/denominator in Q*/(Q*)^3.
 
     Exponents are reduced mod 3 into {1, 2}, zeros omitted, sign discarded;
-    the class is trivial iff the rational is a cube in Q.
+    the class is trivial iff the rational is a cube in Q.  Factoring is by
+    trial division, so both arguments are limited to CUBE_CLASS_LIMIT in
+    absolute value; :func:`is_cube` has no such limit.
     """
     if numerator == 0 or denominator == 0:
         raise InvalidArgument("cube_class needs a nonzero rational")
+    if abs(numerator) > CUBE_CLASS_LIMIT or abs(denominator) > CUBE_CLASS_LIMIT:
+        raise InvalidArgument(f"cube_class arguments are limited to |n| <= {CUBE_CLASS_LIMIT}")
     r = Fraction(numerator, denominator)
     exps = _cube_free_exponents(abs(r.numerator))
     for p, e in _cube_free_exponents(r.denominator).items():
@@ -143,25 +135,37 @@ def cube_class(numerator: int, denominator: int) -> CubeClass:
 
 
 def is_cube(numerator: int, denominator: int) -> bool:
-    """True iff numerator/denominator is the cube of a rational."""
-    return cube_class(numerator, denominator).is_trivial
+    """True iff numerator/denominator is the cube of a rational.
+
+    A reduced fraction is a cube exactly when its numerator and denominator
+    are both integer cubes, so no factoring is needed.
+    """
+    if numerator == 0 or denominator == 0:
+        raise InvalidArgument("is_cube needs a nonzero rational")
+    g = math.gcd(numerator, denominator)
+    return (
+        exact_cube_root(numerator // g) is not None
+        and exact_cube_root(denominator // g) is not None
+    )
 
 
 def exact_cube_root(n: int) -> int | None:
     """The integer m with m^3 == n, or None when no such integer exists.
 
-    Sign-preserving: exact_cube_root(-64) == -4.
+    Sign-preserving: exact_cube_root(-64) == -4.  Integer Newton iteration
+    from a power of two above the root; it decreases strictly until it
+    reaches floor(|n|^(1/3)), so it is exact at any size.
     """
     if n == 0:
         return 0
     m = abs(n)
-    r = round(m ** (1.0 / 3.0))
-    # float cube root can be off by one in either direction
-    while r ** 3 > m:
-        r -= 1
-    while (r + 1) ** 3 <= m:
-        r += 1
-    if r ** 3 != m:
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    if r * r * r != m:
         return None
     return r if n > 0 else -r
 

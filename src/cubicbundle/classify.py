@@ -5,7 +5,8 @@ V_tau for some pairing, or when its base point x admits a rational point of
 the cube cover T_tau (liftability).  For smooth fibers, liftability for a
 pairing tests cube-ness of exactly the ratio in Segre's criterion with the
 fiber's coefficients, so "some pairing liftable" must agree with "fiber
-Picard rank >= 2"; that cross-check is asserted on every classified point.
+Picard rank >= 2"; that cross-check runs on every classified fiber, also
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ def _fiber_profile(x_coords: tuple[int, ...]):
     if not singular:
         rank = picard_rank(DiagonalCubic(x_coords)).rank_over_Q
         # liftability tests the same cube ratios as Segre's criterion
-        assert any(lifts.values()) == (rank >= 2), (x_coords, lifts, rank)
+        if any(lifts.values()) != (rank >= 2):
+            raise RuntimeError(
+                f"fiber above x = {x_coords}: liftable {lifts} disagrees with Picard rank {rank}"
+            )
     return lifts, singular, rank
 
 

@@ -12,7 +12,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from .arith import InvalidArgument, InvalidPoint, anticanonical_height, normalize
 from .classify import classify_point
@@ -33,26 +32,6 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_NOINPUT = 66
-
-
-@dataclass
-class RunConfig:
-    command: str
-    height_bound: int = 0
-    bounds_grid: tuple[int, ...] = ()
-    workers: int = 1
-    output_path: str | None = None
-    emit_points: bool = False
-    sample_count: int = 0
-    rng_seed: int = 20240601
-
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise InvalidArgument("workers must be >= 1")
-        if any(b2 <= b1 for b1, b2 in zip(self.bounds_grid, self.bounds_grid[1:])):
-            raise InvalidArgument("bounds must be strictly ascending")
-        if any(b < 1 for b in self.bounds_grid):
-            raise InvalidArgument("bounds must be positive")
 
 
 def _parse_point(text: str, dim: int = 4):
@@ -81,15 +60,17 @@ def _write_text(path: str | None, text: str) -> int:
 # ---------------------------------------------------------------------------
 # count / enumerate
 
-def cmd_count(cfg: RunConfig) -> int:
-    series, rows = count_series(
-        cfg.bounds_grid, classify_point, workers=cfg.workers, emit_points=cfg.emit_points
-    )
-    status = _write_text(cfg.output_path, series.csv_text())
+def cmd_count(bounds, workers: int, output_path: str | None, emit_points: bool) -> int:
+    try:
+        series, rows = count_series(bounds, workers=workers, emit_points=emit_points)
+    except InvalidArgument as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    status = _write_text(output_path, series.csv_text())
     if status != EXIT_OK:
         return status
-    if cfg.emit_points:
-        points_path = (cfg.output_path or "points") + ".points"
+    if emit_points:
+        points_path = (output_path or "points") + ".points"
         status = _write_text(points_path, "\n".join(rows) + "\n" if rows else "")
         if status != EXIT_OK:
             return status
@@ -102,12 +83,12 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(height_bound: int, output_path: str | None) -> int:
     rows = []
-    for point in enumerate_bundle(cfg.height_bound):
+    for point in enumerate_bundle(height_bound):
         record = classify_point(point)
         rows.append(point_row(record, anticanonical_height(point.x, point.y)))
-    return _write_text(cfg.output_path, "\n".join(rows) + "\n" if rows else "")
+    return _write_text(output_path, "\n".join(rows) + "\n" if rows else "")
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +192,23 @@ def random_surface(rng: random.Random) -> DiagonalCubic:
     )
 
 
-def cmd_rank_survey(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.rng_seed)
+def cmd_rank_survey(sample_count: int, seed: int) -> int:
+    rng = random.Random(seed)
     distribution: dict[int, int] = {}
+    orders: dict[int, int] = {}
     disagreements = 0
-    for _ in range(cfg.sample_count):
+    for _ in range(sample_count):
         report = picard_rank(random_surface(rng))
         distribution[report.rank_over_Q] = distribution.get(report.rank_over_Q, 0) + 1
+        orders[report.galois_order] = orders.get(report.galois_order, 0) + 1
         if not report.agreement:
             disagreements += 1
-    print(f"samples: {cfg.sample_count}  seed: {cfg.rng_seed}")
+    print(f"samples: {sample_count}  seed: {seed}")
     for rank in sorted(distribution):
         print(f"rank {rank}: {distribution[rank]}")
     print(f"segre_disagreements: {disagreements}")
+    for order in sorted(orders):
+        print(f"galois_order {order}: {orders[order]}")
     return EXIT_OK if disagreements == 0 else 1
 
 
@@ -389,26 +374,12 @@ def main(argv=None) -> int:
             except ValueError:
                 print(f"error: cannot parse bounds {args.bounds!r}", file=sys.stderr)
                 return EXIT_USAGE
-            cfg = RunConfig(
-                command="count",
-                bounds_grid=grid,
-                workers=args.workers,
-                output_path=args.out,
-                emit_points=args.emit_points,
-            )
-            try:
-                cfg.validate()
-            except InvalidArgument as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_count(cfg)
+            return cmd_count(grid, args.workers, args.out, args.emit_points)
         if args.command == "enumerate":
             if args.bound < 1:
                 print("error: bound must be >= 1", file=sys.stderr)
                 return EXIT_USAGE
-            return cmd_enumerate(
-                RunConfig(command="enumerate", height_bound=args.bound, output_path=args.out)
-            )
+            return cmd_enumerate(args.bound, args.out)
         if args.command == "classify":
             return cmd_classify(args.x, args.y)
         if args.command == "fiber-rank":
@@ -421,9 +392,7 @@ def main(argv=None) -> int:
             if args.samples < 1:
                 print("error: samples must be >= 1", file=sys.stderr)
                 return EXIT_USAGE
-            return cmd_rank_survey(
-                RunConfig(command="rank-survey", sample_count=args.samples, rng_seed=args.seed)
-            )
+            return cmd_rank_survey(args.samples, args.seed)
         if args.command == "plot":
             return cmd_plot(args.csv_path, args.svg_path)
     except (InvalidPoint, InvalidArgument, NotOnVariety) as exc:

@@ -36,6 +36,7 @@ from .arith import (
     naive_height,
     normalize,
 )
+from .classify import classify_point
 from .geometry import BundlePoint, pairing_pairs
 
 #: CSV column order for count series
@@ -180,14 +181,14 @@ def enumerate_bundle(height_bound: int):
 def _classify_fiber(args):
     """Worker task: per-bound, per-class counts (and point rows) for the
     fiber above one base point."""
-    x_coords, bounds, classifier, emit_points = args
+    x_coords, bounds, emit_points = args
     x = ProjectivePoint(x_coords)
     hx3 = naive_height(x) ** 3
     top = bounds[-1] // hx3
     tallies = {label: [0] * len(bounds) for label in CLASS_LABELS}
     rows = []
     for y in enumerate_fiber(x, top):
-        record = classifier(BundlePoint(x, y))
+        record = classify_point(BundlePoint(x, y))
         height = hx3 * naive_height(y)
         labels = ["ALL", "IN_Z" if record.in_Z else "NOT_IN_Z"]
         if any(record.in_V.values()):
@@ -217,7 +218,7 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{','.join(flags) or '-'}"
 
 
-def count_series(height_bounds, classifier, workers: int = 1, emit_points: bool = False):
+def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
     """Classified counting functions on an ascending grid of bounds.
 
     One enumeration pass at the largest bound; every point is classified
@@ -235,7 +236,9 @@ def count_series(height_bounds, classifier, workers: int = 1, emit_points: bool 
         raise InvalidArgument("empty bounds grid")
     if any(b < 1 for b in bounds) or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise InvalidArgument("bounds must be positive and strictly ascending")
-    tasks = [(x.coords, bounds, classifier, emit_points) for x in base_points(bounds[-1])]
+    if workers < 1:
+        raise InvalidArgument("workers must be >= 1")
+    tasks = [(x.coords, bounds, emit_points) for x in base_points(bounds[-1])]
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
     all_rows: list[str] = []
     if workers > 1:

@@ -31,8 +31,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .arith import InvalidArgument, is_cube, rational_matrix_rank
 from .geometry import PAIRINGS, pairing_pairs
 
@@ -83,6 +81,7 @@ class PicardReport:
     segre_rank_one: bool
     orbit_sizes: tuple[int, ...]
     agreement: bool
+    galois_order: int
 
 
 ALL_LINE_LABELS: tuple[LineLabel, ...] = tuple(
@@ -232,6 +231,7 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
         segre_rank_one=segre,
         orbit_sizes=tuple(sorted(len(o) for o in parts)),
         agreement=segre == (rank == 1),
+        galois_order=len(group),
     )
 
 
@@ -240,6 +240,8 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
 
 def _line_rows(s: DiagonalCubic, label: LineLabel, omega, roots):
     """The two rows of linear-form coefficients cutting out a line, over C."""
+    import mpmath
+
     (i, j), (k, l) = pairing_pairs(label.pairing)
     row1 = [mpmath.mpf(0)] * 4
     row1[i] = mpmath.mpf(1)
@@ -260,6 +262,8 @@ def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel, dps: int =
     """
     if l1 == l2:
         raise InvalidArgument("numeric incidence is for distinct lines")
+    import mpmath  # only this oracle needs it, so importing the package does not load it
+
     with mpmath.workdps(dps):
         omega = mpmath.expjpi(mpmath.mpf(2) / 3)
         a = s.coefficients

@@ -121,6 +121,7 @@ class TestCubeClass:
                 if p == 0 or math.gcd(abs(p), q) != 1:
                     continue
                 assert is_cube(p, q) == brute_is_cube(p, q), (p, q)
+                assert is_cube(p, q) == cube_class(p, q).is_trivial, (p, q)
 
     def test_large_prime_cofactors(self):
         # semiprime and prime-square cofactors beyond the trial bound
@@ -129,6 +130,21 @@ class TestCubeClass:
         assert cube_class(p1 ** 2, 1).exponents() == {p1: 2}
         assert cube_class(p1 ** 3, 1).is_trivial
         assert cube_class(2 * p1 ** 2, p2).exponents() == {2: 1, p1: 2, p2: 2}
+
+    def test_size_limit(self):
+        assert cube_class(10 ** 12, -(10 ** 12)).is_trivial
+        assert cube_class(999999999989, 1).exponents() == {999999999989: 1}
+        with pytest.raises(InvalidArgument):
+            cube_class(10 ** 12 + 1, 1)
+        with pytest.raises(InvalidArgument):
+            cube_class(1, -(10 ** 12 + 1))
+
+    def test_is_cube_beyond_the_limit(self):
+        q = 1000000000000037
+        assert is_cube(-(q ** 3), 8 * 10 ** 300)
+        assert not is_cube(q ** 3, 2 * q ** 6)
+        with pytest.raises(InvalidArgument):
+            is_cube(0, q)
 
 
 class TestExactCubeRoot:
@@ -146,6 +162,14 @@ class TestExactCubeRoot:
         for m in range(1, 2000):
             assert exact_cube_root(m ** 3 + 1) in (None, 1)
             assert exact_cube_root(m ** 3 - 1) in (None, 0, -1)
+
+    @given(st.integers(10 ** 29, 10 ** 300 - 1), st.sampled_from([1, -1]))
+    @settings(max_examples=300)
+    def test_large_roundtrip(self, m, sign):
+        m *= sign
+        assert exact_cube_root(m ** 3) == m
+        assert exact_cube_root(m ** 3 + 1) is None
+        assert exact_cube_root(m ** 3 - 1) is None
 
 
 class TestRationalRank:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import cubicbundle
 from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point, z_membership
 from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
@@ -24,6 +31,28 @@ class TestClassifyPoint:
         assert record.fiber_rank == 1
         assert not any(record.liftable.values())
         assert record.in_Z == any(record.in_V.values())
+
+    def test_rank_check_survives_optimize(self):
+        # x = (1, 2, 3, 5) has no liftable pairing, so a reported rank of 3 is inconsistent
+        code = textwrap.dedent("""
+            import dataclasses, sys
+            from cubicbundle import classify
+            from cubicbundle.arith import normalize
+            from cubicbundle.geometry import BundlePoint
+            assert False, "asserts must be off"
+            real = classify.picard_rank
+            classify.picard_rank = lambda s: dataclasses.replace(real(s), rank_over_Q=3)
+            classify.classify_point(BundlePoint(normalize([1, 2, 3, 5]), normalize([1, 1, -1, 0])))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: fiber above x = (1, 2, 3, 5)")
+        assert "rank 3" in last
 
     def test_singular_fiber_point(self):
         record = classify_point(bundle_point([0, 1, 1, 1], [9, 1, -1, 0]))

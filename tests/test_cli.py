@@ -1,4 +1,14 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import cubicbundle
 from cubicbundle.cli import main
+
+# a prime above 10^15, too large to factor by trial division within a test's time
+BIG_PRIME = 1000000000000037
 
 
 def run(capsys, *argv):
@@ -43,6 +53,10 @@ class TestCount:
         assert code == 64
         code, _, err = run(capsys, "count", "--bounds", "abc", "--out", str(tmp_path / "x.csv"))
         assert code == 64
+        code, _, err = run(
+            capsys, "count", "--bounds", "1", "--workers", "0", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 64
 
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "count", "--bounds", "1", "--out", "/nonexistent-dir/x.csv")
@@ -86,6 +100,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "1:1:1", "1:-1:1:-1")
         assert code == 65
 
+    def test_large_prime_coordinates_finish(self, capsys):
+        start = time.perf_counter()
+        code, stdout, _ = run(capsys, "classify", f"1:-1:{BIG_PRIME}:-{BIG_PRIME}", "1:1:1:1")
+        assert code == 0
+        assert time.perf_counter() - start < 5
+        assert "in_V1: true" in stdout
+
 
 class TestFiberRank:
     def test_generic_rank_one(self, capsys):
@@ -99,6 +120,13 @@ class TestFiberRank:
         code, stdout, _ = run(capsys, "fiber-rank", "1", "1", "1", "1")
         assert code == 0
         assert "rank_over_Q: 4" in stdout
+
+    def test_large_prime_coefficient_finishes(self, capsys):
+        start = time.perf_counter()
+        code, stdout, _ = run(capsys, "fiber-rank", "1", "1", "1", str(BIG_PRIME))
+        assert code == 0
+        assert time.perf_counter() - start < 5
+        assert "agreement: true" in stdout
 
     def test_zero_coefficient_domain_error(self, capsys):
         code, _, err = run(capsys, "fiber-rank", "1", "0", "1", "1")
@@ -142,6 +170,15 @@ class TestRankSurvey:
         _, stdout, _ = run(capsys, "rank-survey", "--samples", "10", "--seed", "3")
         assert any(line.startswith("rank 1:") for line in stdout.splitlines())
 
+    def test_galois_order_histogram_follows_rank_lines(self, capsys):
+        _, stdout, _ = run(capsys, "rank-survey", "--samples", "40", "--seed", "3")
+        lines = stdout.splitlines()
+        tail = lines[lines.index("segre_disagreements: 0") + 1:]
+        assert tail and all(line.startswith("galois_order ") for line in tail)
+        orders = {int(line.split()[1].rstrip(":")): int(line.split()[2]) for line in tail}
+        assert sum(orders.values()) == 40
+        assert all(order in (2, 6, 18, 54) for order in orders)
+
 
 class TestPlot:
     def test_round_trip(self, tmp_path, capsys):
@@ -167,3 +204,16 @@ class TestPlot:
         code, _, err = run(capsys, "plot", str(csv), str(tmp_path / "x.svg"))
         assert code == 65
         assert "no rows" in err
+
+
+def test_import_loads_neither_sympy_nor_mpmath():
+    code = (
+        "import sys, cubicbundle, cubicbundle.cli; "
+        "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

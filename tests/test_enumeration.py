@@ -4,7 +4,6 @@ import math
 import pytest
 
 from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_height, normalize
-from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     LineSpec,
@@ -118,11 +117,11 @@ class TestBundleEnumeration:
 
 class TestCountSeries:
     def test_b1_consistency(self):
-        series, _ = count_series([1], classify_point)
+        series, _ = count_series([1])
         assert series.counts["ALL"][0] == 440
 
     def test_partition_and_monotonicity(self):
-        series, _ = count_series([1, 2, 4, 8], classify_point)
+        series, _ = count_series([1, 2, 4, 8])
         for idx in range(4):
             total = series.counts["ALL"][idx]
             assert total == series.counts["IN_Z"][idx] + series.counts["NOT_IN_Z"][idx]
@@ -133,26 +132,28 @@ class TestCountSeries:
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_worker_counts_agree(self):
-        solo, _ = count_series([1, 2, 4], classify_point, workers=1)
-        duo, _ = count_series([1, 2, 4], classify_point, workers=2)
-        trio, _ = count_series([1, 2, 4], classify_point, workers=3)
+        solo, _ = count_series([1, 2, 4], workers=1)
+        duo, _ = count_series([1, 2, 4], workers=2)
+        trio, _ = count_series([1, 2, 4], workers=3)
         assert solo.counts == duo.counts == trio.counts
 
     def test_point_rows_sorted(self):
-        _, rows = count_series([2], classify_point, emit_points=True)
+        _, rows = count_series([2], emit_points=True)
         assert rows == sorted(rows)
         assert all(len(row.split("|")) == 4 for row in rows)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(InvalidArgument):
-            count_series([], classify_point)
+            count_series([])
         with pytest.raises(InvalidArgument):
-            count_series([2, 2], classify_point)
+            count_series([2, 2])
         with pytest.raises(InvalidArgument):
-            count_series([4, 2], classify_point)
+            count_series([4, 2])
+        with pytest.raises(InvalidArgument):
+            count_series([2], workers=0)
 
     def test_csv_shape(self):
-        series, _ = count_series([1, 2], classify_point)
+        series, _ = count_series([1, 2])
         lines = series.csv_text().strip().split("\n")
         assert lines[0] == "B," + ",".join(CLASS_LABELS)
         assert len(lines) == 3
