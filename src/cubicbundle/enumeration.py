@@ -19,12 +19,21 @@ coordinates of x:
 
 Output is always sorted lexicographically, so runs are reproducible byte
 for byte and the outer loop parallelizes without affecting results.
+
+Counting without point rows skips enumeration on the linear fibers (one or
+two nonzero coordinates of x).  Their points fill a plane or a line with a
+box-shaped parametrization, so a Moebius sum over the box counts them
+(:func:`primitive_count`), and every one of them is singular and lies on
+the pair locus of the pairing that groups the nonzero indices.  Dumps and
+the cone and smooth fibers take the enumerating path, which stays the
+oracle for the closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,17 +99,28 @@ def _fiber_coords_plane(zero_positions, bound):
     return [_embed(free, triple) for triple in canonical_coords(3, bound)]
 
 
-def _fiber_coords_two_terms(xs, nz, bound):
-    """Fibers x_i*y_i^3 + x_j*y_j^3 = 0 with the other two y free."""
+def _two_term_root(xs, nz):
+    """The reduced (c, d) with -x_j/x_i = (c/d)^3, or None when that ratio
+    is not a rational cube."""
     i, j = nz
-    free = [k for k in range(4) if k not in nz]
     ratio = Fraction(-xs[j], xs[i])
     c = exact_cube_root(ratio.numerator)
     d = exact_cube_root(ratio.denominator)
     if c is None or d is None:
+        return None
+    return c, d
+
+
+def _fiber_coords_two_terms(xs, nz, bound):
+    """Fibers x_i*y_i^3 + x_j*y_j^3 = 0 with the other two y free."""
+    i, j = nz
+    free = [k for k in range(4) if k not in nz]
+    root = _two_term_root(xs, nz)
+    if root is None:
         # only y_i = y_j = 0: a line in the two free coordinates
         return [_embed(free, pair) for pair in canonical_coords(2, bound)]
     # plane (y_i, y_j) = (c*t, d*t); t = 0 recovers the line above
+    c, d = root
     out = []
     t_max = bound // max(abs(c), abs(d))
     for t in range(-t_max, t_max + 1):
@@ -178,6 +198,56 @@ def enumerate_bundle(height_bound: int):
             yield BundlePoint(x, y)
 
 
+def _mobius(n: int) -> list[int]:
+    """mu(0..n) by a sieve; mu[0] is unused."""
+    mu = [1] * (n + 1)
+    sieved = [False] * (n + 1)
+    for p in range(2, n + 1):
+        if sieved[p]:
+            continue  # a smaller prime divides p
+        for k in range(p, n + 1, p):
+            sieved[k] = True
+            mu[k] = -mu[k]
+        for k in range(p * p, n + 1, p * p):
+            mu[k] = 0
+    return mu
+
+
+def primitive_count(sides, bound: int) -> int:
+    """Primitive integer vectors up to sign with |v_k| <= floor(bound/m_k)
+    for the box sides m_k.
+
+    The nonzero vectors of the box whose coordinates are all divisible by
+    d number prod_k(2*floor(bound/(m_k*d)) + 1) - 1; Moebius inversion over
+    d <= bound keeps the primitive ones, and halving removes the sign.
+    """
+    mu = _mobius(bound)
+    total = 0
+    for d in range(1, bound + 1):
+        if mu[d]:
+            total += mu[d] * (math.prod(2 * (bound // (m * d)) + 1 for m in sides) - 1)
+    return total // 2
+
+
+def _linear_sides(xs):
+    """Box sides of the parametrized rational locus of a linear fiber, or
+    None for a cone or smooth fiber.
+
+    x = e_i gives the plane y_i = 0 with three free coordinates; two
+    nonzero coordinates give the plane (c*t, d*t, u, v), where the height
+    caps |t| at floor(bound/max(|c|, |d|)), or else the line in (u, v).
+    """
+    nz = [i for i, c in enumerate(xs) if c]
+    if len(nz) == 1:
+        return (1, 1, 1)
+    if len(nz) == 2:
+        root = _two_term_root(xs, nz)
+        if root is None:
+            return (1, 1)
+        return (max(abs(root[0]), abs(root[1])), 1, 1)
+    return None
+
+
 def _classify_fiber(args):
     """Worker task: per-bound, per-class counts (and point rows) for the
     fiber above one base point."""
@@ -187,6 +257,14 @@ def _classify_fiber(args):
     top = bounds[-1] // hx3
     tallies = {label: [0] * len(bounds) for label in CLASS_LABELS}
     rows = []
+    sides = None if emit_points else _linear_sides(x_coords)
+    if sides is not None:
+        # x has a zero coordinate, so the fiber is singular, and the
+        # pairing grouping the nonzero indices has both pair sums 0 on it
+        counts = [primitive_count(sides, b // hx3) for b in bounds]
+        for label in ("ALL", "IN_Z", "IN_SOME_V", "SINGULAR_FIBER"):
+            tallies[label] = list(counts)
+        return tallies, rows
     for y in enumerate_fiber(x, top):
         record = classify_point(BundlePoint(x, y))
         height = hx3 * naive_height(y)
@@ -221,12 +299,16 @@ def point_row(record, height: int) -> str:
 def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
     """Classified counting functions on an ascending grid of bounds.
 
-    One enumeration pass at the largest bound; every point is classified
-    once and thresholded into each bound.  IN_SOME_V and LIFTABLE_ONLY
-    partition IN_Z: points on some pair locus versus points swept in only
-    through liftability of their base point.
+    Each fiber is counted once, for the largest bound, and thresholded
+    into each bound.  Linear fibers are counted in closed form, and
+    contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER; with
+    emit_points, and always for cone and smooth fibers, every point is
+    enumerated and classified.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
+    points on some pair locus versus points swept in only through
+    liftability of their base point.
 
-    The outer loop over base points splits across worker processes;
+    The outer loop over base points splits across at most
+    min(workers, number of base points, CPU count) worker processes;
     merging is order-independent, so any worker count produces identical
     output.  Returns (CountSeries, sorted point rows) — rows empty unless
     emit_points.
@@ -241,8 +323,9 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
     tasks = [(x.coords, bounds, emit_points) for x in base_points(bounds[-1])]
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
     all_rows: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = pool.map(_classify_fiber, tasks, chunksize=8)
             for tallies, rows in results:
                 _merge(totals, tallies)
@@ -284,17 +367,15 @@ class LineSpec:
 
 def projective_line_count(height_bound: int) -> int:
     """Number of normalized points of P^1(Q) with naive height <= bound."""
-    if height_bound < 1:
-        return 0
-    total = 1  # (0:1)
-    for s in range(1, height_bound + 1):
-        for t in range(-height_bound, height_bound + 1):
-            if math.gcd(s, abs(t)) == 1:
-                total += 1
-    return total
+    return primitive_count((1, 1), height_bound)
 
 
 def line_count(spec: LineSpec, height_bound: int) -> int:
-    """Points of naive height <= bound on the parametrized line: the count
-    of height-bounded normalized points of P^1."""
+    """Points of naive height <= bound on the line of the spec.
+
+    In the pairing's index order the line is (s1*a, a, s2*b, b) for
+    primitive (a, b) up to sign, so a point's height is max(|a|, |b|)
+    whatever x and the signs are, and the count is that of normalized
+    points of P^1.
+    """
     return projective_line_count(height_bound)

@@ -2,19 +2,40 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubicbundle import enumeration
 from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_height, normalize
+from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     LineSpec,
+    _classify_fiber,
+    _linear_sides,
     base_points,
+    canonical_coords,
     canonical_points,
     count_series,
     enumerate_bundle,
     enumerate_fiber,
     line_count,
+    primitive_count,
     projective_line_count,
 )
+from cubicbundle.geometry import BundlePoint, on_bundle
+
+#: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
+LINEAR_SHAPES = [
+    (1, 0, 0, 0),
+    (0, 0, 1, 0),
+    (1, -1, 0, 0),
+    (1, 1, 0, 0),
+    (1, -8, 0, 0),
+    (8, -1, 0, 0),
+    (1, -2, 0, 0),
+    (0, 3, 0, 5),
+]
 
 
 def brute_force_bundle(height_bound):
@@ -158,6 +179,86 @@ class TestCountSeries:
         assert lines[0] == "B," + ",".join(CLASS_LABELS)
         assert len(lines) == 3
 
+    def test_pool_size_is_bounded(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested pool size and runs tasks in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        expected, _ = count_series([1])
+        tasks = len(base_points(1))
+        for cpus, workers, size in (
+            (4, 10_000, 4),
+            (1_000, 10_000, tasks),
+            (1_000, 3, 3),
+            (None, 10_000, None),  # unknown CPU count: one process, no pool
+        ):
+            sizes.clear()
+            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+            series, _ = count_series([1], workers=workers)
+            assert series.counts == expected.counts
+            assert sizes == ([] if size is None else [size])
+
+
+class TestLinearFibers:
+    @pytest.mark.parametrize("xs", LINEAR_SHAPES)
+    def test_closed_form_matches_enumeration(self, xs):
+        x = normalize(xs)
+        heights = [naive_height(y) for y in enumerate_fiber(x, 20)]
+        sides = _linear_sides(x.coords)
+        for bound in range(21):
+            assert primitive_count(sides, bound) == sum(h <= bound for h in heights)
+
+    @pytest.mark.parametrize("xs", LINEAR_SHAPES)
+    def test_tallies_match_classified_points(self, xs):
+        x = normalize(xs)
+        bounds = tuple(naive_height(x) ** 3 * y for y in (1, 2, 3, 5, 8))
+        closed, rows = _classify_fiber((x.coords, bounds, False))
+        enumerated, _ = _classify_fiber((x.coords, bounds, True))
+        assert rows == []
+        assert closed == enumerated
+
+    def test_linear_points_are_exceptional(self):
+        checked = counted = 0
+        for x in canonical_points(4, 3):
+            sides = _linear_sides(x.coords)
+            if sides is None:
+                continue
+            counted += primitive_count(sides, 3)
+            for y in enumerate_fiber(x, 3):
+                record = classify_point(BundlePoint(x, y))
+                assert record.in_Z and record.singular_fiber
+                assert any(record.in_V.values())
+                checked += 1
+        assert checked == counted > 0
+
+    def test_csv_matches_enumerating_path(self):
+        grid = [1, 2, 4, 8, 16]
+        reference, _ = count_series(grid, emit_points=True)
+        series, _ = count_series(grid)
+        assert series.csv_text() == reference.csv_text()
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sets(st.integers(1, 12), min_size=1).map(sorted))
+    def test_csv_matches_enumerating_path_on_random_grids(self, grid):
+        reference, _ = count_series(grid, emit_points=True)
+        for workers in (1, 2):
+            series, _ = count_series(grid, workers=workers)
+            assert series.csv_text() == reference.csv_text()
+
 
 class TestLineCount:
     def test_p1_pins(self):
@@ -174,6 +275,19 @@ class TestLineCount:
             LineSpec(normalize([1, 1, 1, 2]), pairing=1, first_sign=-1, second_sign=-1)
         with pytest.raises(InvalidArgument):
             LineSpec(normalize([1, 1, 1, 1]), pairing=1, first_sign=-1, second_sign=2)
+
+    def test_off_fermat_spec_brute_force(self):
+        # y0 = y1, y2 = y3 above x = (1, -1, 2, -2), a smooth fiber
+        x = normalize([1, -1, 2, -2])
+        spec = LineSpec(x, pairing=1, first_sign=1, second_sign=1)
+        for bound in range(7):
+            on_line = [
+                ys
+                for ys in canonical_coords(4, bound)
+                if ys[0] == ys[1] and ys[2] == ys[3]
+            ]
+            assert all(on_bundle(x, normalize(ys)) for ys in on_line)
+            assert len(on_line) == line_count(spec, bound)
 
     def test_counts_match_enumeration(self):
         # points on the line y0 = -y1, y2 = -y3 inside the Fermat fiber
