@@ -28,23 +28,25 @@ class InvalidArgument(ValueError):
 class ProjectivePoint:
     """Canonical integer representative of a point in P^n(Q).
 
-    Invariants: not all coordinates zero, gcd of coordinates is 1, first
-    nonzero coordinate positive.  Build via :func:`normalize`.
+    Invariant: the coordinates pass :func:`is_canonical`.  Build via
+    :func:`normalize`.
     """
 
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not any(self.coords):
-            raise InvalidPoint("all coordinates are zero")
-        if math.gcd(*(abs(c) for c in self.coords)) != 1:
-            raise InvalidPoint(f"coordinates {self.coords} not primitive")
-        first = next(c for c in self.coords if c)
-        if first < 0:
-            raise InvalidPoint(f"coordinates {self.coords} not sign-normalized")
+        if not is_canonical(self.coords):
+            raise InvalidPoint(f"coordinates {self.coords} are not canonical")
 
     def __str__(self) -> str:
         return ":".join(str(c) for c in self.coords)
+
+
+def is_canonical(coords) -> bool:
+    """True iff the integer tuple is the canonical representative of a
+    point in P^n(Q): not all zero, primitive, first nonzero coordinate
+    positive."""
+    return next((c for c in coords if c), 0) > 0 and math.gcd(*coords) == 1
 
 
 def normalize(raw_coords) -> ProjectivePoint:
@@ -54,12 +56,10 @@ def normalize(raw_coords) -> ProjectivePoint:
     coords = tuple(int(c) for c in raw_coords)
     if not any(coords):
         raise InvalidPoint("all coordinates are zero")
-    g = math.gcd(*(abs(c) for c in coords))
-    coords = tuple(c // g for c in coords)
-    first = next(c for c in coords if c)
-    if first < 0:
-        coords = tuple(-c for c in coords)
-    return ProjectivePoint(coords)
+    g = math.gcd(*coords)
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return ProjectivePoint(tuple(c // g for c in coords))
 
 
 def naive_height(p: ProjectivePoint) -> int:

@@ -74,12 +74,14 @@ def cmd_count(bounds, workers: int, output_path: str | None, emit_points: bool) 
         status = _write_text(points_path, "\n".join(rows) + "\n" if rows else "")
         if status != EXIT_OK:
             return status
+    # the summary table must not trail a CSV written to stdout
+    table = sys.stdout if output_path else sys.stderr
     header = ["B"] + list(CLASS_LABELS)
     widths = [max(len(h), 10) for h in header]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+    print("  ".join(h.rjust(w) for h, w in zip(header, widths)), file=table)
     for idx, b in enumerate(series.bounds):
         cells = [str(b)] + [str(series.counts[label][idx]) for label in CLASS_LABELS]
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)), file=table)
     return EXIT_OK
 
 
@@ -172,14 +174,18 @@ def _identity_checks(rng: random.Random):
     ]
 
 
-def cmd_verify_intersections(seed: int, trials: int = 20) -> int:
+#: random parameter points per identity in verify-intersections
+IDENTITY_TRIALS = 20
+
+
+def cmd_verify_intersections(seed: int) -> int:
     rng = random.Random(seed)
     ok = [True] * len(_IDENTITY_LABELS)
-    for _ in range(trials):
+    for _ in range(IDENTITY_TRIALS):
         for slot, (got, expected) in enumerate(_identity_checks(rng)):
             ok[slot] = ok[slot] and got == expected
     for label, passed in zip(_IDENTITY_LABELS, ok):
-        print(f"{'PASS' if passed else 'FAIL'}  {label}  ({trials} random points)")
+        print(f"{'PASS' if passed else 'FAIL'}  {label}  ({IDENTITY_TRIALS} random points)")
     return EXIT_OK if all(ok) else 1
 
 
@@ -316,6 +322,9 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
         print("error: ragged CSV body", file=sys.stderr)
         return EXIT_DOMAIN
     bounds = [row[0] for row in rows]
+    if any(b < 1 for b in bounds):
+        print("error: bounds must be positive for a log-log chart", file=sys.stderr)
+        return EXIT_DOMAIN
     series = {label: [row[idx] for row in rows] for idx, label in enumerate(header) if idx}
     return _write_text(svg_path, render_log_log_svg(bounds, series))
 

@@ -14,39 +14,39 @@ coordinates of x:
   parametrized directly), else y_i = y_j = 0 (a line);
 * three or four nonzero coordinates: a genuine cubic surface, enumerated
   by a meet-in-the-middle split of the quadruple box — hash the values of
-  x_0*y_0^3 + x_1*y_1^3, scan the complementary pairs, deduplicate through
-  canonical normalization.
+  x_0*y_0^3 + x_1*y_1^3, scan the complementary pairs.  The scan meets each
+  integer solution in the box once, so its canonical hits
+  (:func:`~cubicbundle.arith.is_canonical`) are each projective point once.
 
-Output is always sorted lexicographically, so runs are reproducible byte
-for byte and the outer loop parallelizes without affecting results.
+Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
+into point objects.  Output is always sorted lexicographically, so runs are
+reproducible byte for byte and the outer loop parallelizes freely.
 
-Counting without point rows skips enumeration on the linear fibers (one or
-two nonzero coordinates of x).  Their points fill a plane or a line with a
+Counting reads the fiber profile (liftability, singularity, rank) once per
+base point x; per point only the height and the pair-locus test remain.
+Without point rows it skips enumeration on the linear fibers (one or two
+nonzero coordinates of x): their points fill a plane or a line with a
 box-shaped parametrization, so a Moebius sum over the box counts them
-(:func:`primitive_count`), and every one of them is singular and lies on
-the pair locus of the pairing that groups the nonzero indices.  Dumps and
-the cone and smooth fibers take the enumerating path, which stays the
-oracle for the closed form.
+(:func:`primitive_count`), and every one lies on the pair locus of the
+pairing that groups the nonzero indices.  Dumps and the cone and smooth
+fibers take the enumerating path, which stays the oracle for the closed
+form.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import (
-    InvalidArgument,
-    ProjectivePoint,
-    exact_cube_root,
-    naive_height,
-    normalize,
-)
-from .classify import classify_point
-from .geometry import BundlePoint, pairing_pairs
+from .arith import InvalidArgument, ProjectivePoint, exact_cube_root, is_canonical, naive_height
+from .classify import _fiber_profile, classify_point
+from .geometry import PAIRINGS, BundlePoint, pair_sums, pairing_pairs
 
 #: CSV column order for count series
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
@@ -71,15 +71,7 @@ class CountSeries:
 def canonical_coords(dim: int, bound: int):
     """Canonical coordinate tuples of P^(dim-1) points with naive height
     <= bound, in lexicographic order."""
-    for coords in itertools.product(range(-bound, bound + 1), repeat=dim):
-        if not any(coords):
-            continue
-        first = next(c for c in coords if c)
-        if first < 0:
-            continue
-        if math.gcd(*(abs(c) for c in coords)) != 1:
-            continue
-        yield coords
+    return filter(is_canonical, itertools.product(range(-bound, bound + 1), repeat=dim))
 
 
 def canonical_points(dim: int, bound: int) -> list[ProjectivePoint]:
@@ -121,70 +113,62 @@ def _fiber_coords_two_terms(xs, nz, bound):
         return [_embed(free, pair) for pair in canonical_coords(2, bound)]
     # plane (y_i, y_j) = (c*t, d*t); t = 0 recovers the line above
     c, d = root
-    out = []
     t_max = bound // max(abs(c), abs(d))
-    for t in range(-t_max, t_max + 1):
-        for u in range(-bound, bound + 1):
-            for v in range(-bound, bound + 1):
-                if math.gcd(t, u, v) != 1:
-                    continue
-                coords = [0, 0, 0, 0]
-                coords[i] = c * t
-                coords[j] = d * t
-                coords[free[0]] = u
-                coords[free[1]] = v
-                first = next(w for w in coords if w)
-                if first > 0:
-                    out.append(tuple(coords))
-    return out
+    rng = range(-bound, bound + 1)
+    box = itertools.product(range(-t_max, t_max + 1), rng, rng)
+    plane = (_embed((i, j, *free), (c * t, d * t, u, v)) for t, u, v in box)
+    return list(filter(is_canonical, plane))
 
 
 def _fiber_coords_surface(xs, bound):
     """Meet-in-the-middle over the box: hash one half of the cubic form,
-    scan the other."""
+    scan the other, keep the canonical hits."""
     cubes = {k: k ** 3 for k in range(-bound, bound + 1)}
     rng = range(-bound, bound + 1)
     x0, x1, x2, x3 = xs
     table: dict[int, list[tuple[int, int]]] = {}
-    for ya in rng:
-        va = x0 * cubes[ya]
-        for yb in rng:
-            table.setdefault(va + x1 * cubes[yb], []).append((ya, yb))
-    found: set[tuple[int, ...]] = set()
-    for yc in rng:
-        vc = x2 * cubes[yc]
-        for yd in rng:
-            hits = table.get(-(vc + x3 * cubes[yd]))
-            if not hits:
-                continue
-            for ya, yb in hits:
-                if ya or yb or yc or yd:
-                    found.add(normalize((ya, yb, yc, yd)).coords)
-    return sorted(found)
+    for ya, yb in itertools.product(rng, repeat=2):
+        table.setdefault(x0 * cubes[ya] + x1 * cubes[yb], []).append((ya, yb))
+    hits = (
+        (ya, yb, yc, yd)
+        for yc, yd in itertools.product(rng, repeat=2)
+        for ya, yb in table.get(-(x2 * cubes[yc] + x3 * cubes[yd]), ())
+    )
+    return list(filter(is_canonical, hits))
+
+
+def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the cubic surface above the
+    canonical x, each exactly once, sorted."""
+    if bound < 1:
+        return []
+    nz = [i for i, c in enumerate(xs) if c]
+    if len(nz) == 1:
+        coords = _fiber_coords_plane(nz, bound)
+    elif len(nz) == 2:
+        coords = _fiber_coords_two_terms(xs, nz, bound)
+    else:
+        coords = _fiber_coords_surface(xs, bound)
+    return sorted(coords)
 
 
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:
     """All normalized y with H(y) <= bound on the cubic surface above x,
     each exactly once, sorted by coordinates."""
-    if y_height_bound < 1:
-        return []
-    xs = x.coords
-    nz = [i for i, c in enumerate(xs) if c]
-    if len(nz) == 1:
-        coords = _fiber_coords_plane(nz, y_height_bound)
-    elif len(nz) == 2:
-        coords = _fiber_coords_two_terms(xs, nz, y_height_bound)
-    else:
-        coords = _fiber_coords_surface(xs, y_height_bound)
-    return [ProjectivePoint(c) for c in sorted(coords)]
+    return [ProjectivePoint(c) for c in _fiber_coords(x.coords, y_height_bound)]
+
+
+def _base_height(height_bound: int) -> int:
+    """The largest h >= 1 with h^3 <= height_bound (1 below 8)."""
+    x_max = 1
+    while (x_max + 1) ** 3 <= height_bound:
+        x_max += 1
+    return x_max
 
 
 def base_points(height_bound: int) -> list[ProjectivePoint]:
     """Normalized x with H(x)^3 <= height_bound, in lexicographic order."""
-    x_max = 1
-    while (x_max + 1) ** 3 <= height_bound:
-        x_max += 1
-    return canonical_points(4, x_max)
+    return canonical_points(4, _base_height(height_bound))
 
 
 def enumerate_bundle(height_bound: int):
@@ -193,8 +177,7 @@ def enumerate_bundle(height_bound: int):
     if height_bound < 1:
         raise InvalidArgument("height bound must be >= 1")
     for x in base_points(height_bound):
-        fiber_bound = height_bound // naive_height(x) ** 3
-        for y in enumerate_fiber(x, fiber_bound):
+        for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
             yield BundlePoint(x, y)
 
 
@@ -248,40 +231,53 @@ def _linear_sides(xs):
     return None
 
 
+def _tally(on_loci, off_loci, liftable: bool, singular: bool) -> dict[str, list[int]]:
+    """The six CSV columns of one fiber, from its per-bound counts of points
+    on some pair locus and off every pair locus.
+
+    Liftability and singularity belong to the base point, so they are the
+    same for every point of the fiber: a point is in Z when it is on a pair
+    locus or its base point lifts.
+    """
+    total = [a + b for a, b in zip(on_loci, off_loci)]
+    zeros = [0] * len(total)
+    return {
+        "ALL": total,
+        "IN_Z": total if liftable else on_loci,
+        "NOT_IN_Z": zeros if liftable else off_loci,
+        "IN_SOME_V": on_loci,
+        "LIFTABLE_ONLY": off_loci if liftable else zeros,
+        "SINGULAR_FIBER": total if singular else zeros,
+    }
+
+
 def _classify_fiber(args):
     """Worker task: per-bound, per-class counts (and point rows) for the
     fiber above one base point."""
     x_coords, bounds, emit_points = args
-    x = ProjectivePoint(x_coords)
-    hx3 = naive_height(x) ** 3
-    top = bounds[-1] // hx3
-    tallies = {label: [0] * len(bounds) for label in CLASS_LABELS}
-    rows = []
+    lifts, singular, _ = _fiber_profile(x_coords)
+    liftable = any(lifts.values())
+    hx3 = max(map(abs, x_coords)) ** 3
     sides = None if emit_points else _linear_sides(x_coords)
     if sides is not None:
-        # x has a zero coordinate, so the fiber is singular, and the
-        # pairing grouping the nonzero indices has both pair sums 0 on it
-        counts = [primitive_count(sides, b // hx3) for b in bounds]
-        for label in ("ALL", "IN_Z", "IN_SOME_V", "SINGULAR_FIBER"):
-            tallies[label] = list(counts)
-        return tallies, rows
-    for y in enumerate_fiber(x, top):
-        record = classify_point(BundlePoint(x, y))
-        height = hx3 * naive_height(y)
-        labels = ["ALL", "IN_Z" if record.in_Z else "NOT_IN_Z"]
-        if any(record.in_V.values()):
-            labels.append("IN_SOME_V")
-        elif record.in_Z:
-            labels.append("LIFTABLE_ONLY")
-        if record.singular_fiber:
-            labels.append("SINGULAR_FIBER")
-        for idx, b in enumerate(bounds):
-            if height <= b:
-                for label in labels:
-                    tallies[label][idx] += 1
+        # the pairing grouping the nonzero indices of x has both pair sums 0
+        on_loci = [primitive_count(sides, b // hx3) for b in bounds]
+        return _tally(on_loci, [0] * len(bounds), liftable, singular), []
+    # points first counted at each bound; every height is at most bounds[-1]
+    new_on = [0] * len(bounds)
+    new_off = [0] * len(bounds)
+    rows = []
+    x = ProjectivePoint(x_coords) if emit_points else None
+    for ys in _fiber_coords(x_coords, bounds[-1] // hx3):
+        height = hx3 * max(map(abs, ys))
+        on = any(pair_sums(x_coords, ys, p) == (0, 0) for p in PAIRINGS)
+        (new_on if on else new_off)[bisect_left(bounds, height)] += 1
         if emit_points:
+            record = classify_point(BundlePoint(x, ProjectivePoint(ys)))
             rows.append(point_row(record, height))
-    return tallies, rows
+    on_loci = list(itertools.accumulate(new_on))
+    off_loci = list(itertools.accumulate(new_off))
+    return _tally(on_loci, off_loci, liftable, singular), rows
 
 
 def point_row(record, height: int) -> str:
@@ -300,10 +296,13 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
     """Classified counting functions on an ascending grid of bounds.
 
     Each fiber is counted once, for the largest bound, and thresholded
-    into each bound.  Linear fibers are counted in closed form, and
-    contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER; with
-    emit_points, and always for cone and smooth fibers, every point is
-    enumerated and classified.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
+    into each bound.  Liftability and singularity come from the fiber
+    profile, read once per base point.  Linear fibers are counted in closed
+    form, and contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER;
+    with emit_points, and always for cone and smooth fibers, every point is
+    enumerated and tested for its height and the pair loci (with
+    emit_points also classified in full for its row).  IN_SOME_V and
+    LIFTABLE_ONLY partition IN_Z:
     points on some pair locus versus points swept in only through
     liftability of their base point.
 
@@ -320,29 +319,19 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
         raise InvalidArgument("bounds must be positive and strictly ascending")
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
-    tasks = [(x.coords, bounds, emit_points) for x in base_points(bounds[-1])]
+    tasks = [(xs, bounds, emit_points) for xs in canonical_coords(4, _base_height(bounds[-1]))]
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
     all_rows: list[str] = []
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = pool.map(_classify_fiber, tasks, chunksize=8)
-            for tallies, rows in results:
-                _merge(totals, tallies)
-                all_rows.extend(rows)
-    else:
-        for task in tasks:
-            tallies, rows = _classify_fiber(task)
-            _merge(totals, tallies)
+    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
+    with pool or contextlib.nullcontext():
+        results = (pool.map(_classify_fiber, tasks, chunksize=8) if pool
+                   else map(_classify_fiber, tasks))
+        for tallies, rows in results:
+            for label, counts in tallies.items():
+                totals[label] = [a + b for a, b in zip(totals[label], counts)]
             all_rows.extend(rows)
     return CountSeries(bounds, totals), sorted(all_rows)
-
-
-def _merge(totals, tallies) -> None:
-    for label, counts in tallies.items():
-        acc = totals[label]
-        for idx, v in enumerate(counts):
-            acc[idx] += v
 
 
 @dataclass(frozen=True)

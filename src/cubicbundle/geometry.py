@@ -59,18 +59,17 @@ def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:
     return sum(xi * yi ** 3 for xi, yi in zip(x.coords, y.coords)) == 0
 
 
-def pair_sums(p: BundlePoint, pairing: int) -> tuple[int, int]:
-    """The two binomial sums x_i*y_i^3 + x_j*y_j^3 for the pairing."""
+def pair_sums(x, y, pairing: int) -> tuple[int, int]:
+    """The two binomial sums x_i*y_i^3 + x_j*y_j^3 for the pairing, on
+    coordinate tuples x and y."""
     (i, j), (k, l) = pairing_pairs(pairing)
-    x, y = p.x.coords, p.y.coords
     return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3,
             x[k] * y[k] ** 3 + x[l] * y[l] ** 3)
 
 
 def in_pair_locus(p: BundlePoint, pairing: int) -> bool:
     """True iff both pair-sums vanish (membership in V_tau)."""
-    first, second = pair_sums(p, pairing)
-    return first == 0 and second == 0
+    return pair_sums(p.x.coords, p.y.coords, pairing) == (0, 0)
 
 
 def pair_products(x: ProjectivePoint, pairing: int) -> tuple[int, int]:

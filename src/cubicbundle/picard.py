@@ -184,17 +184,17 @@ def incidence(l1: LineLabel, l2: LineLabel) -> int:
     return 1 if meet else 0
 
 
-def incidence_gram(labels=ALL_LINE_LABELS) -> list[list[int]]:
-    """Gram matrix of line classes under the intersection form."""
-    return [[incidence(l1, l2) for l2 in labels] for l1 in labels]
+def incidence_gram() -> list[list[int]]:
+    """Gram matrix of the 27 line classes under the intersection form."""
+    return [[incidence(l1, l2) for l2 in ALL_LINE_LABELS] for l1 in ALL_LINE_LABELS]
 
 
-def orbits(group, labels=ALL_LINE_LABELS) -> list[tuple[LineLabel, ...]]:
-    """Orbit partition of the line labels, each orbit sorted, orbits ordered
-    by their least element."""
+def orbits(group) -> list[tuple[LineLabel, ...]]:
+    """Orbit partition of the 27 line labels, each orbit sorted, orbits
+    ordered by their least element."""
     seen: set[LineLabel] = set()
     out = []
-    for label in sorted(labels):
+    for label in ALL_LINE_LABELS:
         if label in seen:
             continue
         orbit = {label}
@@ -252,7 +252,7 @@ def _line_rows(s: DiagonalCubic, label: LineLabel, omega, roots):
     return row1, row2
 
 
-def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel, dps: int = 50) -> int:
+def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel) -> int:
     """Do two distinct lines meet?  Decided numerically: the four linear
     forms have a common projective zero iff their 4x4 determinant vanishes.
 
@@ -264,7 +264,7 @@ def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel, dps: int =
         raise InvalidArgument("numeric incidence is for distinct lines")
     import mpmath  # only this oracle needs it, so importing the package does not load it
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         omega = mpmath.expjpi(mpmath.mpf(2) / 3)
         a = s.coefficients
         roots = [mpmath.mpf(1)] * 4

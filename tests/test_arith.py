@@ -13,6 +13,7 @@ from cubicbundle.arith import (
     anticanonical_height,
     cube_class,
     exact_cube_root,
+    is_canonical,
     is_cube,
     naive_height,
     normalize,
@@ -50,6 +51,11 @@ class TestNormalize:
             ProjectivePoint((2, 4, 0, 0))
         with pytest.raises(InvalidPoint):
             ProjectivePoint((-1, 1, 0, 0))
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(tuple))
+    def test_is_canonical_iff_fixed_by_normalize(self, coords):
+        expected = any(coords) and normalize(coords).coords == coords
+        assert is_canonical(coords) == expected
 
     @given(coord_lists)
     def test_idempotent(self, coords):

@@ -4,6 +4,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import cubicbundle
 from cubicbundle.cli import main
 
@@ -57,6 +59,19 @@ class TestCount:
             capsys, "count", "--bounds", "1", "--workers", "0", "--out", str(tmp_path / "x.csv")
         )
         assert code == 64
+
+    def test_stdout_csv_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "counts.csv"
+        code, _, _ = run(capsys, "count", "--bounds", "1,2", "--out", str(out))
+        assert code == 0
+        code, stdout, err = run(capsys, "count", "--bounds", "1,2")
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+        assert "ALL" in err  # the summary table went to stderr
+        piped = tmp_path / "piped.csv"
+        piped.write_text(stdout)
+        code, _, _ = run(capsys, "plot", str(piped), str(tmp_path / "piped.svg"))
+        assert code == 0
 
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "count", "--bounds", "1", "--out", "/nonexistent-dir/x.csv")
@@ -204,6 +219,17 @@ class TestPlot:
         code, _, err = run(capsys, "plot", str(csv), str(tmp_path / "x.svg"))
         assert code == 65
         assert "no rows" in err
+
+    @pytest.mark.parametrize(
+        "body", ["0,5", "-2,5", "1,5\n0,6"], ids=["zero", "negative", "zero-after-valid"]
+    )
+    def test_non_positive_bound(self, tmp_path, capsys, body):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"B,ALL\n{body}\n")
+        code, _, err = run(capsys, "plot", str(csv), str(tmp_path / "x.svg"))
+        assert code == 65
+        assert err.startswith("error:")
+        assert not (tmp_path / "x.svg").exists()
 
 
 def test_import_loads_neither_sympy_nor_mpmath():

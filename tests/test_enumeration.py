@@ -98,8 +98,11 @@ class TestFiber:
                 expected.add(normalize(ys).coords)
         assert {y.coords for y in enumerate_fiber(x, bound)} == expected
 
-    def test_sorted_and_duplicate_free(self):
-        fiber = enumerate_fiber(normalize([1, 1, 1, 1]), 5)
+    @pytest.mark.parametrize(
+        "xs", [(1, 1, 1, 1), (0, 1, -1, 3), (1, 0, 2, -2), (1, 2, 3, 4), (1, -8, 1, -1)]
+    )
+    def test_sorted_and_duplicate_free(self, xs):
+        fiber = enumerate_fiber(normalize(xs), 5)
         coords = [y.coords for y in fiber]
         assert coords == sorted(set(coords))
 
@@ -178,6 +181,27 @@ class TestCountSeries:
         lines = series.csv_text().strip().split("\n")
         assert lines[0] == "B," + ",".join(CLASS_LABELS)
         assert len(lines) == 3
+
+    def test_matches_enumerate_then_classify_oracle(self):
+        grid = [1, 2, 4, 8]
+        expected = {label: [0] * len(grid) for label in CLASS_LABELS}
+        for point in enumerate_bundle(grid[-1]):
+            record = classify_point(point)
+            labels = ["ALL", "IN_Z" if record.in_Z else "NOT_IN_Z"]
+            if any(record.in_V.values()):
+                labels.append("IN_SOME_V")
+            elif record.in_Z:
+                labels.append("LIFTABLE_ONLY")
+            if record.singular_fiber:
+                labels.append("SINGULAR_FIBER")
+            height = anticanonical_height(point.x, point.y)
+            for idx, b in enumerate(grid):
+                if height <= b:
+                    for label in labels:
+                        expected[label][idx] += 1
+        for emit_points in (False, True):
+            series, _ = count_series(grid, emit_points=emit_points)
+            assert series.counts == expected
 
     def test_pool_size_is_bounded(self, monkeypatch):
         sizes = []
