@@ -192,10 +192,12 @@ def cmd_verify_intersections(seed: int) -> int:
 # ---------------------------------------------------------------------------
 # rank survey
 
+#: coefficients that rank-survey draws from: [-20, 20] without 0
+SURVEY_COEFFICIENTS = tuple(v for v in range(-20, 21) if v)
+
+
 def random_surface(rng: random.Random) -> DiagonalCubic:
-    return DiagonalCubic(
-        tuple(rng.choice([v for v in range(-20, 21) if v]) for _ in range(4))
-    )
+    return DiagonalCubic(tuple(rng.choice(SURVEY_COEFFICIENTS) for _ in range(4)))
 
 
 def cmd_rank_survey(sample_count: int, seed: int) -> int:
@@ -345,7 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", required=True, help="comma-separated ascending heights")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--emit-points", action="store_true", help="also dump classified points")
+    p.add_argument(
+        "--emit-points",
+        action="store_true",
+        help="also dump classified points to <out>.points, or to points.points in "
+        "the working directory when the CSV goes to stdout",
+    )
 
     p = sub.add_parser("enumerate", help="dump all points up to a height bound")
     p.add_argument("--bound", type=int, required=True)

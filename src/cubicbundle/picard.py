@@ -23,15 +23,24 @@ Two independent rank computations:
 
 A cube test over Q suffices for Kummer duality over Q(w): a rational is a
 cube in Q(w) iff it is a cube in Q, because [Q(w):Q] = 2 is prime to 3.
+
+The Galois route depends on the coefficients only through the relation
+lattice, one of the 28 subgroups of (Z/3)^3: the twist group, the orbits of
+the 27 lines and the rank of the orbit-sum Gram matrix are all functions of
+it.  They are computed once per lattice and cached (:func:`_lattice_orbits`),
+so a rank costs 27 integer cube tests, a cache lookup and the Segre check,
+which runs on every surface so that the two routes stay independent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import InvalidArgument, is_cube, rational_matrix_rank
+from .arith import InvalidArgument, exact_cube_root, is_cube, rational_matrix_rank
 from .geometry import PAIRINGS, pairing_pairs
 
 
@@ -95,25 +104,64 @@ def segre_rank_one(s: DiagonalCubic) -> bool:
     Three ratios suffice: inverting a ratio or swapping within a pair does
     not change cube-ness.
     """
-    return all(
-        not is_cube(s.pairing_ratio(p).numerator, s.pairing_ratio(p).denominator)
-        for p in PAIRINGS
-    )
+    ratios = (s.pairing_ratio(p) for p in PAIRINGS)
+    return all(not is_cube(r.numerator, r.denominator) for r in ratios)
 
 
 def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     """Exponent triples (e1, e2, e3) in (Z/3)^3 with
-    (a1/a0)^e1 * (a2/a0)^e2 * (a3/a0)^e3 a cube in Q."""
-    a = s.coefficients
-    ratios = [Fraction(a[i], a[0]) for i in (1, 2, 3)]
-    relations = []
-    for e in itertools.product(range(3), repeat=3):
-        prod = Fraction(1)
-        for r, ei in zip(ratios, e):
-            prod *= r ** ei
-        if is_cube(prod.numerator, prod.denominator):
-            relations.append(e)
-    return relations
+    (a1/a0)^e1 * (a2/a0)^e2 * (a3/a0)^e3 a cube in Q, in lexicographic order.
+
+    Multiplying by a0^(3k) does not change cube-ness, so the product is a
+    cube iff the integer a1^e1 * a2^e2 * a3^e3 * a0^((-e1-e2-e3) mod 3) is
+    an integer cube (-1 is a cube, so signs need no care).
+    """
+    a0, a1, a2, a3 = s.coefficients
+    return [
+        e
+        for e in itertools.product(range(3), repeat=3)
+        if exact_cube_root(a1 ** e[0] * a2 ** e[1] * a3 ** e[2] * a0 ** (-sum(e) % 3))
+        is not None
+    ]
+
+
+class LatticeOrbits(NamedTuple):
+    """What the Galois route derives from one relation lattice."""
+
+    group: tuple[GaloisElement, ...]
+    orbits: tuple[tuple[LineLabel, ...], ...]
+    rank: int
+    orbit_sizes: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=28)
+def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbits:
+    """Galois group, line orbits and orbit-sum Gram rank of a relation lattice.
+
+    The key is ``tuple(relation_lattice(s))``, a subgroup of (Z/3)^3 in
+    lexicographic order; there are 28 such subgroups, so the cache never
+    evicts.  Valid twists form the annihilator of the lattice.  The
+    invariant part of the Neron-Severi space is spanned by the orbit sums of
+    the 27 line classes; the intersection form is nondegenerate there, so
+    the rank equals the rank of the orbit-sum Gram matrix.
+    """
+    twists = [
+        k
+        for k in itertools.product(range(3), repeat=3)
+        if all(sum(ei * ki for ei, ki in zip(e, k)) % 3 == 0 for e in relations)
+    ]
+    group = tuple(GaloisElement(c, k) for c in (0, 1) for k in twists)
+    parts = orbits(group)
+    gram = [
+        [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
+        for o1 in parts
+    ]
+    return LatticeOrbits(
+        group=group,
+        orbits=tuple(parts),
+        rank=rational_matrix_rank(gram),
+        orbit_sizes=tuple(sorted(len(o) for o in parts)),
+    )
 
 
 def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
@@ -123,13 +171,7 @@ def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
     order is 2 * 3^d with d the rank of the subgroup of Q*/(Q*)^3 generated
     by the three coefficient ratios.
     """
-    relations = relation_lattice(s)
-    twists = [
-        k
-        for k in itertools.product(range(3), repeat=3)
-        if all(sum(ei * ki for ei, ki in zip(e, k)) % 3 == 0 for e in relations)
-    ]
-    return [GaloisElement(c, k) for c in (0, 1) for k in sorted(twists)]
+    return list(_lattice_orbits(tuple(relation_lattice(s))).group)
 
 
 def compose(g: GaloisElement, h: GaloisElement) -> GaloisElement:
@@ -214,24 +256,17 @@ def orbits(group) -> list[tuple[LineLabel, ...]]:
 def picard_rank(s: DiagonalCubic) -> PicardReport:
     """Rank over Q by the Galois-orbit route, cross-checked against Segre.
 
-    The invariant part of the Neron-Severi space is spanned by the orbit
-    sums of the 27 line classes; the intersection form is nondegenerate
-    there, so the rank equals the rank of the orbit-sum Gram matrix.
+    The orbit rank is looked up per relation lattice (:func:`_lattice_orbits`);
+    the Segre criterion is evaluated afresh for every surface.
     """
-    group = galois_group(s)
-    parts = orbits(group)
-    gram = [
-        [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
-        for o1 in parts
-    ]
-    rank = rational_matrix_rank(gram)
+    lattice = _lattice_orbits(tuple(relation_lattice(s)))
     segre = segre_rank_one(s)
     return PicardReport(
-        rank_over_Q=rank,
+        rank_over_Q=lattice.rank,
         segre_rank_one=segre,
-        orbit_sizes=tuple(sorted(len(o) for o in parts)),
-        agreement=segre == (rank == 1),
-        galois_order=len(group),
+        orbit_sizes=lattice.orbit_sizes,
+        agreement=segre == (lattice.rank == 1),
+        galois_order=len(lattice.group),
     )
 
 

@@ -50,6 +50,18 @@ class TestCount:
         assert len(rows) == 440
         assert all(len(r.split("|")) == 4 for r in rows)
 
+    def test_emit_points_without_out_writes_points_points(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run(capsys, "count", "--bounds", "1", "--emit-points")
+        assert code == 0
+        assert stdout.startswith("B,ALL,")  # the CSV itself went to stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.points"]
+        rows = (tmp_path / "points.points").read_text().strip().split("\n")
+        assert len(rows) == 440
+        with pytest.raises(SystemExit):
+            main(["count", "--help"])
+        assert "points.points" in capsys.readouterr().out
+
     def test_invalid_bounds_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "count", "--bounds", "4,2", "--out", str(tmp_path / "x.csv"))
         assert code == 64
@@ -180,6 +192,17 @@ class TestRankSurvey:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "segre_disagreements: 0" in out1
+
+    def test_survey_output_pinned(self, capsys):
+        code, stdout, _ = run(capsys, "rank-survey", "--samples", "200", "--seed", "7")
+        assert code == 0
+        assert stdout == (
+            "samples: 200  seed: 7\n"
+            "rank 1: 187\nrank 2: 9\nrank 3: 3\nrank 4: 1\n"
+            "segre_disagreements: 0\n"
+            "galois_order 2: 1\ngalois_order 6: 9\n"
+            "galois_order 18: 73\ngalois_order 54: 117\n"
+        )
 
     def test_rank_lines_present(self, capsys):
         _, stdout, _ = run(capsys, "rank-survey", "--samples", "10", "--seed", "3")

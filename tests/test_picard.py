@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicbundle.arith import InvalidArgument, rational_matrix_rank
+from cubicbundle import picard
+from cubicbundle.arith import InvalidArgument, is_cube, rational_matrix_rank
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -94,6 +96,89 @@ class TestGaloisGroup:
         for g in sample:
             for h in sample:
                 assert compose(g, h) in group
+
+
+def fraction_relation_lattice(s):
+    """The relation lattice from Fraction products of the ratios a_i/a_0."""
+    a = s.coefficients
+    ratios = [Fraction(a[i], a[0]) for i in (1, 2, 3)]
+    relations = []
+    for e in itertools.product(range(3), repeat=3):
+        prod = Fraction(1)
+        for r, ei in zip(ratios, e):
+            prod *= r ** ei
+        if is_cube(prod.numerator, prod.denominator):
+            relations.append(e)
+    return relations
+
+
+def subgroups_of_z3_cubed():
+    """Every subgroup of (Z/3)^3, as the closure of up to three generators."""
+    elements = list(itertools.product(range(3), repeat=3))
+    found = set()
+    for gens in itertools.combinations_with_replacement(elements, 3):
+        span = {
+            tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % 3 for i in range(3))
+            for coeffs in itertools.product(range(3), repeat=3)
+        }
+        found.add(tuple(sorted(span)))
+    return sorted(found)
+
+
+# Large coefficients of both signs, and products of a small cube class with a
+# cube, so that nontrivial relation lattices occur too.
+large_coefficient = st.one_of(
+    st.integers(-10**9, 10**9).filter(bool),
+    st.builds(
+        lambda unit, root, sign: sign * unit * root ** 3,
+        st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36]),
+        st.integers(1, 300),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+class TestRelationLattice:
+    @given(st.tuples(large_coefficient, large_coefficient, large_coefficient, large_coefficient))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, coeffs):
+        s = DiagonalCubic(coeffs)
+        assert relation_lattice(s) == fraction_relation_lattice(s)
+
+    def test_examples(self):
+        assert relation_lattice(DiagonalCubic((1, 2, 3, 5))) == [(0, 0, 0)]
+        assert len(relation_lattice(DiagonalCubic((1, 1, 1, 1)))) == 27
+        # 2^e1 * 4^e2 is a cube iff e1 == e2; the third ratio is 1
+        assert relation_lattice(DiagonalCubic((1, 2, 4, 1))) == [
+            (e, e, e3) for e in range(3) for e3 in range(3)
+        ]
+        assert relation_lattice(DiagonalCubic((-1, 2, -4, 1))) == [
+            (e, e, e3) for e in range(3) for e3 in range(3)
+        ]
+
+    def test_there_are_28_subgroups(self):
+        subgroups = subgroups_of_z3_cubed()
+        assert len(subgroups) == 28
+        assert sorted(len(g) for g in subgroups) == [1] + [3] * 13 + [9] * 13 + [27]
+
+
+class TestLatticeCache:
+    @pytest.mark.parametrize("relations", subgroups_of_z3_cubed(), ids=len)
+    def test_cached_equals_unmemoized(self, relations):
+        assert picard._lattice_orbits(relations) == picard._lattice_orbits.__wrapped__(relations)
+
+    def test_survey_fills_at_most_28_entries(self):
+        picard._lattice_orbits.cache_clear()
+        for s in random_surfaces(1000, seed=2024):
+            picard_rank(s)
+        info = picard._lattice_orbits.cache_info()
+        assert info.hits + info.misses == 1000
+        assert info.misses == info.currsize <= 28
+
+    def test_galois_group_is_a_fresh_list(self):
+        s = DiagonalCubic((1, 2, 4, 1))
+        galois_group(s).clear()
+        assert len(galois_group(s)) == 6
 
 
 class TestLineAction:
