@@ -23,14 +23,20 @@ into point objects.  Output is always sorted lexicographically, so runs are
 reproducible byte for byte and the outer loop parallelizes freely.
 
 Counting reads the fiber profile (liftability, singularity, rank) once per
-base point x; per point only the height and the pair-locus test remain.
-Without point rows it skips enumeration on the linear fibers (one or two
-nonzero coordinates of x): their points fill a plane or a line with a
-box-shaped parametrization, so a Moebius sum over the box counts them
-(:func:`primitive_count`), and every one lies on the pair locus of the
-pairing that groups the nonzero indices.  Dumps and the cone and smooth
-fibers take the enumerating path, which stays the oracle for the closed
-form.
+fiber; per point only the height and the pair-locus test remain.
+Without point rows it counts one fiber per orbit of base points under the
+signed permutations (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.
+They preserve the equation, the heights, the set of pair loci,
+liftability (-1 is a cube) and singularity, so a fiber's tally depends
+only on the sorted |x_i|: the representative 0 <= a <= b <= c <= d is
+counted once and weighted by the number of canonical base points in its
+orbit (:func:`_base_orbits`).  It also skips enumeration on the linear
+fibers (one or two nonzero coordinates of x): their points fill a plane or
+a line with a box-shaped parametrization, so a Moebius sum over the box
+counts them (:func:`primitive_count`), and every one lies on the pair
+locus of the pairing that groups the nonzero indices.  Dumps classify
+every point over every canonical base point; that path stays the oracle
+for both the orbit weighting and the closed form.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import itertools
 import math
 import os
 from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,6 +178,23 @@ def base_points(height_bound: int) -> list[ProjectivePoint]:
     return canonical_points(4, _base_height(height_bound))
 
 
+def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """The orbits of canonical base points with H(x) <= x_max under signed
+    permutations: each representative 0 <= a <= b <= c <= d with gcd 1, in
+    lexicographic order, with its orbit's size.
+
+    The orbit holds every distinct permutation of the representative with
+    every sign on its nonzero entries; canonical form keeps half of those
+    signed vectors, one of each pair v, -v.
+    """
+    orbits = []
+    for rep in itertools.combinations_with_replacement(range(x_max + 1), 4):
+        if math.gcd(*rep) == 1:
+            perms = 24 // math.prod(math.factorial(m) for m in Counter(rep).values())
+            orbits.append((rep, perms * 2 ** (4 - rep.count(0) - 1)))
+    return orbits
+
+
 def enumerate_bundle(height_bound: int):
     """Stream every bundle point with anticanonical height <= height_bound
     exactly once, lexicographically in normalized x then y."""
@@ -297,18 +321,23 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
 
     Each fiber is counted once, for the largest bound, and thresholded
     into each bound.  Liftability and singularity come from the fiber
-    profile, read once per base point.  Linear fibers are counted in closed
-    form, and contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER;
-    with emit_points, and always for cone and smooth fibers, every point is
-    enumerated and tested for its height and the pair loci (with
-    emit_points also classified in full for its row).  IN_SOME_V and
-    LIFTABLE_ONLY partition IN_Z:
+    profile, read once per fiber.  Without emit_points one fiber is counted
+    per signed-permutation orbit of base points, and its tally is added
+    with the orbit's size as weight; linear fibers are counted in closed
+    form, and contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER,
+    while every point of a cone or smooth fiber is enumerated and tested
+    for its height and the pair loci.  With emit_points every canonical
+    base point is its own task of weight 1, and every point is enumerated
+    and classified in full for its row.  IN_SOME_V and LIFTABLE_ONLY
+    partition IN_Z:
     points on some pair locus versus points swept in only through
     liftability of their base point.
 
-    The outer loop over base points splits across at most
-    min(workers, number of base points, CPU count) worker processes;
-    merging is order-independent, so any worker count produces identical
+    Orbit tasks run largest fiber bound bounds[-1] // H(x)^3 first, one at
+    a time per worker, so the few huge fibers over height-1 base points
+    start at once and do not queue behind each other.  Tasks split across
+    at most min(workers, number of tasks, CPU count) worker processes.
+    Merging is a weighted sum, so any worker count produces identical
     output.  Returns (CountSeries, sorted point rows) — rows empty unless
     emit_points.
     """
@@ -319,17 +348,22 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
         raise InvalidArgument("bounds must be positive and strictly ascending")
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
-    tasks = [(xs, bounds, emit_points) for xs in canonical_coords(4, _base_height(bounds[-1]))]
+    x_max = _base_height(bounds[-1])
+    if emit_points:
+        weighted = [(xs, 1) for xs in canonical_coords(4, x_max)]
+    else:
+        weighted = sorted(_base_orbits(x_max), key=lambda xw: max(xw[0]))
+    tasks = [(xs, bounds, emit_points) for xs, _ in weighted]
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
     all_rows: list[str] = []
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
     with pool or contextlib.nullcontext():
-        results = (pool.map(_classify_fiber, tasks, chunksize=8) if pool
+        results = (pool.map(_classify_fiber, tasks, chunksize=1) if pool
                    else map(_classify_fiber, tasks))
-        for tallies, rows in results:
+        for (_, weight), (tallies, rows) in zip(weighted, results):
             for label, counts in tallies.items():
-                totals[label] = [a + b for a, b in zip(totals[label], counts)]
+                totals[label] = [a + weight * b for a, b in zip(totals[label], counts)]
             all_rows.extend(rows)
     return CountSeries(bounds, totals), sorted(all_rows)
 

@@ -1,16 +1,19 @@
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicbundle import enumeration
+from cubicbundle import classify, enumeration
 from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_height, normalize
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     LineSpec,
+    _base_orbits,
     _classify_fiber,
     _linear_sides,
     base_points,
@@ -56,6 +59,31 @@ def brute_force_bundle(height_bound):
                 continue
             found.add((normalize(xs).coords, normalize(ys).coords))
     return found
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces the process pool by one that records its sizes and map calls
+    and runs the tasks in-process."""
+    record = {"sizes": [], "maps": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            record["maps"].append((tasks, chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    return record
 
 
 class TestFiber:
@@ -203,38 +231,80 @@ class TestCountSeries:
             series, _ = count_series(grid, emit_points=emit_points)
             assert series.counts == expected
 
-    def test_pool_size_is_bounded(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records the requested pool size and runs tasks in-process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_is_bounded(self, monkeypatch, recording_pool):
         expected, _ = count_series([1])
-        tasks = len(base_points(1))
+        tasks = 4  # orbit representatives (0,0,0,1), (0,0,1,1), (0,1,1,1), (1,1,1,1)
         for cpus, workers, size in (
-            (4, 10_000, 4),
+            (2, 10_000, 2),
             (1_000, 10_000, tasks),
             (1_000, 3, 3),
             (None, 10_000, None),  # unknown CPU count: one process, no pool
         ):
-            sizes.clear()
+            recording_pool["sizes"].clear()
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
             series, _ = count_series([1], workers=workers)
             assert series.counts == expected.counts
-            assert sizes == ([] if size is None else [size])
+            assert recording_pool["sizes"] == ([] if size is None else [size])
+
+    def test_pool_runs_largest_fibers_first_one_at_a_time(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        count_series([1, 8, 64], workers=2)
+        [(tasks, chunksize)] = recording_pool["maps"]
+        assert chunksize == 1
+        fiber_bounds = [64 // max(xs) ** 3 for xs, _, _ in tasks]
+        assert fiber_bounds == sorted(fiber_bounds, reverse=True)
+        assert sorted(xs for xs, _, _ in tasks) == [rep for rep, _ in _base_orbits(4)]
+
+    def test_frontier_rows(self):
+        series, _ = count_series([64, 128])
+        assert series.csv_text().splitlines()[1:] == [
+            "64,14641288,14638568,2720,14627480,11088,14504192",
+            "128,114481432,114473144,8288,114433496,39648,113947472",
+        ]
+
+
+class TestBaseOrbits:
+    """Signed permutations of (x, y) map fibers onto fibers with equal tallies."""
+
+    @staticmethod
+    def representative(xs):
+        return tuple(sorted(map(abs, xs)))
+
+    @pytest.mark.parametrize("x_max", range(1, 7))
+    def test_weights_count_canonical_base_points(self, x_max):
+        # every base point has one representative, so the weights sum to
+        # the number of canonical base points
+        members = Counter(map(self.representative, canonical_coords(4, x_max)))
+        assert dict(_base_orbits(x_max)) == members
+
+    def test_orbit_members_share_the_representative_tally(self):
+        bounds = (1, 2, 4, 8, 16, 32, 64)
+        tallies = {rep: _classify_fiber((rep, bounds, False)) for rep, _ in _base_orbits(4)}
+        for xs in canonical_coords(4, 4):
+            assert _classify_fiber((xs, bounds, False)) == tallies[self.representative(xs)]
+
+    def test_one_profile_miss_per_representative(self):
+        classify._fiber_profile.cache_clear()
+        try:
+            count_series([1, 2, 4, 8, 16])
+            assert classify._fiber_profile.cache_info().misses == len(_base_orbits(2)) == 10
+        finally:
+            classify._fiber_profile.cache_clear()
+
+    def test_inconsistent_rank_still_raises(self, monkeypatch):
+        real = classify.picard_rank
+
+        def flipped(surface):
+            result = real(surface)
+            return dataclasses.replace(result, rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
+
+        classify._fiber_profile.cache_clear()
+        monkeypatch.setattr(classify, "picard_rank", flipped)
+        try:
+            with pytest.raises(RuntimeError, match="disagrees with Picard rank"):
+                count_series([1, 2, 4, 8, 16])
+        finally:
+            classify._fiber_profile.cache_clear()
 
 
 class TestLinearFibers:
