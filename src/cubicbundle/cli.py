@@ -13,9 +13,9 @@ import math
 import random
 import sys
 
-from .arith import InvalidArgument, InvalidPoint, anticanonical_height, normalize
+from .arith import InvalidArgument, InvalidPoint, normalize
 from .classify import classify_point
-from .enumeration import CLASS_LABELS, count_series, enumerate_bundle, point_row
+from .enumeration import count_series, point_rows
 from .geometry import NotOnVariety, BundlePoint
 from .intersection import H1, H2, DivisorClass, intersect_on_bundle
 from .picard import (
@@ -44,13 +44,13 @@ def _parse_point(text: str, dim: int = 4):
     return normalize(coords)
 
 
-def _write_text(path: str | None, text: str) -> int:
+def _write_text(path: str | None, chunks) -> int:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return EXIT_OK
     try:
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -62,35 +62,27 @@ def _write_text(path: str | None, text: str) -> int:
 
 def cmd_count(bounds, workers: int, output_path: str | None, emit_points: bool) -> int:
     try:
-        series, rows = count_series(bounds, workers=workers, emit_points=emit_points)
+        series = count_series(bounds, workers=workers)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    status = _write_text(output_path, series.csv_text())
+    status = _write_text(output_path, [series.csv_text()])
+    if status == EXIT_OK and emit_points:
+        rows = point_rows(series.bounds[-1], workers, as_text=True)
+        status = _write_text((output_path or "points") + ".points", (r + "\n" for r in rows))
     if status != EXIT_OK:
         return status
-    if emit_points:
-        points_path = (output_path or "points") + ".points"
-        status = _write_text(points_path, "\n".join(rows) + "\n" if rows else "")
-        if status != EXIT_OK:
-            return status
-    # the summary table must not trail a CSV written to stdout
+    # the summary table, laid out as the CSV, must not trail a CSV on stdout
     table = sys.stdout if output_path else sys.stderr
-    header = ["B"] + list(CLASS_LABELS)
-    widths = [max(len(h), 10) for h in header]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)), file=table)
-    for idx, b in enumerate(series.bounds):
-        cells = [str(b)] + [str(series.counts[label][idx]) for label in CLASS_LABELS]
+    lines = [line.split(",") for line in series.csv_text().splitlines()]
+    widths = [max(len(h), 10) for h in lines[0]]
+    for cells in lines:
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)), file=table)
     return EXIT_OK
 
 
 def cmd_enumerate(height_bound: int, output_path: str | None) -> int:
-    rows = []
-    for point in enumerate_bundle(height_bound):
-        record = classify_point(point)
-        rows.append(point_row(record, anticanonical_height(point.x, point.y)))
-    return _write_text(output_path, "\n".join(rows) + "\n" if rows else "")
+    return _write_text(output_path, (row + "\n" for row in point_rows(height_bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +320,7 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
         print("error: bounds must be positive for a log-log chart", file=sys.stderr)
         return EXIT_DOMAIN
     series = {label: [row[idx] for row in rows] for idx, label in enumerate(header) if idx}
-    return _write_text(svg_path, render_log_log_svg(bounds, series))
+    return _write_text(svg_path, [render_log_log_svg(bounds, series)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ reproducible byte for byte and the outer loop parallelizes freely.
 
 Counting reads the fiber profile (liftability, singularity, rank) once per
 fiber; per point only the height and the pair-locus test remain.
-Without point rows it counts one fiber per orbit of base points under the
+It counts one fiber per orbit of base points under the
 signed permutations (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.
 They preserve the equation, the heights, the set of pair loci,
 liftability (-1 is a cube) and singularity, so a fiber's tally depends
@@ -35,13 +35,13 @@ fibers (one or two nonzero coordinates of x): their points fill a plane or
 a line with a box-shaped parametrization, so a Moebius sum over the box
 counts them (:func:`primitive_count`), and every one lies on the pair
 locus of the pairing that groups the nonzero indices.  Dumps classify
-every point over every canonical base point; that path stays the oracle
-for both the orbit weighting and the closed form.
+every point, one fiber at a time (:func:`point_rows`); enumerate_bundle
+with classify_point stays the oracle for the orbit weights, the closed
+form and the dumps.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -276,32 +276,26 @@ def _tally(on_loci, off_loci, liftable: bool, singular: bool) -> dict[str, list[
 
 
 def _classify_fiber(args):
-    """Worker task: per-bound, per-class counts (and point rows) for the
-    fiber above one base point."""
-    x_coords, bounds, emit_points = args
+    """Worker task: per-bound, per-class counts for the fiber above x."""
+    x_coords, bounds = args
     lifts, singular, _ = _fiber_profile(x_coords)
     liftable = any(lifts.values())
     hx3 = max(map(abs, x_coords)) ** 3
-    sides = None if emit_points else _linear_sides(x_coords)
+    sides = _linear_sides(x_coords)
     if sides is not None:
         # the pairing grouping the nonzero indices of x has both pair sums 0
         on_loci = [primitive_count(sides, b // hx3) for b in bounds]
-        return _tally(on_loci, [0] * len(bounds), liftable, singular), []
+        return _tally(on_loci, [0] * len(bounds), liftable, singular)
     # points first counted at each bound; every height is at most bounds[-1]
     new_on = [0] * len(bounds)
     new_off = [0] * len(bounds)
-    rows = []
-    x = ProjectivePoint(x_coords) if emit_points else None
     for ys in _fiber_coords(x_coords, bounds[-1] // hx3):
         height = hx3 * max(map(abs, ys))
         on = any(pair_sums(x_coords, ys, p) == (0, 0) for p in PAIRINGS)
         (new_on if on else new_off)[bisect_left(bounds, height)] += 1
-        if emit_points:
-            record = classify_point(BundlePoint(x, ProjectivePoint(ys)))
-            rows.append(point_row(record, height))
     on_loci = list(itertools.accumulate(new_on))
     off_loci = list(itertools.accumulate(new_off))
-    return _tally(on_loci, off_loci, liftable, singular), rows
+    return _tally(on_loci, off_loci, liftable, singular)
 
 
 def point_row(record, height: int) -> str:
@@ -316,30 +310,56 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{','.join(flags) or '-'}"
 
 
-def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
-    """Classified counting functions on an ascending grid of bounds.
+def _fiber_rows(args) -> list[str]:
+    """Worker task: the dump rows of the fiber above x, in numeric order of y."""
+    x_coords, height_bound = args
+    x = ProjectivePoint(x_coords)
+    hx3 = naive_height(x) ** 3
+    return [point_row(classify_point(BundlePoint(x, y)), hx3 * naive_height(y))
+            for y in map(ProjectivePoint, _fiber_coords(x_coords, height_bound // hx3))]
 
-    Each fiber is counted once, for the largest bound, and thresholded
-    into each bound.  Liftability and singularity come from the fiber
-    profile, read once per fiber.  Without emit_points one fiber is counted
-    per signed-permutation orbit of base points, and its tally is added
-    with the orbit's size as weight; linear fibers are counted in closed
-    form, and contribute only to ALL, IN_Z, IN_SOME_V and SINGULAR_FIBER,
-    while every point of a cone or smooth fiber is enumerated and tested
-    for its height and the pair loci.  With emit_points every canonical
-    base point is its own task of weight 1, and every point is enumerated
-    and classified in full for its row.  IN_SOME_V and LIFTABLE_ONLY
-    partition IN_Z:
+
+def _pool_map(fn, tasks: list, workers: int):
+    """Stream fn over tasks in order, one task at a time on each of min(workers,
+    number of tasks, CPU count) processes, or in this process when that is 1."""
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size <= 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        yield from pool.map(fn, tasks, chunksize=1)
+
+
+def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
+    """Stream the dump rows of all points of anticanonical height <=
+    height_bound, one fiber at a time, in the order of enumerate_bundle.
+
+    as_text sorts the rows as strings instead: base points by str(x) + "|",
+    then each fiber's rows.  Every row starts with str(x) + "|", and "|"
+    sorts after the digits, ":" and "-", so that is the whole dump sorted.
+    """
+    if height_bound < 1:
+        raise InvalidArgument("height bound must be >= 1")
+    xs = list(canonical_coords(4, _base_height(height_bound)))
+    if as_text:
+        xs.sort(key=lambda c: str(ProjectivePoint(c)) + "|")
+    for rows in _pool_map(_fiber_rows, [(c, height_bound) for c in xs], workers):
+        yield from sorted(rows) if as_text else rows
+
+
+def count_series(height_bounds, workers: int = 1) -> CountSeries:
+    """Classified counting functions on an ascending grid of bounds: the
+    series only, as :func:`point_rows` dumps the points.
+
+    One fiber per signed-permutation orbit of base points is counted, for
+    the largest bound, thresholded into each bound and added with the
+    orbit's size as weight: linear fibers in closed form, cone and smooth
+    fibers point by point.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
     points on some pair locus versus points swept in only through
-    liftability of their base point.
-
-    Orbit tasks run largest fiber bound bounds[-1] // H(x)^3 first, one at
-    a time per worker, so the few huge fibers over height-1 base points
-    start at once and do not queue behind each other.  Tasks split across
-    at most min(workers, number of tasks, CPU count) worker processes.
-    Merging is a weighted sum, so any worker count produces identical
-    output.  Returns (CountSeries, sorted point rows) — rows empty unless
-    emit_points.
+    liftability of their base point.  Orbit tasks run largest fiber bound
+    bounds[-1] // H(x)^3 first, so the few huge fibers over height-1 base
+    points start at once; the merge is a weighted sum, so any worker count
+    produces identical output.
     """
     bounds = tuple(int(b) for b in height_bounds)
     if not bounds:
@@ -348,24 +368,13 @@ def count_series(height_bounds, workers: int = 1, emit_points: bool = False):
         raise InvalidArgument("bounds must be positive and strictly ascending")
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
-    x_max = _base_height(bounds[-1])
-    if emit_points:
-        weighted = [(xs, 1) for xs in canonical_coords(4, x_max)]
-    else:
-        weighted = sorted(_base_orbits(x_max), key=lambda xw: max(xw[0]))
-    tasks = [(xs, bounds, emit_points) for xs, _ in weighted]
+    weighted = sorted(_base_orbits(_base_height(bounds[-1])), key=lambda xw: max(xw[0]))
+    tallies = _pool_map(_classify_fiber, [(xs, bounds) for xs, _ in weighted], workers)
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
-    all_rows: list[str] = []
-    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
-    with pool or contextlib.nullcontext():
-        results = (pool.map(_classify_fiber, tasks, chunksize=1) if pool
-                   else map(_classify_fiber, tasks))
-        for (_, weight), (tallies, rows) in zip(weighted, results):
-            for label, counts in tallies.items():
-                totals[label] = [a + weight * b for a, b in zip(totals[label], counts)]
-            all_rows.extend(rows)
-    return CountSeries(bounds, totals), sorted(all_rows)
+    for (_, weight), tally in zip(weighted, tallies):
+        for label, counts in tally.items():
+            totals[label] = [a + weight * b for a, b in zip(totals[label], counts)]
+    return CountSeries(bounds, totals)
 
 
 @dataclass(frozen=True)

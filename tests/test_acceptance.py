@@ -208,7 +208,7 @@ def test_criterion_7_growth_exponents():
     )
     slope_ok = 1.85 <= slope <= 2.15
 
-    series, _ = count_series([8, 16, 32, 64], workers=8)
+    series = count_series([8, 16, 32, 64], workers=8)
     ratios = [
         series.counts["IN_Z"][idx] / series.counts["ALL"][idx]
         for idx in range(len(series.bounds))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,11 +13,41 @@ from cubicbundle.cli import main
 # a prime above 10^15, too large to factor by trial division within a test's time
 BIG_PRIME = 1000000000000037
 
+# SHA-256 of `count --bounds 1,2,4,8 --emit-points` (CSV and .points) and of
+# `enumerate --bound 8`, recorded before the dumps were streamed
+COUNT_8_CSV_SHA256 = "2f197215ecd3cb5479ea9a1f62c82be286aee1c54fd15063c786af766d50d21f"
+COUNT_8_POINTS_SHA256 = "8b72c66af71c01bc8f4357af10b73dee4fb65d3b9599843b450e7253680007e3"
+ENUMERATE_8_SHA256 = "ee34843c7e5d5d8d4e0e442b0eb343abca5a5ed9fc682ce6cb93f775cbd15377"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def tally_rows(rows, grid):
+    """CSV columns on the grid from dump rows x|y|height|flags alone."""
+    columns = {}
+    for row in rows:
+        _, _, height, flags = row.split("|")
+        flags = flags.split(",")
+        labels = ["ALL", "IN_Z" if "Z" in flags else "NOT_IN_Z"]
+        if any(flag.startswith("V") for flag in flags):
+            labels.append("IN_SOME_V")
+        elif "Z" in flags:
+            labels.append("LIFTABLE_ONLY")
+        if "SING" in flags:
+            labels.append("SINGULAR_FIBER")
+        for label in labels:
+            counts = columns.setdefault(label, [0] * len(grid))
+            for idx, b in enumerate(grid):
+                counts[idx] += int(height) <= b
+    return columns
 
 
 class TestCount:
@@ -89,6 +120,46 @@ class TestCount:
         code, _, err = run(capsys, "count", "--bounds", "1", "--out", "/nonexistent-dir/x.csv")
         assert code == 2
 
+    def test_unwritable_points_file(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        (tmp_path / "c.csv.points").mkdir()
+        code, stdout, err = run(capsys, "count", "--bounds", "1", "--emit-points", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+        assert stdout == ""  # no summary table after a failed write
+        assert out.read_text().startswith("B,ALL,")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_dump_bytes_pinned(self, tmp_path, capsys, workers):
+        out = tmp_path / "counts.csv"
+        code, _, _ = run(
+            capsys, "count", "--bounds", "1,2,4,8", "--emit-points", "--out", str(out),
+            "--workers", workers,
+        )
+        assert code == 0
+        assert sha256(out) == COUNT_8_CSV_SHA256
+        assert sha256(tmp_path / "counts.csv.points") == COUNT_8_POINTS_SHA256
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_is_the_tally_of_its_own_points(self, tmp_path, capsys, workers):
+        grid = [1, 2, 4, 8, 16]
+        out = tmp_path / "counts.csv"
+        code, _, _ = run(
+            capsys, "count", "--bounds", ",".join(map(str, grid)), "--emit-points",
+            "--out", str(out), "--workers", workers,
+        )
+        assert code == 0
+        header, *lines = out.read_text().splitlines()
+        labels = header.split(",")[1:]
+        csv_columns = {
+            label: [int(line.split(",")[idx]) for line in lines]
+            for idx, label in enumerate(labels, start=1)
+        }
+        rows = (tmp_path / "counts.csv.points").read_text().splitlines()
+        tallied = tally_rows(rows, grid)
+        assert csv_columns == {label: tallied.get(label, [0] * len(grid)) for label in labels}
+
 
 class TestEnumerate:
     def test_dump_format(self, tmp_path, capsys):
@@ -102,6 +173,26 @@ class TestEnumerate:
         assert len(y_part.split(":")) == 4
         assert height == "1"
         assert flags
+
+    def test_dump_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "points.txt"
+        code, _, _ = run(capsys, "enumerate", "--bound", "8", "--out", str(out))
+        assert code == 0
+        assert sha256(out) == ENUMERATE_8_SHA256
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "points.txt"
+        code, _, _ = run(capsys, "enumerate", "--bound", "2", "--out", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "enumerate", "--bound", "2")
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+
+    def test_unwritable_output(self, capsys):
+        code, stdout, err = run(capsys, "enumerate", "--bound", "1", "--out", "/nonexistent-dir/x")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:")
 
 
 class TestClassify:

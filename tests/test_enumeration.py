@@ -12,6 +12,7 @@ from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_heigh
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
+    CountSeries,
     LineSpec,
     _base_orbits,
     _classify_fiber,
@@ -23,6 +24,8 @@ from cubicbundle.enumeration import (
     enumerate_bundle,
     enumerate_fiber,
     line_count,
+    point_row,
+    point_rows,
     primitive_count,
     projective_line_count,
 )
@@ -59,6 +62,35 @@ def brute_force_bundle(height_bound):
                 continue
             found.add((normalize(xs).coords, normalize(ys).coords))
     return found
+
+
+def classified_tally(points, grid):
+    """CSV columns on the grid from classify_point on each given point: the
+    per-point oracle of count_series."""
+    expected = {label: [0] * len(grid) for label in CLASS_LABELS}
+    for point in points:
+        record = classify_point(point)
+        labels = ["ALL", "IN_Z" if record.in_Z else "NOT_IN_Z"]
+        if any(record.in_V.values()):
+            labels.append("IN_SOME_V")
+        elif record.in_Z:
+            labels.append("LIFTABLE_ONLY")
+        if record.singular_fiber:
+            labels.append("SINGULAR_FIBER")
+        height = anticanonical_height(point.x, point.y)
+        for idx, b in enumerate(grid):
+            if height <= b:
+                for label in labels:
+                    expected[label][idx] += 1
+    return expected
+
+
+def classified_rows(height_bound):
+    """Dump rows from enumerate_bundle and classify_point, in numeric order."""
+    return [
+        point_row(classify_point(p), anticanonical_height(p.x, p.y))
+        for p in enumerate_bundle(height_bound)
+    ]
 
 
 @pytest.fixture
@@ -169,11 +201,11 @@ class TestBundleEnumeration:
 
 class TestCountSeries:
     def test_b1_consistency(self):
-        series, _ = count_series([1])
+        series = count_series([1])
         assert series.counts["ALL"][0] == 440
 
     def test_partition_and_monotonicity(self):
-        series, _ = count_series([1, 2, 4, 8])
+        series = count_series([1, 2, 4, 8])
         for idx in range(4):
             total = series.counts["ALL"][idx]
             assert total == series.counts["IN_Z"][idx] + series.counts["NOT_IN_Z"][idx]
@@ -184,13 +216,13 @@ class TestCountSeries:
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_worker_counts_agree(self):
-        solo, _ = count_series([1, 2, 4], workers=1)
-        duo, _ = count_series([1, 2, 4], workers=2)
-        trio, _ = count_series([1, 2, 4], workers=3)
+        solo = count_series([1, 2, 4], workers=1)
+        duo = count_series([1, 2, 4], workers=2)
+        trio = count_series([1, 2, 4], workers=3)
         assert solo.counts == duo.counts == trio.counts
 
     def test_point_rows_sorted(self):
-        _, rows = count_series([2], emit_points=True)
+        rows = list(point_rows(2, as_text=True))
         assert rows == sorted(rows)
         assert all(len(row.split("|")) == 4 for row in rows)
 
@@ -205,34 +237,17 @@ class TestCountSeries:
             count_series([2], workers=0)
 
     def test_csv_shape(self):
-        series, _ = count_series([1, 2])
+        series = count_series([1, 2])
         lines = series.csv_text().strip().split("\n")
         assert lines[0] == "B," + ",".join(CLASS_LABELS)
         assert len(lines) == 3
 
     def test_matches_enumerate_then_classify_oracle(self):
         grid = [1, 2, 4, 8]
-        expected = {label: [0] * len(grid) for label in CLASS_LABELS}
-        for point in enumerate_bundle(grid[-1]):
-            record = classify_point(point)
-            labels = ["ALL", "IN_Z" if record.in_Z else "NOT_IN_Z"]
-            if any(record.in_V.values()):
-                labels.append("IN_SOME_V")
-            elif record.in_Z:
-                labels.append("LIFTABLE_ONLY")
-            if record.singular_fiber:
-                labels.append("SINGULAR_FIBER")
-            height = anticanonical_height(point.x, point.y)
-            for idx, b in enumerate(grid):
-                if height <= b:
-                    for label in labels:
-                        expected[label][idx] += 1
-        for emit_points in (False, True):
-            series, _ = count_series(grid, emit_points=emit_points)
-            assert series.counts == expected
+        assert count_series(grid).counts == classified_tally(enumerate_bundle(grid[-1]), grid)
 
     def test_pool_size_is_bounded(self, monkeypatch, recording_pool):
-        expected, _ = count_series([1])
+        expected = count_series([1])
         tasks = 4  # orbit representatives (0,0,0,1), (0,0,1,1), (0,1,1,1), (1,1,1,1)
         for cpus, workers, size in (
             (2, 10_000, 2),
@@ -242,7 +257,7 @@ class TestCountSeries:
         ):
             recording_pool["sizes"].clear()
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-            series, _ = count_series([1], workers=workers)
+            series = count_series([1], workers=workers)
             assert series.counts == expected.counts
             assert recording_pool["sizes"] == ([] if size is None else [size])
 
@@ -251,16 +266,58 @@ class TestCountSeries:
         count_series([1, 8, 64], workers=2)
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        fiber_bounds = [64 // max(xs) ** 3 for xs, _, _ in tasks]
+        fiber_bounds = [64 // max(xs) ** 3 for xs, _ in tasks]
         assert fiber_bounds == sorted(fiber_bounds, reverse=True)
-        assert sorted(xs for xs, _, _ in tasks) == [rep for rep, _ in _base_orbits(4)]
+        assert sorted(xs for xs, _ in tasks) == [rep for rep, _ in _base_orbits(4)]
 
     def test_frontier_rows(self):
-        series, _ = count_series([64, 128])
+        series = count_series([64, 128])
         assert series.csv_text().splitlines()[1:] == [
             "64,14641288,14638568,2720,14627480,11088,14504192",
             "128,114481432,114473144,8288,114433496,39648,113947472",
         ]
+
+
+class TestPointRows:
+    @pytest.fixture(scope="class")
+    def oracle_rows(self):
+        # B = 10 puts two-digit y coordinates in the fiber over (0, 0, 0, 1)
+        return classified_rows(10)
+
+    def test_numeric_order_matches_enumerate_then_classify(self, oracle_rows):
+        assert list(point_rows(10)) == oracle_rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_text_order_is_the_sorted_dump(self, oracle_rows, workers):
+        assert list(point_rows(10, workers, as_text=True)) == sorted(oracle_rows)
+
+    def test_first_row_comes_before_the_second_fiber_task(self, monkeypatch):
+        calls = []
+        real = enumeration._fiber_rows
+
+        def counted(args):
+            calls.append(args)
+            return real(args)
+
+        monkeypatch.setattr(enumeration, "_fiber_rows", counted)
+        stream = point_rows(8, as_text=True)
+        assert next(stream).startswith("0:0:0:1|")
+        assert len(calls) == 1
+        assert next(stream)
+        stream.close()
+        assert len(calls) == 1
+
+    def test_pool_takes_one_fiber_at_a_time(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        assert list(point_rows(1, workers=2)) == list(point_rows(1))
+        assert recording_pool["sizes"] == [2]
+        [(tasks, chunksize)] = recording_pool["maps"]
+        assert chunksize == 1
+        assert tasks == [(xs, 1) for xs in canonical_coords(4, 1)]
+
+    def test_rejects_zero_bound(self):
+        with pytest.raises(InvalidArgument):
+            next(point_rows(0))
 
 
 class TestBaseOrbits:
@@ -279,9 +336,9 @@ class TestBaseOrbits:
 
     def test_orbit_members_share_the_representative_tally(self):
         bounds = (1, 2, 4, 8, 16, 32, 64)
-        tallies = {rep: _classify_fiber((rep, bounds, False)) for rep, _ in _base_orbits(4)}
+        tallies = {rep: _classify_fiber((rep, bounds)) for rep, _ in _base_orbits(4)}
         for xs in canonical_coords(4, 4):
-            assert _classify_fiber((xs, bounds, False)) == tallies[self.representative(xs)]
+            assert _classify_fiber((xs, bounds)) == tallies[self.representative(xs)]
 
     def test_one_profile_miss_per_representative(self):
         classify._fiber_profile.cache_clear()
@@ -319,11 +376,10 @@ class TestLinearFibers:
     @pytest.mark.parametrize("xs", LINEAR_SHAPES)
     def test_tallies_match_classified_points(self, xs):
         x = normalize(xs)
-        bounds = tuple(naive_height(x) ** 3 * y for y in (1, 2, 3, 5, 8))
-        closed, rows = _classify_fiber((x.coords, bounds, False))
-        enumerated, _ = _classify_fiber((x.coords, bounds, True))
-        assert rows == []
-        assert closed == enumerated
+        hx3 = naive_height(x) ** 3
+        bounds = tuple(hx3 * y for y in (1, 2, 3, 5, 8))
+        points = (BundlePoint(x, y) for y in enumerate_fiber(x, 8))
+        assert _classify_fiber((x.coords, bounds)) == classified_tally(points, bounds)
 
     def test_linear_points_are_exceptional(self):
         checked = counted = 0
@@ -341,17 +397,15 @@ class TestLinearFibers:
 
     def test_csv_matches_enumerating_path(self):
         grid = [1, 2, 4, 8, 16]
-        reference, _ = count_series(grid, emit_points=True)
-        series, _ = count_series(grid)
-        assert series.csv_text() == reference.csv_text()
+        reference = CountSeries(tuple(grid), classified_tally(enumerate_bundle(grid[-1]), grid))
+        assert count_series(grid).csv_text() == reference.csv_text()
 
     @settings(max_examples=6, deadline=None)
     @given(st.sets(st.integers(1, 12), min_size=1).map(sorted))
     def test_csv_matches_enumerating_path_on_random_grids(self, grid):
-        reference, _ = count_series(grid, emit_points=True)
+        reference = CountSeries(tuple(grid), classified_tally(enumerate_bundle(grid[-1]), grid))
         for workers in (1, 2):
-            series, _ = count_series(grid, workers=workers)
-            assert series.csv_text() == reference.csv_text()
+            assert count_series(grid, workers=workers).csv_text() == reference.csv_text()
 
 
 class TestLineCount:
