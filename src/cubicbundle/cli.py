@@ -2,14 +2,15 @@
 
 Subcommands: count, enumerate, classify, fiber-rank, lines,
 verify-intersections, rank-survey, plot.  Exit codes: 0 success, 2 I/O
-error, 64 usage error, 65 domain error (bad point or surface), 66 missing
-input file.
+error (a closed stdout pipe included), 64 usage error, 65 domain error (bad
+point or surface), 66 missing input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 
@@ -375,6 +376,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return status
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "count":
             try:

@@ -7,11 +7,11 @@ the cubic-surface fiber above x up to the shrunken bound floor(B/H(x)^3).
 Fiber enumeration is exact and case-split on the number of nonzero
 coordinates of x:
 
-* one nonzero coordinate: the rational locus is the coordinate plane
-  y_i = 0, generated directly in canonical form;
-* two nonzero coordinates x_i, x_j: solutions have y_i*d = y_j*c for the
-  reduced rational cube root c/d of -x_j/x_i when it exists (a plane,
-  parametrized directly), else y_i = y_j = 0 (a line);
+* one or two nonzero coordinates: a linear fiber, whose rational locus is
+  a plane or a line with a box-shaped parametrization
+  (:func:`_linear_locus`): each y_k is a fixed multiple of one parameter
+  t_p, or 0, and the height bound caps each |t_p| by its box side.  The
+  box is walked and the canonical images kept;
 * three or four nonzero coordinates: a genuine cubic surface, enumerated
   by a meet-in-the-middle split of the quadruple box — hash the values of
   x_0*y_0^3 + x_1*y_1^3, scan the complementary pairs.  The scan meets each
@@ -31,19 +31,18 @@ liftability (-1 is a cube) and singularity, so a fiber's tally depends
 only on the sorted |x_i|: the representative 0 <= a <= b <= c <= d is
 counted once and weighted by the number of canonical base points in its
 orbit (:func:`_base_orbits`).  It also skips enumeration on the linear
-fibers (one or two nonzero coordinates of x): their points fill a plane or
-a line with a box-shaped parametrization, so a Moebius sum over the box
-counts them (:func:`primitive_count`), and every one lies on the pair
-locus of the pairing that groups the nonzero indices.  Dumps classify
-every point, one fiber at a time (:func:`point_rows`); enumerate_bundle
-with classify_point stays the oracle for the orbit weights, the closed
-form and the dumps.
+fibers: a Moebius sum over the same box counts their points
+(:func:`primitive_count`), and every one lies on the pair locus of the
+pairing that groups the nonzero indices.  Dumps classify every point, one
+fiber at a time (:func:`point_rows`); enumerate_bundle with classify_point
+stays the oracle for the orbit weights, the closed form and the dumps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from bisect import bisect_left
 from collections import Counter
@@ -85,46 +84,36 @@ def canonical_points(dim: int, bound: int) -> list[ProjectivePoint]:
     return [ProjectivePoint(c) for c in canonical_coords(dim, bound)]
 
 
-def _embed(positions, values) -> tuple[int, ...]:
-    coords = [0, 0, 0, 0]
-    for pos, v in zip(positions, values):
-        coords[pos] = v
-    return tuple(coords)
+def _linear_locus(xs):
+    """The rational locus of a linear fiber as a parametrized box, or None
+    for a cone or smooth fiber.
 
-
-def _fiber_coords_plane(zero_positions, bound):
-    """Fibers whose rational points fill the plane y_i = 0 (x = h*e_i)."""
-    free = [i for i in range(4) if i not in zero_positions]
-    return [_embed(free, triple) for triple in canonical_coords(3, bound)]
-
-
-def _two_term_root(xs, nz):
-    """The reduced (c, d) with -x_j/x_i = (c/d)^3, or None when that ratio
-    is not a rational cube."""
-    i, j = nz
-    ratio = Fraction(-xs[j], xs[i])
-    c = exact_cube_root(ratio.numerator)
-    d = exact_cube_root(ratio.denominator)
-    if c is None or d is None:
+    Returns (params, sides): y_k = m_k * t[p_k] for params[k] = (p_k, m_k),
+    where m_k = 0 pins y_k to 0, and H(y) <= bound exactly when
+    |t_p| <= floor(bound/sides[p]).  Primitive t up to sign map one to one
+    onto the fiber's points.  Every y_k with x_k = 0 is a free parameter of
+    side 1; besides those, two nonzero coordinates x_i, x_j whose ratio
+    -x_j/x_i is the cube of the reduced c/d give (y_i, y_j) = (c*t, d*t)
+    with side max(|c|, |d|), and otherwise y_i = y_j = 0.  So x = e_i gives
+    the plane y_i = 0, and two nonzero coordinates a plane or a line.
+    """
+    nz = [k for k, xk in enumerate(xs) if xk]
+    if len(nz) > 2:
         return None
-    return c, d
-
-
-def _fiber_coords_two_terms(xs, nz, bound):
-    """Fibers x_i*y_i^3 + x_j*y_j^3 = 0 with the other two y free."""
-    i, j = nz
-    free = [k for k in range(4) if k not in nz]
-    root = _two_term_root(xs, nz)
-    if root is None:
-        # only y_i = y_j = 0: a line in the two free coordinates
-        return [_embed(free, pair) for pair in canonical_coords(2, bound)]
-    # plane (y_i, y_j) = (c*t, d*t); t = 0 recovers the line above
-    c, d = root
-    t_max = bound // max(abs(c), abs(d))
-    rng = range(-bound, bound + 1)
-    box = itertools.product(range(-t_max, t_max + 1), rng, rng)
-    plane = (_embed((i, j, *free), (c * t, d * t, u, v)) for t, u, v in box)
-    return list(filter(is_canonical, plane))
+    params = [(0, 0)] * 4
+    sides = []
+    if len(nz) == 2:
+        i, j = nz
+        ratio = Fraction(-xs[j], xs[i])
+        c, d = exact_cube_root(ratio.numerator), exact_cube_root(ratio.denominator)
+        if c is not None and d is not None:
+            params[i], params[j] = (0, c), (0, d)
+            sides.append(max(abs(c), abs(d)))
+    for k, xk in enumerate(xs):
+        if not xk:
+            params[k] = (len(sides), 1)
+            sides.append(1)
+    return tuple(params), tuple(sides)
 
 
 def _fiber_coords_surface(xs, bound):
@@ -149,14 +138,15 @@ def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
     canonical x, each exactly once, sorted."""
     if bound < 1:
         return []
-    nz = [i for i, c in enumerate(xs) if c]
-    if len(nz) == 1:
-        coords = _fiber_coords_plane(nz, bound)
-    elif len(nz) == 2:
-        coords = _fiber_coords_two_terms(xs, nz, bound)
-    else:
-        coords = _fiber_coords_surface(xs, bound)
-    return sorted(coords)
+    locus = _linear_locus(xs)
+    if locus is None:
+        return sorted(_fiber_coords_surface(xs, bound))
+    params, sides = locus
+    (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
+    box = itertools.product(*(range(-(bound // s), bound // s + 1) for s in sides))
+    # spelled out: a generic tuple(m * t[p] for ...) per point is much slower
+    ys = ((m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3]) for t in box)
+    return sorted(filter(is_canonical, ys))
 
 
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:
@@ -236,25 +226,6 @@ def primitive_count(sides, bound: int) -> int:
     return total // 2
 
 
-def _linear_sides(xs):
-    """Box sides of the parametrized rational locus of a linear fiber, or
-    None for a cone or smooth fiber.
-
-    x = e_i gives the plane y_i = 0 with three free coordinates; two
-    nonzero coordinates give the plane (c*t, d*t, u, v), where the height
-    caps |t| at floor(bound/max(|c|, |d|)), or else the line in (u, v).
-    """
-    nz = [i for i, c in enumerate(xs) if c]
-    if len(nz) == 1:
-        return (1, 1, 1)
-    if len(nz) == 2:
-        root = _two_term_root(xs, nz)
-        if root is None:
-            return (1, 1)
-        return (max(abs(root[0]), abs(root[1])), 1, 1)
-    return None
-
-
 def _tally(on_loci, off_loci, liftable: bool, singular: bool) -> dict[str, list[int]]:
     """The six CSV columns of one fiber, from its per-bound counts of points
     on some pair locus and off every pair locus.
@@ -281,10 +252,10 @@ def _classify_fiber(args):
     lifts, singular, _ = _fiber_profile(x_coords)
     liftable = any(lifts.values())
     hx3 = max(map(abs, x_coords)) ** 3
-    sides = _linear_sides(x_coords)
-    if sides is not None:
+    locus = _linear_locus(x_coords)
+    if locus is not None:
         # the pairing grouping the nonzero indices of x has both pair sums 0
-        on_loci = [primitive_count(sides, b // hx3) for b in bounds]
+        on_loci = [primitive_count(locus[1], b // hx3) for b in bounds]
         return _tally(on_loci, [0] * len(bounds), liftable, singular)
     # points first counted at each bound; every height is at most bounds[-1]
     new_on = [0] * len(bounds)
@@ -316,12 +287,14 @@ def _fiber_rows(args) -> list[str]:
     x = ProjectivePoint(x_coords)
     hx3 = naive_height(x) ** 3
     return [point_row(classify_point(BundlePoint(x, y)), hx3 * naive_height(y))
-            for y in map(ProjectivePoint, _fiber_coords(x_coords, height_bound // hx3))]
+            for y in enumerate_fiber(x, height_bound // hx3)]
 
 
 def _pool_map(fn, tasks: list, workers: int):
     """Stream fn over tasks in order, one task at a time on each of min(workers,
     number of tasks, CPU count) processes, or in this process when that is 1."""
+    if workers < 1:
+        raise InvalidArgument("workers must be >= 1")
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size <= 1:
         yield from map(fn, tasks)
@@ -361,13 +334,14 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     points start at once; the merge is a weighted sum, so any worker count
     produces identical output.
     """
-    bounds = tuple(int(b) for b in height_bounds)
+    try:
+        bounds = tuple(map(operator.index, height_bounds))
+    except TypeError:
+        raise InvalidArgument("bounds must be integers") from None
     if not bounds:
         raise InvalidArgument("empty bounds grid")
     if any(b < 1 for b in bounds) or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise InvalidArgument("bounds must be positive and strictly ascending")
-    if workers < 1:
-        raise InvalidArgument("workers must be >= 1")
     weighted = sorted(_base_orbits(_base_height(bounds[-1])), key=lambda xw: max(xw[0]))
     tallies = _pool_map(_classify_fiber, [(xs, bounds) for xs, _ in weighted], workers)
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}

@@ -357,3 +357,34 @@ def test_import_loads_neither_sympy_nor_mpmath():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def cli_process(*argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "cubicbundle", *argv], env=env, stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_reader_closing_the_pipe_after_one_line_exits_2_quietly():
+    # the 1.6 MB dump overfills the pipe, so the writer meets the closed end
+    proc = cli_process("enumerate", "--bound", "8", stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"0:0:0:1|")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_csv_into_a_closed_pipe_exits_2_quietly():
+    # the CSV is small enough to wait in the buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process("count", "--bounds", "1,2,4", stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -16,7 +16,7 @@ from cubicbundle.enumeration import (
     LineSpec,
     _base_orbits,
     _classify_fiber,
-    _linear_sides,
+    _linear_locus,
     base_points,
     canonical_coords,
     canonical_points,
@@ -146,7 +146,9 @@ class TestFiber:
         fiber = enumerate_fiber(normalize([1, -2, 0, 0]), 3)
         assert all(y.coords[0] == y.coords[1] == 0 for y in fiber)
 
-    @pytest.mark.parametrize("xs", [(1, 1, 1, 1), (1, 0, 0, 2), (0, 1, -1, 3), (1, 2, 3, 4)])
+    @pytest.mark.parametrize(
+        "xs", [(1, 1, 1, 1), (1, 0, 0, 2), (0, 1, -1, 3), (1, 2, 3, 4), *LINEAR_SHAPES]
+    )
     def test_matches_box_scan(self, xs):
         bound = 3
         x = normalize(xs)
@@ -235,6 +237,8 @@ class TestCountSeries:
             count_series([4, 2])
         with pytest.raises(InvalidArgument):
             count_series([2], workers=0)
+        with pytest.raises(InvalidArgument):
+            count_series([1.9, 2.5])
 
     def test_csv_shape(self):
         series = count_series([1, 2])
@@ -319,6 +323,10 @@ class TestPointRows:
         with pytest.raises(InvalidArgument):
             next(point_rows(0))
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(InvalidArgument):
+            next(point_rows(2, workers=0))
+
 
 class TestBaseOrbits:
     """Signed permutations of (x, y) map fibers onto fibers with equal tallies."""
@@ -369,7 +377,7 @@ class TestLinearFibers:
     def test_closed_form_matches_enumeration(self, xs):
         x = normalize(xs)
         heights = [naive_height(y) for y in enumerate_fiber(x, 20)]
-        sides = _linear_sides(x.coords)
+        _, sides = _linear_locus(x.coords)
         for bound in range(21):
             assert primitive_count(sides, bound) == sum(h <= bound for h in heights)
 
@@ -384,10 +392,10 @@ class TestLinearFibers:
     def test_linear_points_are_exceptional(self):
         checked = counted = 0
         for x in canonical_points(4, 3):
-            sides = _linear_sides(x.coords)
-            if sides is None:
+            locus = _linear_locus(x.coords)
+            if locus is None:
                 continue
-            counted += primitive_count(sides, 3)
+            counted += primitive_count(locus[1], 3)
             for y in enumerate_fiber(x, 3):
                 record = classify_point(BundlePoint(x, y))
                 assert record.in_Z and record.singular_fiber
