@@ -22,9 +22,10 @@ Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
 into point objects.  Output is always sorted lexicographically, so runs are
 reproducible byte for byte and the outer loop parallelizes freely.
 
-Counting reads the fiber profile (liftability, singularity, rank) once per
-fiber; per point only the height and the pair-locus test remain.
-It counts one fiber per orbit of base points under the
+Counting and the dumps read the fiber profile (liftability, singularity,
+rank) once per fiber; per point only the bundle check, the height and the
+pair-locus test remain, in one walk (:func:`_fiber_points`).
+Counting takes one fiber per orbit of base points under the
 signed permutations (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.
 They preserve the equation, the heights, the set of pair loci,
 liftability (-1 is a cube) and singularity, so a fiber's tally depends
@@ -33,9 +34,12 @@ counted once and weighted by the number of canonical base points in its
 orbit (:func:`_base_orbits`).  It also skips enumeration on the linear
 fibers: a Moebius sum over the same box counts their points
 (:func:`primitive_count`), and every one lies on the pair locus of the
-pairing that groups the nonzero indices.  Dumps classify every point, one
-fiber at a time (:func:`point_rows`); enumerate_bundle with classify_point
-stays the oracle for the orbit weights, the closed form and the dumps.
+pairing that groups the nonzero indices.  Dumps walk the fiber of every
+canonical base point, one fiber at a time (:func:`point_rows`), and build
+each row from the point's coordinates, its height and one of the fiber's
+eight flag fields, one per pair-locus pattern; enumerate_bundle with
+classify_point and point_row stays the oracle for the orbit weights, the
+closed form and the dumps.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import InvalidArgument, ProjectivePoint, exact_cube_root, is_canonical, naive_height
-from .classify import _fiber_profile, classify_point
-from .geometry import PAIRINGS, BundlePoint, pair_sums, pairing_pairs
+from .classify import _fiber_profile
+from .geometry import PAIRINGS, BundlePoint, NotOnVariety, pairing_pairs
 
 #: CSV column order for count series
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
@@ -185,11 +189,22 @@ def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
     return orbits
 
 
+def _check_height_bound(height_bound) -> int:
+    """The height bound as an int, or InvalidArgument unless it is an
+    integer >= 1."""
+    try:
+        bound = operator.index(height_bound)
+    except TypeError:
+        raise InvalidArgument("height bound must be an integer") from None
+    if bound < 1:
+        raise InvalidArgument("height bound must be >= 1")
+    return bound
+
+
 def enumerate_bundle(height_bound: int):
     """Stream every bundle point with anticanonical height <= height_bound
     exactly once, lexicographically in normalized x then y."""
-    if height_bound < 1:
-        raise InvalidArgument("height bound must be >= 1")
+    height_bound = _check_height_bound(height_bound)
     for x in base_points(height_bound):
         for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
             yield BundlePoint(x, y)
@@ -251,48 +266,87 @@ def _classify_fiber(args):
     x_coords, bounds = args
     lifts, singular, _ = _fiber_profile(x_coords)
     liftable = any(lifts.values())
-    hx3 = max(map(abs, x_coords)) ** 3
     locus = _linear_locus(x_coords)
     if locus is not None:
         # the pairing grouping the nonzero indices of x has both pair sums 0
+        hx3 = max(map(abs, x_coords)) ** 3
         on_loci = [primitive_count(locus[1], b // hx3) for b in bounds]
         return _tally(on_loci, [0] * len(bounds), liftable, singular)
     # points first counted at each bound; every height is at most bounds[-1]
     new_on = [0] * len(bounds)
     new_off = [0] * len(bounds)
-    for ys in _fiber_coords(x_coords, bounds[-1] // hx3):
-        height = hx3 * max(map(abs, ys))
-        on = any(pair_sums(x_coords, ys, p) == (0, 0) for p in PAIRINGS)
-        (new_on if on else new_off)[bisect_left(bounds, height)] += 1
+    for _, height, in_v in _fiber_points(x_coords, bounds[-1]):
+        (new_on if any(in_v) else new_off)[bisect_left(bounds, height)] += 1
     on_loci = list(itertools.accumulate(new_on))
     off_loci = list(itertools.accumulate(new_off))
     return _tally(on_loci, off_loci, liftable, singular)
 
 
+def _flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:
+    """The class-flags field of a dump row: Z, the pair loci V and the
+    liftable pairings L in pairing order, SING, or - when none hold.  in_v
+    and lifts map each pairing to a bool."""
+    flags = ["Z"] if in_z else []
+    flags.extend(f"V{p}" for p in sorted(in_v) if in_v[p])
+    flags.extend(f"L{p}" for p in sorted(lifts) if lifts[p])
+    if singular:
+        flags.append("SING")
+    return ",".join(flags) or "-"
+
+
 def point_row(record, height: int) -> str:
     """One dump line: x|y|height|class-flags."""
-    flags = []
-    if record.in_Z:
-        flags.append("Z")
-    flags.extend(f"V{p}" for p in sorted(record.in_V) if record.in_V[p])
-    flags.extend(f"L{p}" for p in sorted(record.liftable) if record.liftable[p])
-    if record.singular_fiber:
-        flags.append("SING")
-    return f"{record.point.x}|{record.point.y}|{height}|{','.join(flags) or '-'}"
+    flags = _flag_field(record.in_Z, record.in_V, record.liftable, record.singular_fiber)
+    return f"{record.point.x}|{record.point.y}|{height}|{flags}"
+
+
+def _fiber_points(x_coords, height_bound: int):
+    """Each canonical y over the canonical x with H(x)^3 * H(y) <= height_bound,
+    in numeric order, as (y, H(x)^3 * H(y), (in V1, in V2, in V3)).
+
+    Raises NotOnVariety for a y off the bundle, also under python -O.  On the
+    bundle the four terms x_k*y_k^3 sum to 0, so both pair sums of a pairing
+    vanish as soon as the one holding index 0 does.
+    """
+    x0, x1, x2, x3 = x_coords
+    hx3 = max(map(abs, x_coords)) ** 3
+    for ys in _fiber_coords(x_coords, height_bound // hx3):
+        y0, y1, y2, y3 = ys
+        t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
+        if t0 + t1 + t2 + t3:
+            x, y = (":".join(map(str, c)) for c in (x_coords, ys))
+            raise NotOnVariety(f"({x}, {y}) is not on the bundle")
+        height = hx3 * max(abs(y0), abs(y1), abs(y2), abs(y3))
+        # pairings 1, 2, 3 pair index 0 with 1, 2, 3 (geometry.PAIRINGS)
+        yield ys, height, (t0 + t1 == 0, t0 + t2 == 0, t0 + t3 == 0)
 
 
 def _fiber_rows(args) -> list[str]:
-    """Worker task: the dump rows of the fiber above x, in numeric order of y."""
+    """Worker task: the dump rows of the fiber above x, in numeric order of y.
+
+    The fiber profile, the row head x| and the flag field of each of the
+    eight pair-locus patterns are built once per fiber; per point only the
+    bundle check, the pair-locus test, the height and y's text remain.
+    """
     x_coords, height_bound = args
-    x = ProjectivePoint(x_coords)
-    hx3 = naive_height(x) ** 3
-    return [point_row(classify_point(BundlePoint(x, y)), hx3 * naive_height(y))
-            for y in enumerate_fiber(x, height_bound // hx3)]
+    lifts, singular, _ = _fiber_profile(x_coords)
+    liftable = any(lifts.values())
+    head = f"{ProjectivePoint(x_coords)}|"
+    fields = {
+        in_v: _flag_field(liftable or any(in_v), dict(zip(PAIRINGS, in_v)), lifts, singular)
+        for in_v in itertools.product((False, True), repeat=3)
+    }
+    return [f"{head}{':'.join(map(str, ys))}|{height}|{fields[in_v]}"
+            for ys, height, in_v in _fiber_points(x_coords, height_bound)]
 
 
 def _pool_map(fn, tasks: list, workers: int):
     """Stream fn over tasks in order, one task at a time on each of min(workers,
     number of tasks, CPU count) processes, or in this process when that is 1."""
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise InvalidArgument("workers must be an integer") from None
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
@@ -305,14 +359,15 @@ def _pool_map(fn, tasks: list, workers: int):
 
 def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     """Stream the dump rows of all points of anticanonical height <=
-    height_bound, one fiber at a time, in the order of enumerate_bundle.
+    height_bound, one fiber at a time, in the order of enumerate_bundle:
+    the rows point_row(classify_point(p), height) would give, built from
+    each fiber's profile (:func:`_fiber_rows`).
 
     as_text sorts the rows as strings instead: base points by str(x) + "|",
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
     """
-    if height_bound < 1:
-        raise InvalidArgument("height bound must be >= 1")
+    height_bound = _check_height_bound(height_bound)
     xs = list(canonical_coords(4, _base_height(height_bound)))
     if as_text:
         xs.sort(key=lambda c: str(ProjectivePoint(c)) + "|")

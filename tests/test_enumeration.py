@@ -1,12 +1,18 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubicbundle
 from cubicbundle import classify, enumeration
 from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_height, normalize
 from cubicbundle.classify import classify_point
@@ -16,6 +22,7 @@ from cubicbundle.enumeration import (
     LineSpec,
     _base_orbits,
     _classify_fiber,
+    _fiber_rows,
     _linear_locus,
     base_points,
     canonical_coords,
@@ -29,7 +36,7 @@ from cubicbundle.enumeration import (
     primitive_count,
     projective_line_count,
 )
-from cubicbundle.geometry import BundlePoint, on_bundle
+from cubicbundle.geometry import BundlePoint, NotOnVariety, on_bundle
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -200,6 +207,11 @@ class TestBundleEnumeration:
         with pytest.raises(InvalidArgument):
             list(enumerate_bundle(0))
 
+    @pytest.mark.parametrize("bound", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_bound(self, bound):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            next(enumerate_bundle(bound))
+
 
 class TestCountSeries:
     def test_b1_consistency(self):
@@ -239,6 +251,11 @@ class TestCountSeries:
             count_series([2], workers=0)
         with pytest.raises(InvalidArgument):
             count_series([1.9, 2.5])
+
+    @pytest.mark.parametrize("workers", [1.5, "2", None])
+    def test_rejects_non_integer_workers(self, workers):
+        with pytest.raises(InvalidArgument, match="workers must be an integer"):
+            count_series([1, 2, 4, 8, 16], workers=workers)
 
     def test_csv_shape(self):
         series = count_series([1, 2])
@@ -326,6 +343,89 @@ class TestPointRows:
     def test_rejects_zero_workers(self):
         with pytest.raises(InvalidArgument):
             next(point_rows(2, workers=0))
+
+    @pytest.mark.parametrize("bound", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_bound(self, bound):
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            next(point_rows(bound))
+
+    @pytest.mark.parametrize("workers", [1.5, "2", None])
+    def test_rejects_non_integer_workers(self, workers):
+        with pytest.raises(InvalidArgument, match="workers must be an integer"):
+            next(point_rows(2, workers=workers))
+
+    def test_off_bundle_point_raises(self, monkeypatch):
+        # (0:0:0:1) is not on the fiber over the first base point (0:0:0:1)
+        monkeypatch.setattr(enumeration, "_fiber_coords", lambda xs, bound: [(0, 0, 0, 1)])
+        with pytest.raises(NotOnVariety, match=r"\(0:0:0:1, 0:0:0:1\) is not on the bundle"):
+            next(point_rows(1))
+
+    def test_off_bundle_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle import enumeration
+            assert False, "asserts must be off"
+            enumeration._fiber_coords = lambda xs, bound: [(0, 0, 0, 1)]
+            next(enumeration.point_rows(1))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == "cubicbundle.geometry.NotOnVariety: (0:0:0:1, 0:0:0:1) is not on the bundle"
+
+    def test_inconsistent_rank_still_raises(self, monkeypatch):
+        real = classify.picard_rank
+
+        def flipped(surface):
+            result = real(surface)
+            return dataclasses.replace(result, rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
+
+        classify._fiber_profile.cache_clear()
+        monkeypatch.setattr(classify, "picard_rank", flipped)
+        try:
+            with pytest.raises(RuntimeError, match="disagrees with Picard rank"):
+                list(point_rows(1))
+        finally:
+            classify._fiber_profile.cache_clear()
+
+
+class TestFiberRows:
+    """Rows built from the fiber profile equal point_row of classify_point."""
+
+    @staticmethod
+    def oracle(x, y_bound):
+        hx3 = naive_height(x) ** 3
+        return [point_row(classify_point(BundlePoint(x, y)), hx3 * naive_height(y))
+                for y in enumerate_fiber(x, y_bound)]
+
+    @pytest.mark.parametrize("y_bound", [1, 7, 20])
+    @pytest.mark.parametrize("xs", [*LINEAR_SHAPES, (0, 1, 1, 1), (1, 1, 1, 1), (1, 2, 3, 5)])
+    def test_matches_classify_point(self, xs, y_bound):
+        x = normalize(xs)
+        hx3 = naive_height(x) ** 3
+        expected = self.oracle(x, y_bound)
+        # a bound between multiples of H(x)^3 gives the same fiber
+        for height_bound in (hx3 * y_bound, hx3 * y_bound + hx3 - 1):
+            assert _fiber_rows((x.coords, height_bound)) == expected
+
+    def test_fermat_fiber_flags(self):
+        rows = _fiber_rows(((1, 1, 1, 1), 20))
+        assert all(row.endswith("L1,L2,L3") for row in rows)
+        # (1, -1, 1, -1) lies on V1 and V3 but not on V2
+        assert "1:1:1:1|1:-1:1:-1|1|Z,V1,V3,L1,L2,L3" in rows
+
+    def test_non_liftable_fiber_flags(self):
+        rows = _fiber_rows(((1, 2, 3, 5), 125 * 20))
+        assert not any("L" in row for row in rows)
+        assert "1:2:3:5|1:1:-1:0|125|-" in rows
+
+    def test_cone_fiber_flags(self):
+        rows = _fiber_rows(((0, 1, 1, 1), 20))
+        assert rows and all(row.split("|")[3].startswith("Z,") for row in rows)
+        assert all(row.endswith("SING") for row in rows)
 
 
 class TestBaseOrbits:
