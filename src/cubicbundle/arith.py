@@ -45,8 +45,12 @@ class ProjectivePoint:
 def is_canonical(coords) -> bool:
     """True iff the integer tuple is the canonical representative of a
     point in P^n(Q): not all zero, primitive, first nonzero coordinate
-    positive."""
-    return next((c for c in coords if c), 0) > 0 and math.gcd(*coords) == 1
+    positive.  The sign is read at the first nonzero entry; only a tuple
+    that passes it pays for the gcd."""
+    for c in coords:
+        if c:
+            return c > 0 and math.gcd(*coords) == 1
+    return False
 
 
 def normalize(raw_coords) -> ProjectivePoint:
@@ -64,7 +68,7 @@ def normalize(raw_coords) -> ProjectivePoint:
 
 def naive_height(p: ProjectivePoint) -> int:
     """max |c_i| over the canonical coordinates."""
-    return max(abs(c) for c in p.coords)
+    return max(map(abs, p.coords))
 
 
 def anticanonical_height(x: ProjectivePoint, y: ProjectivePoint) -> int:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import ProjectivePoint
-from .geometry import (
-    PAIRINGS,
-    BundlePoint,
-    in_pair_locus,
-    liftable,
-    over_singular_fiber,
-)
+from .geometry import PAIRINGS, BundlePoint, liftable, over_singular_fiber
 from .picard import DiagonalCubic, picard_rank
 
 
@@ -58,9 +52,20 @@ def _fiber_profile(x_coords: tuple[int, ...]):
 
 
 def classify_point(p: BundlePoint) -> ClassificationRecord:
-    """Full verdict for one bundle point."""
+    """Full verdict for one bundle point.
+
+    Both pair sums of every pairing are tested, without leaning on the
+    bundle equation, so this stays the oracle of the per-fiber walks.
+    """
     lifts, singular, rank = _fiber_profile(p.x.coords)
-    in_v = {pairing: in_pair_locus(p, pairing) for pairing in PAIRINGS}
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = p.x.coords, p.y.coords
+    t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
+    # the pairings of geometry.PAIRINGS: {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}
+    in_v = {
+        1: t0 + t1 == 0 and t2 + t3 == 0,
+        2: t0 + t2 == 0 and t1 + t3 == 0,
+        3: t0 + t3 == 0 and t1 + t2 == 0,
+    }
     return ClassificationRecord(
         point=p,
         in_V=in_v,

@@ -10,12 +10,16 @@ coordinates of x:
 * one or two nonzero coordinates: a linear fiber, whose rational locus is
   a plane or a line with a box-shaped parametrization
   (:func:`_linear_locus`): each y_k is a fixed multiple of one parameter
-  t_p, or 0, and the height bound caps each |t_p| by its box side.  The
-  box is walked and the canonical images kept;
+  t_p, or 0, and the height bound caps each |t_p| by its box side.  Only
+  the half of the box whose first nonzero entry is positive is walked
+  (:func:`_half_box`), its primitive vectors kept, and each image y negated
+  when its first nonzero coordinate is negative;
 * three or four nonzero coordinates: a genuine cubic surface, enumerated
   by a meet-in-the-middle split of the quadruple box — hash the values of
-  x_0*y_0^3 + x_1*y_1^3, scan the complementary pairs.  The scan meets each
-  integer solution in the box once, so its canonical hits
+  x_0*y_0^3 + x_1*y_1^3 over the half plane (y_0, y_1) > (0, 0), scan the
+  complementary pairs, and add the solutions with y_0 = y_1 = 0 from the
+  half plane of (y_2, y_3).  The walk meets one of each pair y, -y of
+  integer solutions in the box, so its primitive hits
   (:func:`~cubicbundle.arith.is_canonical`) are each projective point once.
 
 Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
@@ -78,10 +82,22 @@ class CountSeries:
         return "\n".join(lines) + "\n"
 
 
+def _half_box(sides):
+    """The nonzero integer vectors t with |t_k| <= sides[k] whose first
+    nonzero entry is positive, one of each pair t, -t, in lexicographic
+    order: those with the most leading zeros come first."""
+    return itertools.chain.from_iterable(
+        itertools.product(
+            *([(0,)] * k), range(1, sides[k] + 1), *(range(-s, s + 1) for s in sides[k + 1:])
+        )
+        for k in reversed(range(len(sides)))
+    )
+
+
 def canonical_coords(dim: int, bound: int):
     """Canonical coordinate tuples of P^(dim-1) points with naive height
-    <= bound, in lexicographic order."""
-    return filter(is_canonical, itertools.product(range(-bound, bound + 1), repeat=dim))
+    <= bound, in lexicographic order: the primitive vectors of the half box."""
+    return (t for t in _half_box((bound,) * dim) if math.gcd(*t) == 1)
 
 
 def canonical_points(dim: int, bound: int) -> list[ProjectivePoint]:
@@ -121,19 +137,25 @@ def _linear_locus(xs):
 
 
 def _fiber_coords_surface(xs, bound):
-    """Meet-in-the-middle over the box: hash one half of the cubic form,
-    scan the other, keep the canonical hits."""
+    """Meet-in-the-middle over the box, one of each solution pair y, -y:
+    hash x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) in
+    lexicographic order and scan (yc, yd) over the whole square, then add
+    the solutions with ya = yb = 0 and (yc, yd) in the half plane.  Each
+    hit has its first nonzero coordinate positive; is_canonical keeps the
+    primitive ones."""
     cubes = {k: k ** 3 for k in range(-bound, bound + 1)}
     rng = range(-bound, bound + 1)
     x0, x1, x2, x3 = xs
+    half_plane = list(_half_box((bound, bound)))
     table: dict[int, list[tuple[int, int]]] = {}
-    for ya, yb in itertools.product(rng, repeat=2):
+    for ya, yb in half_plane:
         table.setdefault(x0 * cubes[ya] + x1 * cubes[yb], []).append((ya, yb))
-    hits = (
+    hits = [
         (ya, yb, yc, yd)
         for yc, yd in itertools.product(rng, repeat=2)
         for ya, yb in table.get(-(x2 * cubes[yc] + x3 * cubes[yd]), ())
-    )
+    ]
+    hits += [(0, 0, yc, yd) for yc, yd in half_plane if x2 * cubes[yc] + x3 * cubes[yd] == 0]
     return list(filter(is_canonical, hits))
 
 
@@ -147,10 +169,15 @@ def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
         return sorted(_fiber_coords_surface(xs, bound))
     params, sides = locus
     (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
-    box = itertools.product(*(range(-(bound // s), bound // s + 1) for s in sides))
-    # spelled out: a generic tuple(m * t[p] for ...) per point is much slower
-    ys = ((m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3]) for t in box)
-    return sorted(filter(is_canonical, ys))
+    ys = []
+    # primitive t up to sign: y is primitive with t, and is negated when
+    # its first nonzero coordinate is negative, that is when y < 0 as tuples
+    for t in _half_box([bound // s for s in sides]):
+        if math.gcd(*t) == 1:
+            # spelled out: a generic tuple(m * t[p] for ...) per point is much slower
+            y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
+            ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
+    return sorted(ys)
 
 
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import InvalidArgument, ProjectivePoint, is_cube
+from .arith import InvalidArgument, InvalidPoint, ProjectivePoint, is_cube
 
 
 class NotOnVariety(ValueError):
@@ -43,8 +43,8 @@ def pairing_pairs(pairing: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BundlePoint:
-    """A rational point of the bundle: normalized (x, y) with the defining
-    equation holding exactly in integer arithmetic."""
+    """A rational point of the bundle: normalized (x, y) in P^3 x P^3 with
+    the defining equation holding exactly in integer arithmetic."""
 
     x: ProjectivePoint
     y: ProjectivePoint
@@ -55,8 +55,15 @@ class BundlePoint:
 
 
 def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:
-    """True iff x0*y0^3 + x1*y1^3 + x2*y2^3 + x3*y3^3 == 0."""
-    return sum(xi * yi ** 3 for xi, yi in zip(x.coords, y.coords)) == 0
+    """True iff x0*y0^3 + x1*y1^3 + x2*y2^3 + x3*y3^3 == 0.
+
+    Raises InvalidPoint unless both points have four coordinates.
+    """
+    try:
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = x.coords, y.coords
+    except ValueError:
+        raise InvalidPoint(f"({x}, {y}) is not a point of P^3 x P^3") from None
+    return x0 * y0 ** 3 + x1 * y1 ** 3 + x2 * y2 ** 3 + x3 * y3 ** 3 == 0
 
 
 def pair_sums(x, y, pairing: int) -> tuple[int, int]:

@@ -10,7 +10,7 @@ import cubicbundle
 from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point, z_membership
 from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
-from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety
+from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, in_pair_locus
 
 
 def bundle_point(xs, ys):
@@ -31,6 +31,19 @@ class TestClassifyPoint:
         assert record.fiber_rank == 1
         assert not any(record.liftable.values())
         assert record.in_Z == any(record.in_V.values())
+
+    @pytest.mark.parametrize(
+        "xs", [(1, 1, 1, 1), (1, -8, 1, -1), (0, 1, 1, 1), (1, 1, 0, 0), (1, 0, 0, 0), (1, 2, 3, 5)]
+    )
+    def test_pair_loci_match_in_pair_locus(self, xs):
+        x = normalize(xs)
+        seen = set()
+        for y in enumerate_fiber(x, 6):
+            record = classify_point(BundlePoint(x, y))
+            assert record.in_V == {p: in_pair_locus(record.point, p) for p in PAIRINGS}
+            seen.update(p for p in PAIRINGS if record.in_V[p])
+        if xs == (1, 1, 1, 1):
+            assert seen == set(PAIRINGS)
 
     def test_rank_check_survives_optimize(self):
         # x = (1, 2, 3, 5) has no liftable pairing, so a reported rank of 3 is inconsistent

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import cubicbundle
 from cubicbundle import classify, enumeration
-from cubicbundle.arith import InvalidArgument, anticanonical_height, naive_height, normalize
+from cubicbundle.arith import (
+    InvalidArgument,
+    anticanonical_height,
+    is_canonical,
+    naive_height,
+    normalize,
+)
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
@@ -23,6 +29,7 @@ from cubicbundle.enumeration import (
     _base_orbits,
     _classify_fiber,
     _fiber_rows,
+    _half_box,
     _linear_locus,
     base_points,
     canonical_coords,
@@ -153,19 +160,38 @@ class TestFiber:
         fiber = enumerate_fiber(normalize([1, -2, 0, 0]), 3)
         assert all(y.coords[0] == y.coords[1] == 0 for y in fiber)
 
-    @pytest.mark.parametrize(
-        "xs", [(1, 1, 1, 1), (1, 0, 0, 2), (0, 1, -1, 3), (1, 2, 3, 4), *LINEAR_SHAPES]
-    )
+    # the last five: y's first nonzero coordinate comes from a parameter
+    # other than the first or from a negative multiplier, or x is a cone
+    @pytest.mark.parametrize("xs", [
+        (1, 1, 1, 1), (1, 0, 0, 2), (0, 1, -1, 3), (1, 2, 3, 4), *LINEAR_SHAPES,
+        (0, 1, 1, 1), (0, 0, 1, -1), (0, 1, -8, 0), (0, 1, 8, 0), (8, 1, 0, 0),
+    ])
     def test_matches_box_scan(self, xs):
-        bound = 3
         x = normalize(xs)
-        expected = set()
-        for ys in itertools.product(range(-bound, bound + 1), repeat=4):
-            if not any(ys):
-                continue
-            if sum(a * b ** 3 for a, b in zip(x.coords, ys)) == 0:
-                expected.add(normalize(ys).coords)
-        assert {y.coords for y in enumerate_fiber(x, bound)} == expected
+        x0, x1, x2, x3 = x.coords
+        for bound in (1, 2, 3, 5, 8):
+            expected = set()
+            for ys in itertools.product(range(-bound, bound + 1), repeat=4):
+                if not any(ys):
+                    continue
+                y0, y1, y2, y3 = ys
+                if x0 * y0 ** 3 + x1 * y1 ** 3 + x2 * y2 ** 3 + x3 * y3 ** 3 == 0:
+                    expected.add(normalize(ys).coords)
+            assert {y.coords for y in enumerate_fiber(x, bound)} == expected, bound
+
+    @pytest.mark.parametrize("xs", [(1, 1, 1, 1), (0, 1, 1, 1), *LINEAR_SHAPES])
+    def test_walk_offers_no_tuple_with_its_negative(self, monkeypatch, xs):
+        offered = []
+
+        def recording(coords):
+            offered.append(coords)
+            return is_canonical(coords)
+
+        monkeypatch.setattr(enumeration, "is_canonical", recording)
+        ys = enumeration._fiber_coords(xs, 10)
+        assert ys and all(map(is_canonical, ys))
+        assert len(set(offered)) == len(offered)
+        assert not set(offered) & {tuple(-c for c in t) for t in offered}
 
     @pytest.mark.parametrize(
         "xs", [(1, 1, 1, 1), (0, 1, -1, 3), (1, 0, 2, -2), (1, 2, 3, 4), (1, -8, 1, -1)]
@@ -577,6 +603,18 @@ class TestLineCount:
 class TestCanonicalPoints:
     def test_projective_plane_height_one(self):
         assert len(canonical_points(3, 1)) == 13
+
+    @pytest.mark.parametrize("sides", [(), (0,), (2,), (1, 0), (0, 3), (2, 1, 0, 3), (1, 1, 1, 1)])
+    def test_half_box_is_the_positive_half_in_order(self, sides):
+        box = itertools.product(*(range(-s, s + 1) for s in sides))
+        zero = (0,) * len(sides)
+        assert list(_half_box(sides)) == [t for t in box if t > zero]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound", [0, 1, 3])
+    def test_canonical_coords_filter_the_box(self, dim, bound):
+        box = itertools.product(range(-bound, bound + 1), repeat=dim)
+        assert list(canonical_coords(dim, bound)) == list(filter(is_canonical, box))
 
     def test_all_canonical(self):
         for p in canonical_points(4, 2):

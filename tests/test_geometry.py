@@ -1,10 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicbundle.arith import exact_cube_root, normalize
+import cubicbundle
+from cubicbundle.arith import InvalidPoint, ProjectivePoint, exact_cube_root, normalize
 from cubicbundle.enumeration import enumerate_bundle
 from cubicbundle.geometry import (
     PAIRINGS,
@@ -51,6 +57,36 @@ class TestOnBundle:
     def test_bundle_point_validates(self):
         with pytest.raises(NotOnVariety):
             BundlePoint(normalize([1, 1, 1, 1]), normalize([1, 1, 1, 1]))
+
+    @pytest.mark.parametrize("xs, ys", [
+        ((1, -1), (1, 1)),  # x0*y0^3 + x1*y1^3 = 0 in P^1 x P^1
+        ((1, 1, 1, 1, 1), (1, -1, 1, -1, 0)),
+        ((1, 1, 1, 1), (1, -1, 1, -1, 0)),
+        ((1, 1, 1, 1, 1), (1, -1, 1, -1)),
+        ((1, -1, 0), (1, 1, 0, 0)),
+    ])
+    def test_points_outside_p3_x_p3_rejected(self, xs, ys):
+        x, y = ProjectivePoint(xs), ProjectivePoint(ys)
+        with pytest.raises(InvalidPoint, match=r"is not a point of P\^3 x P\^3"):
+            on_bundle(x, y)
+        with pytest.raises(InvalidPoint):
+            BundlePoint(x, y)
+
+    def test_dimension_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle.arith import ProjectivePoint
+            from cubicbundle.geometry import BundlePoint
+            assert False, "asserts must be off"
+            BundlePoint(ProjectivePoint((1, -1)), ProjectivePoint((1, 1)))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == "cubicbundle.arith.InvalidPoint: (1:-1, 1:1) is not a point of P^3 x P^3"
 
 
 class TestPairLocus:
