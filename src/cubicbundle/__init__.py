@@ -18,15 +18,13 @@ from .arith import (
     naive_height,
     normalize,
 )
-from .classify import ClassificationRecord, classify_point, z_membership
+from .classify import ClassificationRecord, classify_point
 from .enumeration import (
     CLASS_LABELS,
     CountSeries,
-    LineSpec,
     count_series,
     enumerate_bundle,
     enumerate_fiber,
-    line_count,
 )
 from .geometry import (
     PAIRINGS,

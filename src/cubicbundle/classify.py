@@ -74,8 +74,3 @@ def classify_point(p: BundlePoint) -> ClassificationRecord:
         fiber_rank=rank,
         in_Z=any(in_v.values()) or any(lifts.values()),
     )
-
-
-def z_membership(p: BundlePoint) -> bool:
-    """Does the point belong to the exceptional set?"""
-    return classify_point(p).in_Z

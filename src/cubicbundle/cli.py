@@ -35,13 +35,13 @@ EXIT_DOMAIN = 65
 EXIT_NOINPUT = 66
 
 
-def _parse_point(text: str, dim: int = 4):
+def _parse_point(text: str):
     try:
         coords = [int(part) for part in text.split(":")]
     except ValueError:
         raise InvalidPoint(f"cannot parse coordinates {text!r}") from None
-    if len(coords) != dim:
-        raise InvalidPoint(f"expected {dim} coordinates, got {len(coords)}")
+    if len(coords) != 4:
+        raise InvalidPoint(f"expected 4 coordinates, got {len(coords)}")
     return normalize(coords)
 
 
@@ -327,8 +327,17 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_USAGE instead of 2, which
+    is the I/O error code here; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubicbundle",
         description="Rational points on the Fermat cubic surface bundle: "
         "enumeration, exceptional-set classification, fiber Picard ranks, "

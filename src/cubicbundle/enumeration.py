@@ -60,7 +60,7 @@ from fractions import Fraction
 
 from .arith import InvalidArgument, ProjectivePoint, exact_cube_root, is_canonical, naive_height
 from .classify import _fiber_profile
-from .geometry import PAIRINGS, BundlePoint, NotOnVariety, pairing_pairs
+from .geometry import PAIRINGS, BundlePoint, NotOnVariety, _p3_coords
 
 #: CSV column order for count series
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
@@ -98,10 +98,6 @@ def canonical_coords(dim: int, bound: int):
     """Canonical coordinate tuples of P^(dim-1) points with naive height
     <= bound, in lexicographic order: the primitive vectors of the half box."""
     return (t for t in _half_box((bound,) * dim) if math.gcd(*t) == 1)
-
-
-def canonical_points(dim: int, bound: int) -> list[ProjectivePoint]:
-    return [ProjectivePoint(c) for c in canonical_coords(dim, bound)]
 
 
 def _linear_locus(xs):
@@ -182,8 +178,13 @@ def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
 
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:
     """All normalized y with H(y) <= bound on the cubic surface above x,
-    each exactly once, sorted by coordinates."""
-    return [ProjectivePoint(c) for c in _fiber_coords(x.coords, y_height_bound)]
+    each exactly once, sorted by coordinates.
+
+    Raises InvalidPoint unless x has four coordinates, and InvalidArgument
+    unless the bound is an integer.
+    """
+    bound = _integer(y_height_bound, "height bound")
+    return [ProjectivePoint(c) for c in _fiber_coords(_p3_coords(x), bound)]
 
 
 def _base_height(height_bound: int) -> int:
@@ -196,7 +197,7 @@ def _base_height(height_bound: int) -> int:
 
 def base_points(height_bound: int) -> list[ProjectivePoint]:
     """Normalized x with H(x)^3 <= height_bound, in lexicographic order."""
-    return canonical_points(4, _base_height(height_bound))
+    return [ProjectivePoint(c) for c in canonical_coords(4, _base_height(height_bound))]
 
 
 def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
@@ -216,22 +217,22 @@ def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
     return orbits
 
 
-def _check_height_bound(height_bound) -> int:
-    """The height bound as an int, or InvalidArgument unless it is an
-    integer >= 1."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """The named argument as an int, or InvalidArgument unless it is an
+    integer, and one >= least when least is given."""
     try:
-        bound = operator.index(height_bound)
+        value = operator.index(value)
     except TypeError:
-        raise InvalidArgument("height bound must be an integer") from None
-    if bound < 1:
-        raise InvalidArgument("height bound must be >= 1")
-    return bound
+        raise InvalidArgument(f"{name} must be an integer") from None
+    if least is not None and value < least:
+        raise InvalidArgument(f"{name} must be >= {least}")
+    return value
 
 
 def enumerate_bundle(height_bound: int):
     """Stream every bundle point with anticanonical height <= height_bound
     exactly once, lexicographically in normalized x then y."""
-    height_bound = _check_height_bound(height_bound)
+    height_bound = _integer(height_bound, "height bound", 1)
     for x in base_points(height_bound):
         for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
             yield BundlePoint(x, y)
@@ -370,12 +371,7 @@ def _fiber_rows(args) -> list[str]:
 def _pool_map(fn, tasks: list, workers: int):
     """Stream fn over tasks in order, one task at a time on each of min(workers,
     number of tasks, CPU count) processes, or in this process when that is 1."""
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise InvalidArgument("workers must be an integer") from None
-    if workers < 1:
-        raise InvalidArgument("workers must be >= 1")
+    workers = _integer(workers, "workers", 1)
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size <= 1:
         yield from map(fn, tasks)
@@ -394,7 +390,7 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
     """
-    height_bound = _check_height_bound(height_bound)
+    height_bound = _integer(height_bound, "height bound", 1)
     xs = list(canonical_coords(4, _base_height(height_bound)))
     if as_text:
         xs.sort(key=lambda c: str(ProjectivePoint(c)) + "|")
@@ -416,10 +412,7 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     points start at once; the merge is a weighted sum, so any worker count
     produces identical output.
     """
-    try:
-        bounds = tuple(map(operator.index, height_bounds))
-    except TypeError:
-        raise InvalidArgument("bounds must be integers") from None
+    bounds = tuple(_integer(b, "bound") for b in height_bounds)
     if not bounds:
         raise InvalidArgument("empty bounds grid")
     if any(b < 1 for b in bounds) or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
@@ -433,37 +426,11 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     return CountSeries(bounds, totals)
 
 
-@dataclass(frozen=True)
-class LineSpec:
-    """A line on the bundle above a fixed base point: pairing plus the two
-    signs (s1, s2) of the relations y_i = s1*y_j, y_k = s2*y_l."""
-
-    x: ProjectivePoint
-    pairing: int
-    first_sign: int
-    second_sign: int
-
-    def __post_init__(self) -> None:
-        if self.first_sign not in (-1, 1) or self.second_sign not in (-1, 1):
-            raise InvalidArgument("line signs must be +1 or -1")
-        (i, j), (k, l) = pairing_pairs(self.pairing)
-        c = self.x.coords
-        # substituting y_i = s1*y_j kills the pair-sum iff s1*x_i + x_j = 0
-        if self.first_sign * c[i] + c[j] != 0 or self.second_sign * c[k] + c[l] != 0:
-            raise InvalidArgument(f"line is not on the bundle above {self.x}")
-
-
 def projective_line_count(height_bound: int) -> int:
-    """Number of normalized points of P^1(Q) with naive height <= bound."""
+    """Number of normalized points of P^1(Q) with naive height <= bound.
+
+    It is also the count on each line (s1*a, a, s2*b, b), in a pairing's
+    index order, of a pair locus: such a point has height max(|a|, |b|).
+    """
     return primitive_count((1, 1), height_bound)
 
-
-def line_count(spec: LineSpec, height_bound: int) -> int:
-    """Points of naive height <= bound on the line of the spec.
-
-    In the pairing's index order the line is (s1*a, a, s2*b, b) for
-    primitive (a, b) up to sign, so a point's height is max(|a|, |b|)
-    whatever x and the signs are, and the count is that of normalized
-    points of P^1.
-    """
-    return projective_line_count(height_bound)

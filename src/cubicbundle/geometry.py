@@ -66,23 +66,27 @@ def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:
     return x0 * y0 ** 3 + x1 * y1 ** 3 + x2 * y2 ** 3 + x3 * y3 ** 3 == 0
 
 
-def pair_sums(x, y, pairing: int) -> tuple[int, int]:
-    """The two binomial sums x_i*y_i^3 + x_j*y_j^3 for the pairing, on
-    coordinate tuples x and y."""
-    (i, j), (k, l) = pairing_pairs(pairing)
-    return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3,
-            x[k] * y[k] ** 3 + x[l] * y[l] ** 3)
-
-
 def in_pair_locus(p: BundlePoint, pairing: int) -> bool:
-    """True iff both pair-sums vanish (membership in V_tau)."""
-    return pair_sums(p.x.coords, p.y.coords, pairing) == (0, 0)
+    """True iff both pair-sums x_i*y_i^3 + x_j*y_j^3 vanish (membership in
+    V_tau)."""
+    (i, j), (k, l) = pairing_pairs(pairing)
+    x, y = p.x.coords, p.y.coords
+    return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3 == 0
+            and x[k] * y[k] ** 3 + x[l] * y[l] ** 3 == 0)
+
+
+def _p3_coords(x: ProjectivePoint) -> tuple[int, ...]:
+    """The coordinates of the base point x, or InvalidPoint unless it has
+    four: the one dimension check of the functions that take a base point."""
+    if len(x.coords) != 4:
+        raise InvalidPoint(f"{x} is not a point of P^3")
+    return x.coords
 
 
 def pair_products(x: ProjectivePoint, pairing: int) -> tuple[int, int]:
     """(A, B) = (x_i*x_j, x_k*x_l) for the pairing."""
     (i, j), (k, l) = pairing_pairs(pairing)
-    c = x.coords
+    c = _p3_coords(x)
     return c[i] * c[j], c[k] * c[l]
 
 
@@ -102,4 +106,4 @@ def liftable(x: ProjectivePoint, pairing: int) -> bool:
 def over_singular_fiber(x: ProjectivePoint) -> bool:
     """True iff the cubic surface fiber above x is singular, i.e. some
     coordinate of x vanishes."""
-    return any(c == 0 for c in x.coords)
+    return any(c == 0 for c in _p3_coords(x))

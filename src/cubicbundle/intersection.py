@@ -100,11 +100,6 @@ ANTICANONICAL = 3 * H1 + H2
 HYPERSURFACE_CLASS = H1 + 3 * H2
 
 
-def divisor(a, b) -> DivisorClass:
-    """a*h1 + b*h2."""
-    return DivisorClass({(1, 0): a, (0, 1): b})
-
-
 def multiply(classes) -> DivisorClass:
     """Product of divisor classes in the truncated ring."""
     out = DivisorClass({(0, 0): 1})

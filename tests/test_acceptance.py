@@ -14,11 +14,10 @@ from cubicbundle.arith import exact_cube_root, normalize, rational_matrix_rank
 from cubicbundle.classify import classify_point
 from cubicbundle.cli import main
 from cubicbundle.enumeration import (
-    LineSpec,
     canonical_coords,
     count_series,
     enumerate_bundle,
-    line_count,
+    projective_line_count,
 )
 from cubicbundle.geometry import PAIRINGS, liftable, pair_products
 from cubicbundle.picard import (
@@ -198,8 +197,7 @@ def test_criterion_6_liftability_oracle():
 
 def test_criterion_7_growth_exponents():
     bounds = [50, 100, 200, 400, 800]
-    spec = LineSpec(normalize([1, 1, 1, 1]), pairing=1, first_sign=-1, second_sign=-1)
-    counts = [line_count(spec, b) for b in bounds]
+    counts = [projective_line_count(b) for b in bounds]
     logs = [(math.log(b), math.log(n)) for b, n in zip(bounds, counts)]
     mean_x = sum(x for x, _ in logs) / len(logs)
     mean_y = sum(y for _, y in logs) / len(logs)

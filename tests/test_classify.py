@@ -8,7 +8,7 @@ import pytest
 
 import cubicbundle
 from cubicbundle.arith import normalize
-from cubicbundle.classify import classify_point, z_membership
+from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, in_pair_locus
 
@@ -78,8 +78,8 @@ class TestClassifyPoint:
             bundle_point([1, 1, 1, 1], [1, 1, 1, 1])
 
     def test_z_membership_projection(self):
-        assert z_membership(bundle_point([1, 1, 1, 1], [1, -1, 1, -1]))
-        assert z_membership(bundle_point([0, 1, 1, 1], [9, 1, -1, 0]))
+        assert classify_point(bundle_point([1, 1, 1, 1], [1, -1, 1, -1])).in_Z
+        assert classify_point(bundle_point([0, 1, 1, 1], [9, 1, -1, 0])).in_Z
 
     def test_off_z_point_exists(self):
         # rank-1 fiber, point off every pair locus

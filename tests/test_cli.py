@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +345,23 @@ class TestPlot:
         assert code == 65
         assert err.startswith("error:")
         assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count"],
+    ["enumerate", "--bound", "abc"],
+    ["count", "--bounds", "1", "--workers", "x"],
+    ["fiber-rank", "1", "2", "3"],
+    ["no-such-command"],
+])
+def test_argparse_errors_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    # argparse's own usage and error lines, only the exit code differs
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cubicbundle")
+    assert re.fullmatch(r"cubicbundle( [a-z-]+)?: error: .+", err.splitlines()[-1])
 
 
 def test_import_loads_neither_sympy_nor_mpmath():

@@ -25,7 +25,6 @@ from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     CountSeries,
-    LineSpec,
     _base_orbits,
     _classify_fiber,
     _fiber_rows,
@@ -33,11 +32,9 @@ from cubicbundle.enumeration import (
     _linear_locus,
     base_points,
     canonical_coords,
-    canonical_points,
     count_series,
     enumerate_bundle,
     enumerate_fiber,
-    line_count,
     point_row,
     point_rows,
     primitive_count,
@@ -237,6 +234,8 @@ class TestBundleEnumeration:
     def test_rejects_non_integer_bound(self, bound):
         with pytest.raises(InvalidArgument, match="must be an integer"):
             next(enumerate_bundle(bound))
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            enumerate_fiber(normalize([1, 1, 1, 1]), bound)
 
 
 class TestCountSeries:
@@ -517,7 +516,8 @@ class TestLinearFibers:
 
     def test_linear_points_are_exceptional(self):
         checked = counted = 0
-        for x in canonical_points(4, 3):
+        for xs in canonical_coords(4, 3):
+            x = normalize(xs)
             locus = _linear_locus(x.coords)
             if locus is None:
                 continue
@@ -547,21 +547,9 @@ class TestLineCount:
         assert projective_line_count(1) == 4
         assert projective_line_count(2) == 8
 
-    def test_line_spec_accepts_fermat_line(self):
-        spec = LineSpec(normalize([1, 1, 1, 1]), pairing=1, first_sign=-1, second_sign=-1)
-        assert line_count(spec, 1) == 4
-        assert line_count(spec, 2) == 8
-
-    def test_line_spec_rejects_off_bundle(self):
-        with pytest.raises(InvalidArgument):
-            LineSpec(normalize([1, 1, 1, 2]), pairing=1, first_sign=-1, second_sign=-1)
-        with pytest.raises(InvalidArgument):
-            LineSpec(normalize([1, 1, 1, 1]), pairing=1, first_sign=-1, second_sign=2)
-
     def test_off_fermat_spec_brute_force(self):
         # y0 = y1, y2 = y3 above x = (1, -1, 2, -2), a smooth fiber
         x = normalize([1, -1, 2, -2])
-        spec = LineSpec(x, pairing=1, first_sign=1, second_sign=1)
         for bound in range(7):
             on_line = [
                 ys
@@ -569,18 +557,17 @@ class TestLineCount:
                 if ys[0] == ys[1] and ys[2] == ys[3]
             ]
             assert all(on_bundle(x, normalize(ys)) for ys in on_line)
-            assert len(on_line) == line_count(spec, bound)
+            assert len(on_line) == projective_line_count(bound)
 
     def test_counts_match_enumeration(self):
         # points on the line y0 = -y1, y2 = -y3 inside the Fermat fiber
-        spec = LineSpec(normalize([1, 1, 1, 1]), pairing=1, first_sign=-1, second_sign=-1)
         for bound in (1, 2, 5, 9):
             on_line = [
                 y
                 for y in enumerate_fiber(normalize([1, 1, 1, 1]), bound)
                 if y.coords[0] == -y.coords[1] and y.coords[2] == -y.coords[3]
             ]
-            assert len(on_line) == line_count(spec, bound)
+            assert len(on_line) == projective_line_count(bound)
 
     def test_growth_exponent(self):
         bounds = [50, 100, 200, 400, 800]
@@ -602,7 +589,7 @@ class TestLineCount:
 
 class TestCanonicalPoints:
     def test_projective_plane_height_one(self):
-        assert len(canonical_points(3, 1)) == 13
+        assert len(list(canonical_coords(3, 1))) == 13
 
     @pytest.mark.parametrize("sides", [(), (0,), (2,), (1, 0), (0, 3), (2, 1, 0, 3), (1, 1, 1, 1)])
     def test_half_box_is_the_positive_half_in_order(self, sides):
@@ -617,6 +604,6 @@ class TestCanonicalPoints:
         assert list(canonical_coords(dim, bound)) == list(filter(is_canonical, box))
 
     def test_all_canonical(self):
-        for p in canonical_points(4, 2):
-            assert math.gcd(*(abs(c) for c in p.coords)) == 1
-            assert next(c for c in p.coords if c) > 0
+        for coords in canonical_coords(4, 2):
+            assert math.gcd(*(abs(c) for c in coords)) == 1
+            assert next(c for c in coords if c) > 0

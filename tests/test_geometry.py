@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cubicbundle
 from cubicbundle.arith import InvalidPoint, ProjectivePoint, exact_cube_root, normalize
-from cubicbundle.enumeration import enumerate_bundle
+from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
 from cubicbundle.geometry import (
     PAIRINGS,
     BundlePoint,
@@ -87,6 +87,38 @@ class TestOnBundle:
         assert result.returncode != 0
         last = result.stderr.strip().splitlines()[-1]
         assert last == "cubicbundle.arith.InvalidPoint: (1:-1, 1:1) is not a point of P^3 x P^3"
+
+
+class TestBasePointDimension:
+    # the points of TestOnBundle.test_points_outside_p3_x_p3_rejected not in P^3
+    @pytest.mark.parametrize("xs", [(1, -1), (1, 1), (1, 1, 1, 1, 1), (1, -1, 1, -1, 0), (1, -1, 0)])
+    def test_points_outside_p3_rejected(self, xs):
+        x = ProjectivePoint(xs)
+        calls = [
+            lambda: enumerate_fiber(x, 3),
+            lambda: liftable(x, 1),
+            lambda: over_singular_fiber(x),
+            lambda: pair_products(x, 1),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidPoint, match=r"is not a point of P\^3$"):
+                call()
+
+    def test_dimension_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle.arith import ProjectivePoint
+            from cubicbundle.geometry import over_singular_fiber
+            assert False, "asserts must be off"
+            over_singular_fiber(ProjectivePoint((1, -1)))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == "cubicbundle.arith.InvalidPoint: 1:-1 is not a point of P^3"
 
 
 class TestPairLocus:

@@ -18,7 +18,6 @@ from cubicbundle.intersection import (
     SubvarietyKind,
     ambient_degree,
     curve_a_value,
-    divisor,
     intersect_on_bundle,
     lookup_invariants,
     multiply,
@@ -111,9 +110,9 @@ class TestBundleIntersections:
         rng = random.Random(1)
         for _ in range(20):
             a, b = rng.randint(-40, 40), rng.randint(-40, 40)
-            got = intersect_on_bundle([H1 + H2, H1 + H2, H1, H1, divisor(a, b)])
+            got = intersect_on_bundle([H1 + H2, H1 + H2, H1, H1, a * H1 + b * H2])
             assert got == 3 * a + 7 * b
-        assert intersect_on_bundle([H1 + H2, H1 + H2, H1, H1, divisor(1, 1)]) == 10
+        assert intersect_on_bundle([H1 + H2, H1 + H2, H1, H1, H1 + H2]) == 10
 
     def test_identity_3a_13b(self):
         rng = random.Random(2)
