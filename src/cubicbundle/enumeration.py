@@ -4,46 +4,52 @@ The anticanonical height H(x)^3 * H(y) splits the search: the outer loop
 runs over the few normalized x with H(x)^3 <= B, the inner loop enumerates
 the cubic-surface fiber above x up to the shrunken bound floor(B/H(x)^3).
 
-Fiber enumeration is exact and case-split on the number of nonzero
-coordinates of x:
+Each fiber is described once, up to a height bound, as boxes plus a few
+points (:func:`_fiber_locus`); the walk enumerates that description and the
+count reads it in closed form.  A box is a parametrized line or plane: each
+y_k is a fixed multiple of one parameter t_p, or 0, and the height bound
+caps each |t_p| by its box side.  Its points are the primitive t up to sign,
+so a Moebius sum counts them (:func:`primitive_count`), and the walk visits
+the half of the box whose first nonzero entry is positive
+(:func:`_half_box`), keeps the primitive vectors and negates each image y
+whose first nonzero coordinate is negative.  The description is
+case-split on the number of nonzero coordinates of x:
 
-* one or two nonzero coordinates: a linear fiber, whose rational locus is
-  a plane or a line with a box-shaped parametrization
-  (:func:`_linear_locus`): each y_k is a fixed multiple of one parameter
-  t_p, or 0, and the height bound caps each |t_p| by its box side.  Only
-  the half of the box whose first nonzero entry is positive is walked
-  (:func:`_half_box`), its primitive vectors kept, and each image y negated
-  when its first nonzero coordinate is negative;
-* three or four nonzero coordinates: a genuine cubic surface, enumerated
-  by a meet-in-the-middle split of the quadruple box — hash the values of
-  x_0*y_0^3 + x_1*y_1^3 over the half plane (y_0, y_1) > (0, 0), scan the
-  complementary pairs, and add the solutions with y_0 = y_1 = 0 from the
-  half plane of (y_2, y_3).  The walk meets one of each pair y, -y of
-  integer solutions in the box, so its primitive hits
-  (:func:`~cubicbundle.arith.is_canonical`) are each projective point once.
+* one or two: a linear fiber, one box, a plane or a line
+  (:func:`_linear_locus`), every point on the pair locus of the pairing
+  that groups the nonzero indices;
+* three: a cone over a plane cubic curve, the vertex plus one line through
+  it for each curve point, found with O(bound) memory
+  (:func:`_cone_locus`);
+* four: a smooth cubic surface, the rational lines of its pair loci
+  (none, one or three; lines meet pairwise in one point) and the points off
+  them, found by a meet-in-the-middle scan of the quadruple box that drops
+  each hit on a line before building it (:func:`_smooth_locus`,
+  :func:`_surface_scan`), in the style of Bernstein, Enumerating solutions
+  to p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
+
+Every box is checked against the fiber equation once, every remaining
+point one by one, also under python -O.
 
 Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
 into point objects.  Output is always sorted lexicographically, so runs are
 reproducible byte for byte and the outer loop parallelizes freely.
 
 Counting and the dumps read the fiber profile (liftability, singularity,
-rank) once per fiber; per point only the bundle check, the height and the
-pair-locus test remain, in one walk (:func:`_fiber_points`).
-Counting takes one fiber per orbit of base points under the
-signed permutations (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.
-They preserve the equation, the heights, the set of pair loci,
-liftability (-1 is a cube) and singularity, so a fiber's tally depends
-only on the sorted |x_i|: the representative 0 <= a <= b <= c <= d is
-counted once and weighted by the number of canonical base points in its
-orbit (:func:`_base_orbits`).  It also skips enumeration on the linear
-fibers: a Moebius sum over the same box counts their points
-(:func:`primitive_count`), and every one lies on the pair locus of the
-pairing that groups the nonzero indices.  Dumps walk the fiber of every
-canonical base point, one fiber at a time (:func:`point_rows`), and build
-each row from the point's coordinates, its height and one of the fiber's
-eight flag fields, one per pair-locus pattern; enumerate_bundle with
-classify_point and point_row stays the oracle for the orbit weights, the
-closed form and the dumps.
+rank) once per fiber; per walked point only the bundle check, the height
+and the pair-locus test remain (:func:`_checked_points`).  Counting takes
+one fiber per orbit of base points under the signed permutations
+(x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.  They preserve the
+equation, the heights, the set of pair loci, liftability (-1 is a cube)
+and singularity, so a fiber's tally depends only on the sorted |x_i|: the
+representative 0 <= a <= b <= c <= d is counted once and weighted by the
+number of canonical base points in its orbit (:func:`_base_orbits`).  It
+counts the boxes in closed form and checks only the remaining points.
+Dumps walk the fiber of every canonical base point, one fiber at a time
+(:func:`point_rows`), and build each row from the point's coordinates, its
+height and one of the fiber's eight flag fields, one per pair-locus
+pattern; enumerate_bundle with classify_point and point_row stays the
+oracle for the orbit weights, the closed form and the dumps.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import InvalidArgument, ProjectivePoint, exact_cube_root, is_canonical, naive_height
 from .classify import _fiber_profile
@@ -100,6 +105,15 @@ def canonical_coords(dim: int, bound: int):
     return (t for t in _half_box((bound,) * dim) if math.gcd(*t) == 1)
 
 
+def _cube_pair(alpha: int, beta: int):
+    """The coprime (c, d), d > 0, with alpha*c^3 + beta*d^3 = 0, or None when
+    -beta/alpha is not the cube of a rational; alpha is nonzero."""
+    g = math.gcd(alpha, beta) if alpha > 0 else -math.gcd(alpha, beta)
+    c = exact_cube_root(-beta // g)
+    d = None if c is None else exact_cube_root(alpha // g)
+    return None if d is None else (c, d)
+
+
 def _linear_locus(xs):
     """The rational locus of a linear fiber as a parametrized box, or None
     for a cone or smooth fiber.
@@ -120,9 +134,9 @@ def _linear_locus(xs):
     sides = []
     if len(nz) == 2:
         i, j = nz
-        ratio = Fraction(-xs[j], xs[i])
-        c, d = exact_cube_root(ratio.numerator), exact_cube_root(ratio.denominator)
-        if c is not None and d is not None:
+        pair = _cube_pair(xs[i], xs[j])
+        if pair is not None:
+            c, d = pair
             params[i], params[j] = (0, c), (0, d)
             sides.append(max(abs(c), abs(d)))
     for k, xk in enumerate(xs):
@@ -132,38 +146,179 @@ def _linear_locus(xs):
     return tuple(params), tuple(sides)
 
 
-def _fiber_coords_surface(xs, bound):
-    """Meet-in-the-middle over the box, one of each solution pair y, -y:
-    hash x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) in
-    lexicographic order and scan (yc, yd) over the whole square, then add
-    the solutions with ya = yb = 0 and (yc, yd) in the half plane.  Each
-    hit has its first nonzero coordinate positive; is_canonical keeps the
-    primitive ones."""
-    cubes = {k: k ** 3 for k in range(-bound, bound + 1)}
+def _plane_cubic_points(a: int, b: int, c: int, bound: int) -> list[tuple[int, int, int]]:
+    """The primitive (u, v, w) with a*u^3 + b*v^3 + c*w^3 = 0 and
+    max(|u|, |v|, |w|) <= bound, for nonzero a, b, c, one of each pair p, -p:
+    the one whose first nonzero entry of (u, v) is positive (u = v = 0 forces
+    w = 0).  A dict of c*w^3 over |w| <= bound, O(bound) memory, answers the
+    scan of (u, v) over the half box, a row at a time."""
     rng = range(-bound, bound + 1)
+    w_of = {c * w ** 3: w for w in rng}
+    bv3 = [b * v ** 3 for v in rng]
+    points = []
+    for u in range(bound + 1):
+        target = -a * u ** 3  # c*w^3 = target - b*v^3
+        vs = rng if u else range(1, bound + 1)
+        row = bv3 if u else bv3[bound + 1:]
+        for v in itertools.compress(vs, map(w_of.__contains__, map(target.__sub__, row))):
+            w = w_of[target - b * v ** 3]
+            if math.gcd(u, v, w) == 1:
+                points.append((u, v, w))
+    return points
+
+
+def _cone_locus(xs, bound: int):
+    """The fiber over a cone x (one zero coordinate x_i) as boxes and points,
+    see :func:`_fiber_locus`.
+
+    With p = (y_j, y_k, y_l) for the other indices, x_i*y_i^3 = 0 leaves
+    a*y_j^3 + b*y_k^3 + c*y_l^3 = 0, a smooth plane cubic.  The fiber is the
+    vertex e_i (p = 0) and, for each primitive curve point p up to sign, the
+    line (s, lambda*p): the box t = (s, lambda) of sides (1, H(p)), whose
+    point t = (1, 0) is the vertex.  A point is on a pair locus exactly when
+    its pairing's pair sum x_m*y_m^3 vanishes for the partner m of i, that is
+    when p has a zero coordinate; the vertex is on all three.
+    """
+    i = xs.index(0)
+    others = [m for m in range(4) if m != i]
+    vertex = tuple(int(m == i) for m in range(4))
+    boxes = []
+    for p in _plane_cubic_points(*(xs[m] for m in others), bound):
+        params = [(0, 1)] * 4
+        for m, pm in zip(others, p):
+            params[m] = (1, pm)
+        boxes.append((tuple(params), (1, max(map(abs, p))), (vertex,), 0 in p))
+    return boxes, [vertex]
+
+
+def _smooth_locus(xs, bound: int):
+    """The fiber over a smooth x (no zero coordinate) as boxes and points,
+    see :func:`_fiber_locus`.
+
+    A pairing {i, j}|{k, l} has a rational line in its pair locus exactly
+    when -x_j/x_i and -x_l/x_k are both cubes, of c/d and c'/d': the box
+    (c*t, d*t, c'*s, d'*s) of sides (max(|c|, |d|), max(|c'|, |d'|)).  Two
+    such lines meet in one rational point, where every y_k is nonzero, and
+    no point is on all three; each line leaves its meets to the points.
+    The other points come from the scan (:func:`_surface_scan`).
+    """
+    lines = {}
+    for pairing, ((i, j), (k, l)) in PAIRINGS.items():
+        first = _cube_pair(xs[i], xs[j])
+        second = first and _cube_pair(xs[k], xs[l])
+        if second:
+            params = [None] * 4
+            params[i], params[j] = (0, first[0]), (0, first[1])
+            params[k], params[l] = (1, second[0]), (1, second[1])
+            lines[pairing] = tuple(params), (max(map(abs, first)), max(map(abs, second)))
+    meets = {pairing: () for pairing in lines}
+    for a, b in itertools.combinations(lines, 2):
+        # on line a, the pair sum of b holding index 0 (with index b) vanishes
+        params = lines[a][0]
+        (p0, m0), (pb, mb) = params[0], params[b]
+        t = [0, 0]
+        t[p0], t[pb] = _cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)
+        meet = tuple(m * t[p] for p, m in params)
+        if max(map(abs, meet)) <= bound:
+            meet = meet if meet[0] > 0 else tuple(-y for y in meet)
+            meets[a] += (meet,)
+            meets[b] += (meet,)
+    points = _surface_scan(xs, bound, lines)
+    points += set(itertools.chain(*meets.values()))
+    return [(params, sides, meets[p], True) for p, (params, sides) in lines.items()], points
+
+
+def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the smooth fiber over xs, off the
+    rational lines of the pairings in lines, in no particular order.
+
+    Meet in the middle over the box, one of each solution pair y, -y: hash
+    x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) and scan
+    (yc, yd) over the whole square, a row at a time.  The table maps a key
+    to the code ya*width + yb + bound of one pair, and keys of several pairs
+    also to the list of their codes; plain ints keep it small.  Hits on a
+    line are dropped before a tuple is built: the key 0 for pairing 1 (then
+    every hit with ya = yb = 0 is on that line too), t0 + t2 == 0 for
+    pairing 2 and t0 + t3 == 0 for pairing 3.  Without a line, a pairing's
+    pair locus holds at most one point, (c, d, 0, 0) or (0, 0, c, d) up to
+    order, and that point stays a hit.  is_canonical keeps the primitive
+    hits.
+    """
     x0, x1, x2, x3 = xs
-    half_plane = list(_half_box((bound, bound)))
-    table: dict[int, list[tuple[int, int]]] = {}
-    for ya, yb in half_plane:
-        table.setdefault(x0 * cubes[ya] + x1 * cubes[yb], []).append((ya, yb))
-    hits = [
-        (ya, yb, yc, yd)
-        for yc, yd in itertools.product(rng, repeat=2)
-        for ya, yb in table.get(-(x2 * cubes[yc] + x3 * cubes[yd]), ())
-    ]
-    hits += [(0, 0, yc, yd) for yc, yd in half_plane if x2 * cubes[yc] + x3 * cubes[yd] == 0]
+    rng = range(-bound, bound + 1)
+    width = len(rng)
+    cubes = [y ** 3 for y in rng]
+    x1_cubes = [x1 * c for c in cubes]
+    x0_cubes = [x0 * ya ** 3 for ya in range(bound + 1)]
+    table: dict[int, int] = {}
+    collided: dict[int, list[int]] = {}
+    for ya, t0 in enumerate(x0_cubes):
+        low = 0 if ya else bound + 1
+        codes = range(ya * width + low, (ya + 1) * width)
+        row = dict(zip(map(t0.__add__, x1_cubes[low:]), codes))
+        for key in row.keys() & table.keys():
+            collided.setdefault(key, [table[key]]).append(row[key])
+        table.update(row)
+    if 1 in lines:
+        table.pop(0, None)
+        collided.pop(0, None)
+    on2, on3 = 2 in lines, 3 in lines
+    x3_cubes = [x3 * c for c in cubes]
+    hits = []
+    for yc in rng:
+        t2 = x2 * yc ** 3
+        keys = [-t2 - t3 for t3 in x3_cubes]
+        for idx in itertools.compress(range(width), map(table.__contains__, keys)):
+            key, t3 = keys[idx], x3_cubes[idx]
+            for code in collided.get(key) or (table[key],):
+                t0 = x0_cubes[code // width]
+                if not (on2 and t0 + t2 == 0 or on3 and t0 + t3 == 0):
+                    ya, yb = divmod(code, width)
+                    hits.append((ya, yb - bound, yc, idx - bound))
+    pair = None if 1 in lines else _cube_pair(x2, x3)
+    if pair is not None and max(map(abs, pair)) <= bound:
+        c, d = pair
+        hits.append((0, 0, c, d) if c > 0 else (0, 0, -c, -d))
     return list(filter(is_canonical, hits))
 
 
-def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
-    """Canonical y with H(y) <= bound on the cubic surface above the
-    canonical x, each exactly once, sorted."""
-    if bound < 1:
-        return []
+def _check_box(xs, params) -> None:
+    """Raise NotOnVariety, also under python -O, unless every point of the
+    box lies on the fiber over xs.  The sum of x_k*(m_k*t[p_k])^3 vanishes
+    for all t exactly when, for each parameter p, the x_k*m_k^3 with p_k = p
+    sum to 0: for a cone that is the curve point, for a line its direction."""
+    sums = Counter()
+    for xk, (p, m) in zip(xs, params):
+        sums[p] += xk * m ** 3
+    if any(sums.values()):
+        raise NotOnVariety(f"the box {params} is not on the fiber over {':'.join(map(str, xs))}")
+
+
+def _fiber_locus(xs, bound: int):
+    """The canonical fiber over the canonical x, up to height bound, as
+    (boxes, points), each point of the fiber exactly once.
+
+    Each box is (params, sides, shared, on): the points of the box
+    (:func:`_linear_locus`) other than those in shared, all on a pair locus
+    when on holds and all off every pair locus otherwise.  The points are
+    the rest, with H(y) <= bound, each to be tested one by one: the cone
+    vertex, the meets of smooth lines, and the smooth scan hits off the
+    lines.  Every box is checked against the fiber equation once.
+    """
     locus = _linear_locus(xs)
-    if locus is None:
-        return sorted(_fiber_coords_surface(xs, bound))
-    params, sides = locus
+    if locus is not None:
+        boxes, points = [(*locus, (), True)], []
+    elif 0 in xs:
+        boxes, points = _cone_locus(xs, bound)
+    else:
+        boxes, points = _smooth_locus(xs, bound)
+    for params, *_ in boxes:
+        _check_box(xs, params)
+    return boxes, points
+
+
+def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
+    """The canonical points of a box with H(y) <= bound."""
     (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
     ys = []
     # primitive t up to sign: y is primitive with t, and is negated when
@@ -173,6 +328,18 @@ def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
             # spelled out: a generic tuple(m * t[p] for ...) per point is much slower
             y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
             ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
+    return ys
+
+
+def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the cubic surface above the
+    canonical x, each exactly once, sorted."""
+    if bound < 1:
+        return []
+    boxes, ys = _fiber_locus(xs, bound)
+    for params, sides, shared, _ in boxes:
+        coords = _box_coords(params, sides, bound)
+        ys += [y for y in coords if y not in shared] if shared else coords
     return sorted(ys)
 
 
@@ -290,24 +457,27 @@ def _tally(on_loci, off_loci, liftable: bool, singular: bool) -> dict[str, list[
 
 
 def _classify_fiber(args):
-    """Worker task: per-bound, per-class counts for the fiber above x."""
+    """Worker task: per-bound, per-class counts for the fiber above x, from
+    its description (:func:`_fiber_locus`): each box in closed form, each
+    remaining point by the per-point checks."""
     x_coords, bounds = args
     lifts, singular, _ = _fiber_profile(x_coords)
-    liftable = any(lifts.values())
-    locus = _linear_locus(x_coords)
-    if locus is not None:
-        # the pairing grouping the nonzero indices of x has both pair sums 0
-        hx3 = max(map(abs, x_coords)) ** 3
-        on_loci = [primitive_count(locus[1], b // hx3) for b in bounds]
-        return _tally(on_loci, [0] * len(bounds), liftable, singular)
+    hx3 = max(map(abs, x_coords)) ** 3
+    boxes, points = _fiber_locus(x_coords, bounds[-1] // hx3)
     # points first counted at each bound; every height is at most bounds[-1]
-    new_on = [0] * len(bounds)
-    new_off = [0] * len(bounds)
-    for _, height, in_v in _fiber_points(x_coords, bounds[-1]):
-        (new_on if any(in_v) else new_off)[bisect_left(bounds, height)] += 1
-    on_loci = list(itertools.accumulate(new_on))
-    off_loci = list(itertools.accumulate(new_off))
-    return _tally(on_loci, off_loci, liftable, singular)
+    new = {True: [0] * len(bounds), False: [0] * len(bounds)}
+    for _, height, in_v in _checked_points(x_coords, points):
+        new[any(in_v)][bisect_left(bounds, height)] += 1
+    on_loci = list(itertools.accumulate(new[True]))
+    off_loci = list(itertools.accumulate(new[False]))
+    for _, sides, shared, on in boxes:
+        counts = on_loci if on else off_loci
+        for idx, bound in enumerate(bounds):
+            y_bound = bound // hx3
+            counts[idx] += primitive_count(sides, y_bound) - sum(
+                max(map(abs, y)) <= y_bound for y in shared
+            )
+    return _tally(on_loci, off_loci, any(lifts.values()), singular)
 
 
 def _flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:
@@ -328,9 +498,9 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{flags}"
 
 
-def _fiber_points(x_coords, height_bound: int):
-    """Each canonical y over the canonical x with H(x)^3 * H(y) <= height_bound,
-    in numeric order, as (y, H(x)^3 * H(y), (in V1, in V2, in V3)).
+def _checked_points(x_coords, ys):
+    """Each canonical y of ys over the canonical x as (y, H(x)^3 * H(y),
+    (in V1, in V2, in V3)).
 
     Raises NotOnVariety for a y off the bundle, also under python -O.  On the
     bundle the four terms x_k*y_k^3 sum to 0, so both pair sums of a pairing
@@ -338,15 +508,15 @@ def _fiber_points(x_coords, height_bound: int):
     """
     x0, x1, x2, x3 = x_coords
     hx3 = max(map(abs, x_coords)) ** 3
-    for ys in _fiber_coords(x_coords, height_bound // hx3):
-        y0, y1, y2, y3 = ys
+    for coords in ys:
+        y0, y1, y2, y3 = coords
         t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
         if t0 + t1 + t2 + t3:
-            x, y = (":".join(map(str, c)) for c in (x_coords, ys))
+            x, y = (":".join(map(str, c)) for c in (x_coords, coords))
             raise NotOnVariety(f"({x}, {y}) is not on the bundle")
         height = hx3 * max(abs(y0), abs(y1), abs(y2), abs(y3))
         # pairings 1, 2, 3 pair index 0 with 1, 2, 3 (geometry.PAIRINGS)
-        yield ys, height, (t0 + t1 == 0, t0 + t2 == 0, t0 + t3 == 0)
+        yield coords, height, (t0 + t1 == 0, t0 + t2 == 0, t0 + t3 == 0)
 
 
 def _fiber_rows(args) -> list[str]:
@@ -364,8 +534,9 @@ def _fiber_rows(args) -> list[str]:
         in_v: _flag_field(liftable or any(in_v), dict(zip(PAIRINGS, in_v)), lifts, singular)
         for in_v in itertools.product((False, True), repeat=3)
     }
-    return [f"{head}{':'.join(map(str, ys))}|{height}|{fields[in_v]}"
-            for ys, height, in_v in _fiber_points(x_coords, height_bound)]
+    ys = _fiber_coords(x_coords, height_bound // max(map(abs, x_coords)) ** 3)
+    return [f"{head}{':'.join(map(str, y))}|{height}|{fields[in_v]}"
+            for y, height, in_v in _checked_points(x_coords, ys)]
 
 
 def _pool_map(fn, tasks: list, workers: int):
@@ -404,8 +575,9 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
 
     One fiber per signed-permutation orbit of base points is counted, for
     the largest bound, thresholded into each bound and added with the
-    orbit's size as weight: linear fibers in closed form, cone and smooth
-    fibers point by point.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
+    orbit's size as weight: the boxes of each fiber's description in closed
+    form, the few other points (a cone's vertex, the meets of smooth lines
+    and the smooth points off the lines) one by one.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
     points on some pair locus versus points swept in only through
     liftability of their base point.  Orbit tasks run largest fiber bound
     bounds[-1] // H(x)^3 first, so the few huge fibers over height-1 base

@@ -152,10 +152,9 @@ def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbit
     ]
     group = tuple(GaloisElement(c, k) for c in (0, 1) for k in twists)
     parts = orbits(group)
-    gram = [
-        [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
-        for o1 in parts
-    ]
+    index, table = _incidence_table()
+    members = [[index[label] for label in o] for o in parts]
+    gram = [[sum(table[i][j] for i in o1 for j in o2) for o2 in members] for o1 in members]
     return LatticeOrbits(
         group=group,
         orbits=tuple(parts),
@@ -226,6 +225,14 @@ def incidence(l1: LineLabel, l2: LineLabel) -> int:
     return 1 if meet else 0
 
 
+@functools.lru_cache(maxsize=None)
+def _incidence_table() -> tuple[dict[LineLabel, int], tuple[tuple[int, ...], ...]]:
+    """The index of each line label in ALL_LINE_LABELS and the 27 x 27
+    intersection numbers by index, built on first use, not at import."""
+    index = {label: k for k, label in enumerate(ALL_LINE_LABELS)}
+    return index, tuple(map(tuple, incidence_gram()))
+
+
 def incidence_gram() -> list[list[int]]:
     """Gram matrix of the 27 line classes under the intersection form."""
     return [[incidence(l1, l2) for l2 in ALL_LINE_LABELS] for l1 in ALL_LINE_LABELS]
@@ -233,23 +240,19 @@ def incidence_gram() -> list[list[int]]:
 
 def orbits(group) -> list[tuple[LineLabel, ...]]:
     """Orbit partition of the 27 line labels, each orbit sorted, orbits
-    ordered by their least element."""
+    ordered by their least element.
+
+    group must be a whole group, as galois_group returns it (the annihilator
+    twists times {1, conj}): then the orbit of a label is its set of images,
+    one pass over the group.
+    """
     seen: set[LineLabel] = set()
     out = []
     for label in ALL_LINE_LABELS:
-        if label in seen:
-            continue
-        orbit = {label}
-        frontier = [label]
-        while frontier:
-            current = frontier.pop()
-            for g in group:
-                image = line_action(g, current)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        seen |= orbit
-        out.append(tuple(sorted(orbit)))
+        if label not in seen:
+            orbit = {line_action(g, label) for g in group}
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
     return out
 
 

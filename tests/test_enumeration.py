@@ -16,6 +16,7 @@ import cubicbundle
 from cubicbundle import classify, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
+    ProjectivePoint,
     anticanonical_height,
     is_canonical,
     naive_height,
@@ -27,9 +28,12 @@ from cubicbundle.enumeration import (
     CountSeries,
     _base_orbits,
     _classify_fiber,
+    _fiber_coords,
+    _fiber_locus,
     _fiber_rows,
     _half_box,
     _linear_locus,
+    _surface_scan,
     base_points,
     canonical_coords,
     count_series,
@@ -53,6 +57,42 @@ LINEAR_SHAPES = [
     (1, -2, 0, 0),
     (0, 3, 0, 5),
 ]
+
+#: cone and smooth fibers: a cone whose curve has only trivial points, cones
+#: with a curve point off every pair locus (zero at index 0 and at index 2),
+#: three lines, no line but an isolated pair-locus point for each pairing,
+#: exactly one line, no rational pair-locus point, three lines of side 2
+SURFACE_SHAPES = [
+    (0, 1, 1, 1),
+    (0, 1, 1, -2),
+    (1, 1, 0, -2),
+    (1, 1, 1, 1),
+    (1, 1, 1, 2),
+    (1, -1, 2, -2),
+    (1, 2, 3, 4),
+    (1, -8, 1, -1),
+]
+
+
+def surface_oracle(xs, bound):
+    """The fiber above a cone or smooth x by meet in the middle over the whole
+    box, sorted: hash x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0),
+    scan (yc, yd) over the whole square, add the solutions with ya = yb = 0
+    and (yc, yd) in the half plane, and keep the canonical hits."""
+    cubes = {k: k ** 3 for k in range(-bound, bound + 1)}
+    rng = range(-bound, bound + 1)
+    x0, x1, x2, x3 = xs
+    half_plane = list(_half_box((bound, bound)))
+    table = {}
+    for ya, yb in half_plane:
+        table.setdefault(x0 * cubes[ya] + x1 * cubes[yb], []).append((ya, yb))
+    hits = [
+        (ya, yb, yc, yd)
+        for yc, yd in itertools.product(rng, repeat=2)
+        for ya, yb in table.get(-(x2 * cubes[yc] + x3 * cubes[yd]), ())
+    ]
+    hits += [(0, 0, yc, yd) for yc, yd in half_plane if x2 * cubes[yc] + x3 * cubes[yd] == 0]
+    return sorted(filter(is_canonical, hits))
 
 
 def brute_force_bundle(height_bound):
@@ -317,10 +357,11 @@ class TestCountSeries:
         assert sorted(xs for xs, _ in tasks) == [rep for rep, _ in _base_orbits(4)]
 
     def test_frontier_rows(self):
-        series = count_series([64, 128])
+        series = count_series([64, 128, 256])
         assert series.csv_text().splitlines()[1:] == [
             "64,14641288,14638568,2720,14627480,11088,14504192",
             "128,114481432,114473144,8288,114433496,39648,113947472",
+            "256,903726136,903706808,19328,903566168,140640,901649936",
         ]
 
 
@@ -540,6 +581,142 @@ class TestLinearFibers:
         reference = CountSeries(tuple(grid), classified_tally(enumerate_bundle(grid[-1]), grid))
         for workers in (1, 2):
             assert count_series(grid, workers=workers).csv_text() == reference.csv_text()
+
+
+class TestSurfaceFibers:
+    """Cone and smooth fibers: lines and curve points in closed form, the
+    rest by the scan, against the meet in the middle over the whole box."""
+
+    @staticmethod
+    def tally_of(xs, ys, y_bounds):
+        x = ProjectivePoint(xs)
+        hx3 = naive_height(x) ** 3
+        points = (BundlePoint(x, ProjectivePoint(y)) for y in ys)
+        return classified_tally(points, tuple(hx3 * y for y in y_bounds))
+
+    def test_walk_and_tally_match_the_oracle_on_small_base_points(self):
+        # ALL and IN_SOME_V fix the other columns, given the fiber profile
+        y_bounds = tuple(range(1, 41))
+        checked = 0
+        for xs in canonical_coords(4, 3):
+            if xs.count(0) > 1:
+                continue
+            expected = surface_oracle(xs, y_bounds[-1])
+            assert _fiber_coords(xs, y_bounds[-1]) == expected, xs
+            heights = Counter()
+            on_locus = Counter()
+            x0, x1, x2, x3 = xs
+            for y0, y1, y2, y3 in expected:
+                t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
+                height = max(abs(y0), abs(y1), abs(y2), abs(y3))
+                heights[height] += 1
+                # both pair sums of each pairing, as classify_point tests them
+                on_locus[height] += (
+                    t0 + t1 == 0 and t2 + t3 == 0
+                    or t0 + t2 == 0 and t1 + t3 == 0
+                    or t0 + t3 == 0 and t1 + t2 == 0
+                )
+            hx3 = max(map(abs, xs)) ** 3
+            tally = _classify_fiber((xs, tuple(hx3 * y for y in y_bounds)))
+            assert tally["ALL"] == list(itertools.accumulate(heights[b] for b in y_bounds)), xs
+            assert tally["IN_SOME_V"] == list(
+                itertools.accumulate(on_locus[b] for b in y_bounds)
+            ), xs
+            checked += 1
+        assert checked == 1032
+
+    @pytest.mark.parametrize("xs", SURFACE_SHAPES)
+    def test_walk_matches_the_oracle_at_every_bound(self, xs):
+        expected = surface_oracle(xs, 40)
+        for bound in range(41):
+            assert _fiber_coords(xs, bound) == [y for y in expected if max(map(abs, y)) <= bound]
+
+    @pytest.mark.parametrize("xs", SURFACE_SHAPES)
+    def test_closed_form_matches_enumeration(self, xs):
+        ys = _fiber_coords(xs, 20)
+        hx3 = max(map(abs, xs)) ** 3
+        y_bounds = tuple(range(1, 21))
+        tally = _classify_fiber((xs, tuple(hx3 * y for y in y_bounds)))
+        assert tally["ALL"] == [sum(max(map(abs, y)) <= b for y in ys) for b in y_bounds]
+        assert tally == self.tally_of(xs, ys, y_bounds)
+
+    def test_fermat_fiber_has_three_lines(self):
+        boxes, points = _fiber_locus((1, 1, 1, 1), 40)
+        assert [sides for _, sides, _, _ in boxes] == [(1, 1)] * 3
+        # the lines meet pairwise, at height 1
+        assert {(1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1)} <= set(points)
+        y_bounds = tuple(range(1, 41))
+        on_lines = [3 * projective_line_count(b) - 3 for b in y_bounds]
+        assert _classify_fiber(((1, 1, 1, 1), y_bounds))["IN_SOME_V"] == on_lines
+
+    def test_isolated_pair_locus_points(self):
+        # -x1/x0, -x2/x0 and -x2/x1 are cubes, -2 is not: no line, but one
+        # pair-locus point for each pairing, found by the scan
+        boxes, points = _fiber_locus((1, 1, 1, 2), 10)
+        assert boxes == []
+        assert {(1, -1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0)} <= set(points)
+        tally = _classify_fiber(((1, 1, 1, 2), tuple(8 * b for b in range(1, 11))))
+        assert tally["IN_SOME_V"] == [3] * 10
+
+    def test_single_line(self):
+        boxes, _ = _fiber_locus((1, -1, 2, -2), 30)
+        [(params, sides, shared, on)] = boxes
+        assert params == ((0, 1), (0, 1), (1, 1), (1, 1)) and sides == (1, 1)
+        assert shared == () and on
+        tally = _classify_fiber(((1, -1, 2, -2), tuple(8 * b for b in range(1, 31))))
+        assert tally["IN_SOME_V"] == [projective_line_count(b) for b in range(1, 31)]
+
+    def test_cone_over_trivial_curve_points(self):
+        # the curve y1^3 + y2^3 + y3^3 = 0 has only its three trivial points
+        boxes, points = _fiber_locus((0, 1, 1, 1), 40)
+        assert points == [(1, 0, 0, 0)]
+        assert sorted(sides for _, sides, _, _ in boxes) == [(1, 1)] * 3
+        y_bounds = tuple(range(1, 41))
+        tally = _classify_fiber(((0, 1, 1, 1), y_bounds))
+        expected = [1 + 3 * (projective_line_count(b) - 1) for b in y_bounds]
+        assert tally["ALL"] == tally["IN_SOME_V"] == expected
+
+    def test_cone_line_off_the_pair_loci(self):
+        # (1, 1, 1) on y1^3 + y2^3 = 2*y3^3 has no zero coordinate
+        boxes, _ = _fiber_locus((0, 1, 1, -2), 5)
+        assert {(params[1:], on) for params, _, _, on in boxes} == {
+            (((1, 1), (1, -1), (1, 0)), True),
+            (((1, 1), (1, 1), (1, 1)), False),
+        }
+
+    @pytest.mark.parametrize("xs", [(1, 1, 1, 1), (1, -1, 2, -2), (1, -8, 1, -1)])
+    def test_scan_leaves_the_lines_out(self, xs):
+        lines = {1, 2, 3} if xs != (1, -1, 2, -2) else {1}
+        hits = _surface_scan(xs, 20, lines)
+        assert hits and all(map(is_canonical, hits))
+        for y in hits:
+            terms = [x * c ** 3 for x, c in zip(xs, y)]
+            assert sum(terms) == 0
+            assert all(terms[0] + terms[p] for p in lines)
+
+    def test_box_off_the_fiber_raises(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))
+        with pytest.raises(NotOnVariety, match="is not on the fiber over 1:1:1:1"):
+            _fiber_coords((1, 1, 1, 1), 3)
+
+    def test_box_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle import enumeration
+            assert False, "asserts must be off"
+            enumeration._plane_cubic_points = lambda a, b, c, bound: [(1, 1, 1)]
+            enumeration.count_series([1])
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == (
+            "cubicbundle.geometry.NotOnVariety: the box ((0, 1), (1, 1), (1, 1), (1, 1))"
+            " is not on the fiber over 0:1:1:1"
+        )
 
 
 class TestLineCount:

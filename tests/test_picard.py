@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +129,29 @@ def subgroups_of_z3_cubed():
     return sorted(found)
 
 
+def searched_orbits(group):
+    """Orbit partition of the 27 line labels by breadth-first search under
+    the generators in group, each orbit sorted, orbits ordered by their least
+    element: the oracle of picard.orbits, which needs the whole group."""
+    seen = set()
+    out = []
+    for label in ALL_LINE_LABELS:
+        if label in seen:
+            continue
+        orbit = {label}
+        frontier = [label]
+        while frontier:
+            current = frontier.pop()
+            for g in group:
+                image = line_action(g, current)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
 # Large coefficients of both signs, and products of a small cube class with a
 # cube, so that nontrivial relation lattices occur too.
 large_coefficient = st.one_of(
@@ -166,6 +193,26 @@ class TestLatticeCache:
     @pytest.mark.parametrize("relations", subgroups_of_z3_cubed(), ids=len)
     def test_cached_equals_unmemoized(self, relations):
         assert picard._lattice_orbits(relations) == picard._lattice_orbits.__wrapped__(relations)
+
+    @pytest.mark.parametrize("relations", subgroups_of_z3_cubed(), ids=len)
+    def test_matches_orbit_search_and_incidence_oracle(self, relations):
+        lattice = picard._lattice_orbits(relations)
+        parts = searched_orbits(lattice.group)
+        gram = [
+            [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
+            for o1 in parts
+        ]
+        assert lattice.orbits == tuple(parts)
+        assert lattice.rank == rational_matrix_rank(gram)
+        assert lattice.orbit_sizes == tuple(sorted(len(o) for o in parts))
+
+    def test_incidence_table_is_built_on_first_use(self):
+        code = "import cubicbundle.cli, cubicbundle.picard as p; print(p._incidence_table.cache_info())"
+        env = dict(os.environ, PYTHONPATH=str(Path(picard.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "currsize=0" in result.stdout
 
     def test_survey_fills_at_most_28_entries(self):
         picard._lattice_orbits.cache_clear()
