@@ -2,18 +2,22 @@
 
 Everything here is integer/Fraction exact: canonical representatives of
 points in P^n(Q), naive and anticanonical heights, cube-free classes in
-Q*/(Q*)^3, and integer cube roots.  No floats anywhere; height comparisons
-H <= B are exact.
+Q*/(Q*)^3, integer cube roots and the rank of a rational matrix.  No floats
+anywhere; height comparisons H <= B are exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 #: largest |numerator| or |denominator| that :func:`cube_class` factors
 CUBE_CLASS_LIMIT = 10 ** 12
+
+#: the 45 residues of integer cubes modulo 819 = 7 * 9 * 13 (3 * 3 * 5 per factor)
+_CUBE_RESIDUES = frozenset(x ** 3 % 819 for x in range(819))
 
 
 class InvalidPoint(ValueError):
@@ -22,6 +26,18 @@ class InvalidPoint(ValueError):
 
 class InvalidArgument(ValueError):
     """Raised when an operation is called outside its domain."""
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """The named argument as an int, or InvalidArgument unless it is an
+    integer, and one >= least when least is given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer") from None
+    if least is not None and value < least:
+        raise InvalidArgument(f"{name} must be >= {least}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,10 +172,14 @@ def is_cube(numerator: int, denominator: int) -> bool:
 def exact_cube_root(n: int) -> int | None:
     """The integer m with m^3 == n, or None when no such integer exists.
 
-    Sign-preserving: exact_cube_root(-64) == -4.  Integer Newton iteration
-    from a power of two above the root; it decreases strictly until it
-    reaches floor(|n|^(1/3)), so it is exact at any size.
+    Sign-preserving: exact_cube_root(-64) == -4.  An n whose residue modulo
+    819 = 7 * 9 * 13 is not one of the 45 cube residues is no cube; that one
+    test turns away about 94% of non-cubes.  The rest take integer Newton
+    iteration from a power of two above the root; it decreases strictly
+    until it reaches floor(|n|^(1/3)), so it is exact at any size.
     """
+    if n % 819 not in _CUBE_RESIDUES:
+        return None
     if n == 0:
         return 0
     m = abs(n)
@@ -175,25 +195,37 @@ def exact_cube_root(n: int) -> int | None:
 
 
 def rational_matrix_rank(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by exact Gaussian
-    elimination over Q."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    """Rank of a matrix whose entries are anything Fraction() accepts, by
+    fraction-free elimination over Z.
+
+    Each row is scaled once by the lcm of its denominators into an integer
+    row of the same span.  Eliminating below a pivot p replaces a row r by
+    p*r - r[col]*pivot_row, divided by the gcd of its entries, so the
+    entries stay small and the rank stays exact.  Rows of unequal length
+    raise InvalidArgument.
+    """
+    m = []
+    for row in rows:
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        if m and len(values) != len(m[0]):
+            raise InvalidArgument("matrix rows must have equal length")
+        scale = math.lcm(*(v.denominator for v in values))
+        m.append([v.numerator * (scale // v.denominator) for v in values])
     rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n_cols):
-                    m[r][c] -= factor * m[rank][c]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            if f:
+                row = [p * x - f * y for x, y in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         rank += 1
-        if rank == n_rows:
+        if rank == len(m):
             break
     return rank

@@ -56,14 +56,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .arith import InvalidArgument, ProjectivePoint, exact_cube_root, is_canonical, naive_height
+from .arith import (
+    InvalidArgument,
+    ProjectivePoint,
+    _integer,
+    exact_cube_root,
+    is_canonical,
+    naive_height,
+)
 from .classify import _fiber_profile
 from .geometry import PAIRINGS, BundlePoint, NotOnVariety, _p3_coords
 
@@ -382,18 +388,6 @@ def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
             perms = 24 // math.prod(math.factorial(m) for m in Counter(rep).values())
             orbits.append((rep, perms * 2 ** (4 - rep.count(0) - 1)))
     return orbits
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """The named argument as an int, or InvalidArgument unless it is an
-    integer, and one >= least when least is given."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidArgument(f"{name} must be an integer") from None
-    if least is not None and value < least:
-        raise InvalidArgument(f"{name} must be >= {least}")
-    return value
 
 
 def enumerate_bundle(height_bound: int):

@@ -19,7 +19,8 @@ Two independent rank computations:
   Z/2 x (Z/3)^3 by Kummer duality (a twist must kill every multiplicative
   relation among the cube classes of the ratios a_i/a_0).  The rank over Q
   is the rank of the Gram matrix of the orbit sums of the 27 line classes
-  under the intersection form, computed by exact rational elimination.
+  under the intersection form, computed by exact fraction-free elimination
+  over Z.
 
 A cube test over Q suffices for Kummer duality over Q(w): a rational is a
 cube in Q(w) iff it is a cube in Q, because [Q(w):Q] = 2 is prime to 3.
@@ -28,8 +29,10 @@ The Galois route depends on the coefficients only through the relation
 lattice, one of the 28 subgroups of (Z/3)^3: the twist group, the orbits of
 the 27 lines and the rank of the orbit-sum Gram matrix are all functions of
 it.  They are computed once per lattice and cached (:func:`_lattice_orbits`),
-so a rank costs 27 integer cube tests, a cache lookup and the Segre check,
-which runs on every surface so that the two routes stay independent.
+so a rank costs 13 integer cube tests for the lattice, a cache lookup and the
+Segre check (three more cube tests on integer products), which runs on every
+surface so that the two routes stay independent.  Both routes run on plain
+ints; no Fraction is built per surface.
 """
 
 from __future__ import annotations
@@ -40,20 +43,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import InvalidArgument, exact_cube_root, is_cube, rational_matrix_rank
+from .arith import InvalidArgument, _integer, exact_cube_root, is_cube, rational_matrix_rank
 from .geometry import PAIRINGS, pairing_pairs
 
 
 @dataclass(frozen=True)
 class DiagonalCubic:
-    """Coefficients of a smooth diagonal cubic surface, up to scaling."""
+    """Coefficients of a smooth diagonal cubic surface, up to scaling.
+
+    Raises InvalidArgument unless given four nonzero integers, which it
+    stores as a tuple of ints.
+    """
 
     coefficients: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != 4:
+        try:
+            coefficients = tuple(_integer(c, "a coefficient") for c in self.coefficients)
+        except TypeError:
+            raise InvalidArgument("the coefficients must be a sequence of integers") from None
+        object.__setattr__(self, "coefficients", coefficients)
+        if len(coefficients) != 4:
             raise InvalidArgument("a diagonal cubic needs exactly 4 coefficients")
-        if any(c == 0 for c in self.coefficients):
+        if 0 in coefficients:
             raise InvalidArgument("zero coefficient: the surface is singular")
 
     def pairing_ratio(self, pairing: int) -> Fraction:
@@ -102,10 +114,20 @@ def segre_rank_one(s: DiagonalCubic) -> bool:
     """Rank 1 over Q iff no pairing ratio is a rational cube.
 
     Three ratios suffice: inverting a ratio or swapping within a pair does
-    not change cube-ness.
+    not change cube-ness.  Each ratio is tested as the integer pair
+    (a_i*a_j, a_k*a_l), without building :meth:`DiagonalCubic.pairing_ratio`.
     """
-    ratios = (s.pairing_ratio(p) for p in PAIRINGS)
-    return all(not is_cube(r.numerator, r.denominator) for r in ratios)
+    a = s.coefficients
+    return not any(is_cube(a[i] * a[j], a[k] * a[l]) for (i, j), (k, l) in PAIRINGS.values())
+
+
+# The 13 nonzero e in (Z/3)^3 whose first nonzero entry is 1, each with 2e
+# and the exponent (-e1-e2-e3) mod 3 of a0.
+_RELATION_TESTS = tuple(
+    (e, tuple(2 * ei % 3 for ei in e), -sum(e) % 3)
+    for e in itertools.product(range(3), repeat=3)
+    if any(e) and next(ei for ei in e if ei) == 1
+)
 
 
 def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
@@ -114,15 +136,17 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
 
     Multiplying by a0^(3k) does not change cube-ness, so the product is a
     cube iff the integer a1^e1 * a2^e2 * a3^e3 * a0^((-e1-e2-e3) mod 3) is
-    an integer cube (-1 is a cube, so signs need no care).
+    an integer cube (-1 is a cube, so signs need no care).  The integer for
+    2e is a cube exactly when the one for e is (x is a cube iff x^2 is), so
+    13 tests decide all 27 triples.
     """
-    a0, a1, a2, a3 = s.coefficients
-    return [
-        e
-        for e in itertools.product(range(3), repeat=3)
-        if exact_cube_root(a1 ** e[0] * a2 ** e[1] * a3 ** e[2] * a0 ** (-sum(e) % 3))
-        is not None
-    ]
+    p0, p1, p2, p3 = ((1, a, a * a) for a in s.coefficients)
+    found = [(0, 0, 0)]
+    for e, double, f in _RELATION_TESTS:
+        if exact_cube_root(p1[e[0]] * p2[e[1]] * p3[e[2]] * p0[f]) is not None:
+            found += (e, double)
+    found.sort()
+    return found
 
 
 class LatticeOrbits(NamedTuple):

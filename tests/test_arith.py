@@ -23,6 +23,48 @@ from cubicbundle.arith import (
 coord_lists = st.lists(st.integers(-1000, 1000), min_size=2, max_size=4).filter(any)
 
 
+def newton_cube_root(n: int):
+    """Integer Newton iteration alone, without the residue filter: the
+    oracle of exact_cube_root."""
+    if n == 0:
+        return 0
+    m = abs(n)
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    if r * r * r != m:
+        return None
+    return r if n > 0 else -r
+
+
+def fraction_matrix_rank(rows) -> int:
+    """Gaussian elimination over Q in Fraction arithmetic: the oracle of the
+    fraction-free rational_matrix_rank."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        for r in range(rank + 1, n_rows):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n_cols):
+                    m[r][c] -= factor * m[rank][c]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
 def brute_is_cube(p: int, q: int, search_bound: int = 8) -> bool:
     """Independent oracle: search numerator/denominator pairs directly."""
     for d in range(1, search_bound + 1):
@@ -169,6 +211,11 @@ class TestExactCubeRoot:
             assert exact_cube_root(m ** 3 + 1) in (None, 1)
             assert exact_cube_root(m ** 3 - 1) in (None, 0, -1)
 
+    def test_matches_newton_on_every_small_integer(self):
+        # non-cubes too: the residue filter must turn away only non-cubes
+        for n in range(-(10 ** 5), 10 ** 5 + 1):
+            assert exact_cube_root(n) == newton_cube_root(n), n
+
     @given(st.integers(10 ** 29, 10 ** 300 - 1), st.sampled_from([1, -1]))
     @settings(max_examples=300)
     def test_large_roundtrip(self, m, sign):
@@ -193,3 +240,63 @@ class TestRationalRank:
 
     def test_zero_matrix(self):
         assert rational_matrix_rank([[0, 0], [0, 0]]) == 0
+
+    def test_floats_and_strings_are_read_exactly(self):
+        assert rational_matrix_rank([[0.5, 0.25], [1.0, 0.5]]) == 1
+        assert rational_matrix_rank([[0.1, 1], [0.2, 2]]) == 1
+        assert rational_matrix_rank([["1/3", 1], [1, 3.0]]) == 1
+        assert rational_matrix_rank([[0.1, 1], [0.2, 2.0000001]]) == 2
+
+    def test_empty_and_non_square(self):
+        assert rational_matrix_rank([]) == 0
+        assert rational_matrix_rank([[], []]) == 0
+        assert rational_matrix_rank([[0, 0, 3]]) == 1
+        assert rational_matrix_rank([[1, 2], [2, 4], [3, 7]]) == 2
+
+    def test_ragged_rows_rejected(self):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 0], [0, 1, 0], [0, 1]]):
+            with pytest.raises(InvalidArgument):
+                rational_matrix_rank(rows)
+
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda n_cols: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(-6, 6),
+                        st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                    ),
+                    min_size=n_cols,
+                    max_size=n_cols,
+                ),
+                max_size=7,
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_fraction_elimination(self, rows):
+        assert rational_matrix_rank(rows) == fraction_matrix_rank(rows)
+
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 3),
+        st.integers(1, 7),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_matches_fraction_elimination_below_full_rank(self, n_rows, inner, n_cols, data):
+        # a product of n_rows x inner and inner x n_cols factors has rank <= inner
+        entry = st.one_of(
+            st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=10 ** 4)
+        )
+        left = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(n_rows)]
+        right = [data.draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(inner)]
+        rows = [
+            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+            if inner
+            else [0] * n_cols
+            for row in left
+        ]
+        rank = rational_matrix_rank(rows)
+        assert rank == fraction_matrix_rank(rows)
+        assert rank <= inner

@@ -28,10 +28,24 @@ from cubicbundle.picard import (
     relation_lattice,
     segre_rank_one,
 )
+from test_arith import fraction_matrix_rank
 
 nonzero_small = st.integers(-20, 20).filter(bool)
 surfaces = st.builds(
     DiagonalCubic, st.tuples(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
+)
+
+
+# Large coefficients of both signs, and products of a small cube class with a
+# cube, so that nontrivial relation lattices occur too.
+large_coefficient = st.one_of(
+    st.integers(-10**9, 10**9).filter(bool),
+    st.builds(
+        lambda unit, root, sign: sign * unit * root ** 3,
+        st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36]),
+        st.integers(1, 300),
+        st.sampled_from([1, -1]),
+    ),
 )
 
 
@@ -48,8 +62,43 @@ class TestSurfaceValidation:
         with pytest.raises(InvalidArgument):
             DiagonalCubic((1, 0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(1, 1, 1, 1.0), (1, 2, 3, "4"), (1, 2, 3, None), (1, 2, 3, Fraction(4)), 5, None, (1, 2, 3)],
+        ids=repr,
+    )
+    def test_non_integer_coefficients_rejected(self, coefficients):
+        with pytest.raises(InvalidArgument):
+            picard_rank(DiagonalCubic(coefficients))
+
+    def test_coefficients_stored_as_an_int_tuple(self):
+        s = DiagonalCubic([True, 2, 3, 5])
+        assert s.coefficients == (1, 2, 3, 5)
+        assert all(type(c) is int for c in s.coefficients)
+        assert s == DiagonalCubic((1, 2, 3, 5))
+
+
+# Large coefficients of both signs, or +-2^(0, 1 or 2) times a cube: then each
+# pairing ratio is a cube one time in three, so every pairing is reached alone.
+segre_coefficient = st.one_of(
+    large_coefficient,
+    st.builds(
+        lambda unit, root, sign: sign * unit * root ** 3,
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 1000),
+        st.sampled_from([1, -1]),
+    ),
+)
+
 
 class TestSegre:
+    @given(st.tuples(segre_coefficient, segre_coefficient, segre_coefficient, segre_coefficient))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairing_ratio_oracle(self, coeffs):
+        s = DiagonalCubic(coeffs)
+        ratios = [s.pairing_ratio(p) for p in (1, 2, 3)]
+        assert segre_rank_one(s) == all(not is_cube(r.numerator, r.denominator) for r in ratios)
+
     def test_fermat_not_rank_one(self):
         assert not segre_rank_one(DiagonalCubic((1, 1, 1, 1)))
 
@@ -58,6 +107,11 @@ class TestSegre:
 
     def test_paired_coefficients(self):
         assert not segre_rank_one(DiagonalCubic((1, 1, 2, 2)))
+
+    def test_each_pairing_alone(self):
+        # exactly one of the ratios a0*a1/(a2*a3), a0*a2/(a1*a3), a0*a3/(a1*a2) is a cube
+        for coeffs in [(2, 3, 1, 6), (2, 1, 3, 6), (1, 2, 3, 6)]:
+            assert not segre_rank_one(DiagonalCubic(coeffs)), coeffs
 
 
 class TestGaloisGroup:
@@ -152,19 +206,6 @@ def searched_orbits(group):
     return out
 
 
-# Large coefficients of both signs, and products of a small cube class with a
-# cube, so that nontrivial relation lattices occur too.
-large_coefficient = st.one_of(
-    st.integers(-10**9, 10**9).filter(bool),
-    st.builds(
-        lambda unit, root, sign: sign * unit * root ** 3,
-        st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36]),
-        st.integers(1, 300),
-        st.sampled_from([1, -1]),
-    ),
-)
-
-
 class TestRelationLattice:
     @given(st.tuples(large_coefficient, large_coefficient, large_coefficient, large_coefficient))
     @settings(max_examples=300, deadline=None)
@@ -203,7 +244,7 @@ class TestLatticeCache:
             for o1 in parts
         ]
         assert lattice.orbits == tuple(parts)
-        assert lattice.rank == rational_matrix_rank(gram)
+        assert lattice.rank == rational_matrix_rank(gram) == fraction_matrix_rank(gram)
         assert lattice.orbit_sizes == tuple(sorted(len(o) for o in parts))
 
     def test_incidence_table_is_built_on_first_use(self):
