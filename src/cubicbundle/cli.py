@@ -23,7 +23,7 @@ from .picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
     galois_group,
-    incidence,
+    incidence_gram,
     orbits,
     picard_rank,
 )
@@ -61,20 +61,25 @@ def _write_text(path: str | None, chunks) -> int:
 # ---------------------------------------------------------------------------
 # count / enumerate
 
-def cmd_count(bounds, workers: int, output_path: str | None, emit_points: bool) -> int:
+def cmd_count(args) -> int:
     try:
-        series = count_series(bounds, workers=workers)
+        bounds = tuple(int(part) for part in args.bounds.split(","))
+    except ValueError:
+        print(f"error: cannot parse bounds {args.bounds!r}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        series = count_series(bounds, workers=args.workers)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    status = _write_text(output_path, [series.csv_text()])
-    if status == EXIT_OK and emit_points:
-        rows = point_rows(series.bounds[-1], workers, as_text=True)
-        status = _write_text((output_path or "points") + ".points", (r + "\n" for r in rows))
+    status = _write_text(args.out, [series.csv_text()])
+    if status == EXIT_OK and args.emit_points:
+        rows = point_rows(series.bounds[-1], args.workers, as_text=True)
+        status = _write_text((args.out or "points") + ".points", (r + "\n" for r in rows))
     if status != EXIT_OK:
         return status
     # the summary table, laid out as the CSV, must not trail a CSV on stdout
-    table = sys.stdout if output_path else sys.stderr
+    table = sys.stdout if args.out else sys.stderr
     lines = [line.split(",") for line in series.csv_text().splitlines()]
     widths = [max(len(h), 10) for h in lines[0]]
     for cells in lines:
@@ -82,16 +87,19 @@ def cmd_count(bounds, workers: int, output_path: str | None, emit_points: bool) 
     return EXIT_OK
 
 
-def cmd_enumerate(height_bound: int, output_path: str | None) -> int:
-    return _write_text(output_path, (row + "\n" for row in point_rows(height_bound)))
+def cmd_enumerate(args) -> int:
+    if args.bound < 1:
+        print("error: bound must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    return _write_text(args.out, (row + "\n" for row in point_rows(args.bound)))
 
 
 # ---------------------------------------------------------------------------
 # pointwise commands
 
-def cmd_classify(x_text: str, y_text: str) -> int:
-    x = _parse_point(x_text)
-    y = _parse_point(y_text)
+def cmd_classify(args) -> int:
+    x = _parse_point(args.x)
+    y = _parse_point(args.y)
     try:
         point = BundlePoint(x, y)
     except NotOnVariety:
@@ -113,12 +121,8 @@ def _yn(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _parse_surface(parts) -> DiagonalCubic:
-    return DiagonalCubic(tuple(int(p) for p in parts))
-
-
-def cmd_fiber_rank(parts) -> int:
-    report = picard_rank(_parse_surface(parts))
+def cmd_fiber_rank(args) -> int:
+    report = picard_rank(DiagonalCubic(args.coefficients))
     print(f"rank_over_Q: {report.rank_over_Q}")
     print(f"segre_rank_one: {_yn(report.segre_rank_one)}")
     print(f"orbit_sizes: {list(report.orbit_sizes)}")
@@ -126,19 +130,17 @@ def cmd_fiber_rank(parts) -> int:
     return EXIT_OK
 
 
-def cmd_lines(parts) -> int:
-    surface = _parse_surface(parts)
+def cmd_lines(args) -> int:
+    surface = DiagonalCubic(args.coefficients)
     group = galois_group(surface)
     parts_list = orbits(group)
     orbit_of = {label: idx for idx, orbit in enumerate(parts_list) for label in orbit}
     print(f"surface: {' '.join(str(c) for c in surface.coefficients)}")
     print(f"galois_order: {len(group)}")
-    for label in ALL_LINE_LABELS:
-        row_sum = sum(
-            incidence(label, other) for other in ALL_LINE_LABELS if other != label
-        )
+    for label, row in zip(ALL_LINE_LABELS, incidence_gram()):
         print(
-            f"line p{label.pairing} m{label.m} n{label.n}  orbit {orbit_of[label]}  meets {row_sum}"
+            f"line p{label.pairing} m{label.m} n{label.n}  orbit {orbit_of[label]}  "
+            f"meets {row.count(1)}"
         )
     print(f"orbit_sizes: {[len(o) for o in parts_list]}")
     return EXIT_OK
@@ -171,8 +173,8 @@ def _identity_checks(rng: random.Random):
 IDENTITY_TRIALS = 20
 
 
-def cmd_verify_intersections(seed: int) -> int:
-    rng = random.Random(seed)
+def cmd_verify_intersections(args) -> int:
+    rng = random.Random(args.seed)
     ok = [True] * len(_IDENTITY_LABELS)
     for _ in range(IDENTITY_TRIALS):
         for slot, (got, expected) in enumerate(_identity_checks(rng)):
@@ -193,18 +195,21 @@ def random_surface(rng: random.Random) -> DiagonalCubic:
     return DiagonalCubic(tuple(rng.choice(SURVEY_COEFFICIENTS) for _ in range(4)))
 
 
-def cmd_rank_survey(sample_count: int, seed: int) -> int:
-    rng = random.Random(seed)
+def cmd_rank_survey(args) -> int:
+    if args.samples < 1:
+        print("error: samples must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    rng = random.Random(args.seed)
     distribution: dict[int, int] = {}
     orders: dict[int, int] = {}
     disagreements = 0
-    for _ in range(sample_count):
+    for _ in range(args.samples):
         report = picard_rank(random_surface(rng))
         distribution[report.rank_over_Q] = distribution.get(report.rank_over_Q, 0) + 1
         orders[report.galois_order] = orders.get(report.galois_order, 0) + 1
         if not report.agreement:
             disagreements += 1
-    print(f"samples: {sample_count}  seed: {seed}")
+    print(f"samples: {args.samples}  seed: {args.seed}")
     for rank in sorted(distribution):
         print(f"rank {rank}: {distribution[rank]}")
     print(f"segre_disagreements: {disagreements}")
@@ -294,15 +299,15 @@ def render_log_log_svg(bounds, series: dict[str, list[int]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(csv_path: str, svg_path: str) -> int:
+def cmd_plot(args) -> int:
     try:
-        with open(csv_path) as handle:
+        with open(args.csv_path) as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except FileNotFoundError:
-        print(f"error: no such file {csv_path}", file=sys.stderr)
+        print(f"error: no such file {args.csv_path}", file=sys.stderr)
         return EXIT_NOINPUT
     except OSError as exc:
-        print(f"error: cannot read {csv_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.csv_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     if len(lines) < 2:
         print("error: no rows", file=sys.stderr)
@@ -321,7 +326,7 @@ def cmd_plot(csv_path: str, svg_path: str) -> int:
         print("error: bounds must be positive for a log-log chart", file=sys.stderr)
         return EXIT_DOMAIN
     series = {label: [row[idx] for row in rows] for idx, label in enumerate(header) if idx}
-    return _write_text(svg_path, [render_log_log_svg(bounds, series)])
+    return _write_text(args.svg_path, [render_log_log_svg(bounds, series)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="classified counting functions on a bounds grid")
+    p.set_defaults(run=cmd_count)
     p.add_argument("--bounds", required=True, help="comma-separated ascending heights")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--workers", type=int, default=1)
@@ -357,27 +363,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("enumerate", help="dump all points up to a height bound")
+    p.set_defaults(run=cmd_enumerate)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("classify", help="classify one point x0:x1:x2:x3 y0:y1:y2:y3")
+    p.set_defaults(run=cmd_classify)
     p.add_argument("x")
     p.add_argument("y")
 
     p = sub.add_parser("fiber-rank", help="Picard rank of a diagonal cubic surface")
+    p.set_defaults(run=cmd_fiber_rank)
     p.add_argument("coefficients", nargs=4, type=int)
 
     p = sub.add_parser("lines", help="27 lines, Galois orbits and incidence counts")
+    p.set_defaults(run=cmd_lines)
     p.add_argument("coefficients", nargs=4, type=int)
 
     p = sub.add_parser("verify-intersections", help="check the intersection identities")
+    p.set_defaults(run=cmd_verify_intersections)
     p.add_argument("--seed", type=int, default=20240601)
 
     p = sub.add_parser("rank-survey", help="rank distribution over random surfaces")
+    p.set_defaults(run=cmd_rank_survey)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=20240601)
 
     p = sub.add_parser("plot", help="render a count CSV as a log-log SVG chart")
+    p.set_defaults(run=cmd_plot)
     p.add_argument("csv_path")
     p.add_argument("svg_path")
     return parser
@@ -386,7 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        status = _dispatch(args)
+        try:
+            status = args.run(args)
+        except (InvalidPoint, InvalidArgument, NotOnVariety) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = EXIT_DOMAIN
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:
         # the reader went away: send what is still buffered to devnull, so
@@ -394,41 +411,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     return status
-
-
-def _dispatch(args) -> int:
-    try:
-        if args.command == "count":
-            try:
-                grid = tuple(int(part) for part in args.bounds.split(","))
-            except ValueError:
-                print(f"error: cannot parse bounds {args.bounds!r}", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_count(grid, args.workers, args.out, args.emit_points)
-        if args.command == "enumerate":
-            if args.bound < 1:
-                print("error: bound must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_enumerate(args.bound, args.out)
-        if args.command == "classify":
-            return cmd_classify(args.x, args.y)
-        if args.command == "fiber-rank":
-            return cmd_fiber_rank(args.coefficients)
-        if args.command == "lines":
-            return cmd_lines(args.coefficients)
-        if args.command == "verify-intersections":
-            return cmd_verify_intersections(args.seed)
-        if args.command == "rank-survey":
-            if args.samples < 1:
-                print("error: samples must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_rank_survey(args.samples, args.seed)
-        if args.command == "plot":
-            return cmd_plot(args.csv_path, args.svg_path)
-    except (InvalidPoint, InvalidArgument, NotOnVariety) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -571,12 +571,12 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     the largest bound, thresholded into each bound and added with the
     orbit's size as weight: the boxes of each fiber's description in closed
     form, the few other points (a cone's vertex, the meets of smooth lines
-    and the smooth points off the lines) one by one.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z:
-    points on some pair locus versus points swept in only through
-    liftability of their base point.  Orbit tasks run largest fiber bound
-    bounds[-1] // H(x)^3 first, so the few huge fibers over height-1 base
-    points start at once; the merge is a weighted sum, so any worker count
-    produces identical output.
+    and the smooth points off the lines) one by one.  IN_SOME_V and
+    LIFTABLE_ONLY partition IN_Z: points on some pair locus versus points
+    swept in only through liftability of their base point.  Orbit tasks run
+    largest fiber bound bounds[-1] // H(x)^3 first, so the few huge fibers
+    over height-1 base points start at once; the merge is a weighted sum,
+    so any worker count produces identical output.
     """
     bounds = tuple(_integer(b, "bound") for b in height_bounds)
     if not bounds:

@@ -33,6 +33,13 @@ so a rank costs 13 integer cube tests for the lattice, a cache lookup and the
 Segre check (three more cube tests on integer products), which runs on every
 surface so that the two routes stay independent.  Both routes run on plain
 ints; no Fraction is built per surface.
+
+The incidence rules of the 27 lines (:func:`incidence`) are checked against a
+numeric oracle, :func:`incidence_numeric`, that uses none of them: it expands
+the 4x4 determinant of the four linear forms in the standard library's
+``decimal`` at 50 digits, with each complex entry held as a real pair in the
+basis (1, w), and calls two lines meeting when both coordinates of the
+determinant are below 1e-20.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -300,40 +308,43 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
 # ---------------------------------------------------------------------------
 # numeric cross-check
 
-def _line_rows(s: DiagonalCubic, label: LineLabel, omega, roots):
-    """The two rows of linear-form coefficients cutting out a line, over C."""
-    import mpmath
-
-    (i, j), (k, l) = pairing_pairs(label.pairing)
-    row1 = [mpmath.mpf(0)] * 4
-    row1[i] = mpmath.mpf(1)
-    row1[j] = omega ** label.m * roots[j] / roots[i]
-    row2 = [mpmath.mpf(0)] * 4
-    row2[k] = mpmath.mpf(1)
-    row2[l] = omega ** label.n * roots[l] / roots[k]
-    return row1, row2
-
-
 def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel) -> int:
-    """Do two distinct lines meet?  Decided numerically: the four linear
-    forms have a common projective zero iff their 4x4 determinant vanishes.
+    """Do two distinct lines meet?  Decided numerically, without the mod-3
+    rules of :func:`incidence`: the four linear forms have a common
+    projective zero iff their 4x4 determinant vanishes.
 
-    High-precision floating point with real cube roots; |det| < 1e-20 at
-    50-digit precision separates exact zeros from honest nonzeros for
-    desk-scale coefficients.
+    The arithmetic is ``decimal`` at 50 digits; the real cube root of
+    x = a_i/a_0 is exp(ln|x| / 3) with the sign of x.  A complex entry is the
+    real pair (p, q) for p + q*w in the basis (1, w), with w^2 = -1 - w, so
+    w^m is (1, 0), (0, 1) or (-1, -1).  Each row has two nonzero entries;
+    the Leibniz sum runs over the permutations that pick one in every row.
+    The lines meet when both coordinates of the determinant are below 1e-20,
+    which separates exact zeros from honest nonzeros for desk-scale
+    coefficients.
     """
     if l1 == l2:
         raise InvalidArgument("numeric incidence is for distinct lines")
-    import mpmath  # only this oracle needs it, so importing the package does not load it
-
-    with mpmath.workdps(50):
-        omega = mpmath.expjpi(mpmath.mpf(2) / 3)
-        a = s.coefficients
-        roots = [mpmath.mpf(1)] * 4
-        for i in (1, 2, 3):
-            r = Fraction(a[i], a[0])
-            mag = mpmath.root(abs(mpmath.mpf(r.numerator)) / mpmath.mpf(r.denominator), 3)
-            roots[i] = mag if r > 0 else -mag
-        rows = [*_line_rows(s, l1, omega, roots), *_line_rows(s, l2, omega, roots)]
-        det = mpmath.det(mpmath.matrix(rows))
-        return 1 if abs(det) < mpmath.mpf("1e-20") else 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a0 = Decimal(s.coefficients[0])
+        roots = [Decimal(1)]
+        for ai in s.coefficients[1:]:
+            x = Decimal(ai) / a0
+            roots.append((abs(x).ln() / 3).exp().copy_sign(x))
+        rows = []  # each row as {column: (p, q)}
+        for label in (l1, l2):
+            (i, j), (k, l) = pairing_pairs(label.pairing)
+            for u, v, twist in ((i, j, label.m), (k, l, label.n)):
+                r = roots[v] / roots[u]
+                rows.append({u: (1, 0), v: ((r, 0), (0, r), (-r, -r))[twist]})
+        det_p = det_q = Decimal(0)
+        for cols in itertools.product(*rows):
+            if len(set(cols)) == 4:
+                p, q = (-1) ** sum(a > b for a, b in itertools.combinations(cols, 2)), 0
+                for row, c in zip(rows, cols):
+                    e, f = row[c]
+                    p, q = p * e - q * f, p * f + q * e - q * f
+                det_p += p
+                det_q += q
+        tiny = Decimal("1e-20")
+        return 1 if abs(det_p) < tiny and abs(det_q) < tiny else 0

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -375,6 +376,19 @@ def test_import_loads_neither_sympy_nor_mpmath():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    imported = set()
+    for path in Path(cubicbundle.__file__).parent.glob("*.py"):
+        # ast.walk reaches the imports inside functions too
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"argparse", "fractions", "itertools"} <= imported
+    assert sorted(imported - sys.stdlib_module_names) == []
 
 
 def cli_process(*argv, stdout):

@@ -335,9 +335,24 @@ class TestIncidence:
         assert rational_matrix_rank(incidence_gram()) == 7
 
     def test_matches_numeric_oracle(self):
-        for s in random_surfaces(3, seed=11):
+        # a prime above 10^12, coefficients of 10^9 of both signs, all signs mixed
+        wide = [(1, 1, 1, 1000000000000037), (10**9, -10**9 + 7, 3, 1), (-3, 5, -7, 11)]
+        for s in random_surfaces(3, seed=11) + [DiagonalCubic(a) for a in wide]:
             for l1, l2 in itertools.combinations(ALL_LINE_LABELS, 2):
                 assert incidence(l1, l2) == incidence_numeric(s, l1, l2), (s, l1, l2)
+
+    def test_numeric_oracle_loads_no_mpmath(self):
+        code = (
+            "import sys; from cubicbundle.picard import ALL_LINE_LABELS, DiagonalCubic, "
+            "incidence_numeric; incidence_numeric(DiagonalCubic((1, 2, 3, 5)), "
+            "*ALL_LINE_LABELS[:2]); print('mpmath' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(picard.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestPicardRank:
