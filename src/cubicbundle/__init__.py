@@ -35,22 +35,6 @@ from .geometry import (
     on_bundle,
     over_singular_fiber,
 )
-from .intersection import (
-    ANTICANONICAL,
-    H1,
-    H2,
-    HYPERSURFACE_CLASS,
-    DegreeMismatch,
-    DivisorClass,
-    InvariantReport,
-    SubvarietyDescriptor,
-    SubvarietyKind,
-    ambient_degree,
-    curve_a_value,
-    intersect_on_bundle,
-    lookup_invariants,
-    multiply,
-)
 from .picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -66,3 +50,30 @@ from .picard import (
 )
 
 __version__ = "0.1.0"
+
+#: names of the intersection module, which only verify-intersections needs
+_INTERSECTION_NAMES = frozenset({
+    "ANTICANONICAL",
+    "H1",
+    "H2",
+    "HYPERSURFACE_CLASS",
+    "DegreeMismatch",
+    "DivisorClass",
+    "InvariantReport",
+    "SubvarietyDescriptor",
+    "SubvarietyKind",
+    "ambient_degree",
+    "curve_a_value",
+    "intersect_on_bundle",
+    "lookup_invariants",
+    "multiply",
+})
+
+
+def __getattr__(name: str):
+    """An intersection name, loading the module on first use."""
+    if name in _INTERSECTION_NAMES:
+        from . import intersection
+
+        return getattr(intersection, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ from .arith import InvalidArgument, InvalidPoint, normalize
 from .classify import classify_point
 from .enumeration import count_series, point_rows
 from .geometry import NotOnVariety, BundlePoint
-from .intersection import H1, H2, DivisorClass, intersect_on_bundle
 from .picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -159,6 +158,8 @@ _IDENTITY_LABELS = (
 def _identity_checks(rng: random.Random):
     """The three symbolic identities, each evaluated at one random integer
     parameter point: (computed, expected) per identity."""
+    from .intersection import H1, H2, DivisorClass, intersect_on_bundle
+
     a, b, c = (rng.randint(-50, 50) for _ in range(3))
     quad = DivisorClass({(2, 0): a, (1, 1): b})
     curve = DivisorClass({(2, 0): a, (1, 1): b, (0, 2): c})

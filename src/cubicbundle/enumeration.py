@@ -37,7 +37,9 @@ reproducible byte for byte and the outer loop parallelizes freely.
 
 Counting and the dumps read the fiber profile (liftability, singularity,
 rank) once per fiber; per walked point only the bundle check, the height
-and the pair-locus test remain (:func:`_checked_points`).  Counting takes
+and the pair-locus test remain, one walk that reads the terms x_k*y_k^3
+from per-fiber memo tables and gives each point one int key, its height
+H(y) and its pair-locus pattern (:func:`_checked_points`).  Counting takes
 one fiber per orbit of base points under the signed permutations
 (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.  They preserve the
 equation, the heights, the set of pair loci, liftability (-1 is a cube)
@@ -46,10 +48,10 @@ representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
 Dumps walk the fiber of every canonical base point, one fiber at a time
-(:func:`point_rows`), and build each row from the point's coordinates, its
-height and one of the fiber's eight flag fields, one per pair-locus
-pattern; enumerate_bundle with classify_point and point_row stays the
-oracle for the orbit weights, the closed form and the dumps.
+(:func:`point_rows`), and build each row from two per-fiber tables: the
+text of each coordinate value, and the tail |height|flags of each key;
+enumerate_bundle with classify_point and point_row stays the oracle for
+the orbit weights, the closed form and the dumps.
 """
 
 from __future__ import annotations
@@ -460,8 +462,8 @@ def _classify_fiber(args):
     boxes, points = _fiber_locus(x_coords, bounds[-1] // hx3)
     # points first counted at each bound; every height is at most bounds[-1]
     new = {True: [0] * len(bounds), False: [0] * len(bounds)}
-    for _, height, in_v in _checked_points(x_coords, points):
-        new[any(in_v)][bisect_left(bounds, height)] += 1
+    for key in _checked_points(x_coords, points):
+        new[key & 7 > 0][bisect_left(bounds, hx3 * (key >> 3))] += 1
     on_loci = list(itertools.accumulate(new[True]))
     off_loci = list(itertools.accumulate(new[False]))
     for _, sides, shared, on in boxes:
@@ -492,45 +494,75 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{flags}"
 
 
-def _checked_points(x_coords, ys):
-    """Each canonical y of ys over the canonical x as (y, H(x)^3 * H(y),
-    (in V1, in V2, in V3)).
+class _Cubes(dict):
+    """x * v^3 for each v looked up, computed on first lookup: a fiber's
+    coordinate values repeat thousands of times among its points."""
 
-    Raises NotOnVariety for a y off the bundle, also under python -O.  On the
-    bundle the four terms x_k*y_k^3 sum to 0, so both pair sums of a pairing
+    __slots__ = ("x",)
+
+    def __init__(self, x: int):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, v: int) -> int:
+        term = self[v] = self.x * v ** 3
+        return term
+
+
+def _checked_points(x_coords, ys) -> list[int]:
+    """One key per canonical y of ys over the canonical x, in order:
+    H(y) << 3 | V1 | V2 << 1 | V3 << 2, where Vp is 1 when y is on the pair
+    locus of pairing p.
+
+    Raises NotOnVariety for a y off the bundle, also under python -O.  The
+    terms x_k*y_k^3 come from one memo table per k (:class:`_Cubes`).  On
+    the bundle the four terms sum to 0, so both pair sums of a pairing
     vanish as soon as the one holding index 0 does.
     """
-    x0, x1, x2, x3 = x_coords
-    hx3 = max(map(abs, x_coords)) ** 3
-    for coords in ys:
-        y0, y1, y2, y3 = coords
-        t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
+    c0, c1, c2, c3 = map(_Cubes, x_coords)
+    keys = []
+    append = keys.append
+    for y0, y1, y2, y3 in ys:
+        t0, t1, t2, t3 = c0[y0], c1[y1], c2[y2], c3[y3]
         if t0 + t1 + t2 + t3:
-            x, y = (":".join(map(str, c)) for c in (x_coords, coords))
+            x, y = (":".join(map(str, c)) for c in (x_coords, (y0, y1, y2, y3)))
             raise NotOnVariety(f"({x}, {y}) is not on the bundle")
-        height = hx3 * max(abs(y0), abs(y1), abs(y2), abs(y3))
+        # H(y) by comparisons, which cost less than calls of max and abs
+        h = y0 if y0 > 0 else -y0
+        h = y1 if y1 > h else -y1 if -y1 > h else h
+        h = y2 if y2 > h else -y2 if -y2 > h else h
+        h = y3 if y3 > h else -y3 if -y3 > h else h
         # pairings 1, 2, 3 pair index 0 with 1, 2, 3 (geometry.PAIRINGS)
-        yield coords, height, (t0 + t1 == 0, t0 + t2 == 0, t0 + t3 == 0)
+        append(h << 3 | (t0 + t1 == 0) | (t0 + t2 == 0) << 1 | (t0 + t3 == 0) << 2)
+    return keys
 
 
 def _fiber_rows(args) -> list[str]:
     """Worker task: the dump rows of the fiber above x, in numeric order of y.
 
     The fiber profile, the row head x| and the flag field of each of the
-    eight pair-locus patterns are built once per fiber; per point only the
-    bundle check, the pair-locus test, the height and y's text remain.
+    eight pair-locus patterns are built once per fiber, and so are the text
+    of each coordinate value and the row tail |height|flags of each key of
+    :func:`_checked_points`, up to the largest height present: a row is the
+    head, four looked-up texts and the tail of its key.
     """
     x_coords, height_bound = args
     lifts, singular, _ = _fiber_profile(x_coords)
     liftable = any(lifts.values())
+    hx3 = max(map(abs, x_coords)) ** 3
     head = f"{ProjectivePoint(x_coords)}|"
-    fields = {
-        in_v: _flag_field(liftable or any(in_v), dict(zip(PAIRINGS, in_v)), lifts, singular)
-        for in_v in itertools.product((False, True), repeat=3)
-    }
-    ys = _fiber_coords(x_coords, height_bound // max(map(abs, x_coords)) ** 3)
-    return [f"{head}{':'.join(map(str, y))}|{height}|{fields[in_v]}"
-            for y, height, in_v in _checked_points(x_coords, ys)]
+    # the flag field of each pair-locus pattern k = key & 7, V_p in bit p - 1
+    fields = [
+        _flag_field(liftable or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS}, lifts, singular)
+        for k in range(8)
+    ]
+    ys = _fiber_coords(x_coords, height_bound // hx3)
+    keys = _checked_points(x_coords, ys)
+    top = max(keys, default=0) >> 3
+    text = {v: str(v) for v in range(-top, top + 1)}
+    tails = [f"|{hx3 * h}|{field}" for h in range(top + 1) for field in fields]
+    return [f"{head}{text[y0]}:{text[y1]}:{text[y2]}:{text[y3]}{tails[key]}"
+            for (y0, y1, y2, y3), key in zip(ys, keys)]
 
 
 def _pool_map(fn, tasks: list, workers: int):

@@ -49,7 +49,6 @@ import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import InvalidArgument, _integer, exact_cube_root, is_cube, rational_matrix_rank
 from .geometry import PAIRINGS, pairing_pairs
@@ -157,7 +156,8 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     return found
 
 
-class LatticeOrbits(NamedTuple):
+@dataclass(frozen=True)
+class LatticeOrbits:
     """What the Galois route derives from one relation lattice."""
 
     group: tuple[GaloisElement, ...]

@@ -391,6 +391,25 @@ def test_package_imports_only_the_standard_library():
     assert sorted(imported - sys.stdlib_module_names) == []
 
 
+def test_cli_import_leaves_intersection_and_typing_unloaded():
+    # -S: no site hooks, which may load typing on their own
+    code = (
+        "import sys, cubicbundle.cli\n"
+        "print(sorted({'cubicbundle.intersection', 'typing'} & set(sys.modules)))\n"
+        "import cubicbundle\n"
+        "from cubicbundle import intersection\n"
+        "names = cubicbundle._INTERSECTION_NAMES\n"
+        "print(all(getattr(cubicbundle, n) is getattr(intersection, n) for n in names))\n"
+        "print(hasattr(cubicbundle, 'H3'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nTrue\nFalse\n"
+
+
 def cli_process(*argv, stdout):
     env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
     return subprocess.Popen(

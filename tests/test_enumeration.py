@@ -27,6 +27,7 @@ from cubicbundle.enumeration import (
     CLASS_LABELS,
     CountSeries,
     _base_orbits,
+    _checked_points,
     _classify_fiber,
     _fiber_coords,
     _fiber_locus,
@@ -44,7 +45,7 @@ from cubicbundle.enumeration import (
     primitive_count,
     projective_line_count,
 )
-from cubicbundle.geometry import BundlePoint, NotOnVariety, on_bundle
+from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -72,6 +73,11 @@ SURFACE_SHAPES = [
     (1, 2, 3, 4),
     (1, -8, 1, -1),
 ]
+
+#: dump-row fibers: every linear and surface shape, and the smooth fiber over
+#: 1:2:3:5, which does not lift
+ROW_SHAPES = [*LINEAR_SHAPES, (0, 1, 1, 1), (1, 1, 1, 1), (1, 2, 3, 5)]
+ROW_SHAPES += [xs for xs in SURFACE_SHAPES if xs not in ROW_SHAPES]
 
 
 def surface_oracle(xs, bound):
@@ -322,6 +328,28 @@ class TestCountSeries:
         with pytest.raises(InvalidArgument, match="workers must be an integer"):
             count_series([1, 2, 4, 8, 16], workers=workers)
 
+    def test_off_bundle_point_raises(self, monkeypatch):
+        # (0:0:0:1) is not on the fiber over the first orbit's (0:0:0:1)
+        monkeypatch.setattr(enumeration, "_fiber_locus", lambda xs, bound: ([], [(0, 0, 0, 1)]))
+        with pytest.raises(NotOnVariety, match=r"\(0:0:0:1, 0:0:0:1\) is not on the bundle"):
+            count_series([1])
+
+    def test_off_bundle_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle import enumeration
+            assert False, "asserts must be off"
+            enumeration._fiber_locus = lambda xs, bound: ([], [(0, 0, 0, 1)])
+            enumeration.count_series([1])
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == "cubicbundle.geometry.NotOnVariety: (0:0:0:1, 0:0:0:1) is not on the bundle"
+
     def test_csv_shape(self):
         series = count_series([1, 2])
         lines = series.csv_text().strip().split("\n")
@@ -468,7 +496,7 @@ class TestFiberRows:
                 for y in enumerate_fiber(x, y_bound)]
 
     @pytest.mark.parametrize("y_bound", [1, 7, 20])
-    @pytest.mark.parametrize("xs", [*LINEAR_SHAPES, (0, 1, 1, 1), (1, 1, 1, 1), (1, 2, 3, 5)])
+    @pytest.mark.parametrize("xs", ROW_SHAPES)
     def test_matches_classify_point(self, xs, y_bound):
         x = normalize(xs)
         hx3 = naive_height(x) ** 3
@@ -476,6 +504,29 @@ class TestFiberRows:
         # a bound between multiples of H(x)^3 gives the same fiber
         for height_bound in (hx3 * y_bound, hx3 * y_bound + hx3 - 1):
             assert _fiber_rows((x.coords, height_bound)) == expected
+
+    @pytest.mark.parametrize("xs", ROW_SHAPES)
+    def test_keys_decode_to_height_and_pair_loci(self, xs):
+        x = normalize(xs)
+        ys = _fiber_coords(x.coords, 12)
+        keys = _checked_points(x.coords, ys)
+        assert len(keys) == len(ys)
+        for y, key in zip(map(ProjectivePoint, ys), keys):
+            assert key >> 3 == naive_height(y)
+            in_v = classify_point(BundlePoint(x, y)).in_V
+            assert {p: key >> p - 1 & 1 == 1 for p in PAIRINGS} == in_v, y
+
+    def test_point_beyond_the_fiber_bound_gets_the_oracle_row(self, monkeypatch):
+        # H(y) = 18 and 37 above the fiber bound 2 over 1:1:1:2: coordinate
+        # texts and heights beyond those of the points within the bound
+        ys = [(1, -1, 0, 0), (1, -18, 7, 14), (6, -37, -35, 36)]
+        monkeypatch.setattr(enumeration, "_fiber_coords", lambda xs, bound: ys)
+        x = ProjectivePoint((1, 1, 1, 2))
+        expected = [
+            point_row(classify_point(BundlePoint(x, y)), anticanonical_height(x, y))
+            for y in map(ProjectivePoint, ys)
+        ]
+        assert _fiber_rows(((1, 1, 1, 2), 16)) == expected
 
     def test_fermat_fiber_flags(self):
         rows = _fiber_rows(((1, 1, 1, 1), 20))
