@@ -1,9 +1,9 @@
 """Exact rational and projective-point arithmetic.
 
 Everything here is integer/Fraction exact: canonical representatives of
-points in P^n(Q), naive and anticanonical heights, cube-free classes in
-Q*/(Q*)^3, integer cube roots and the rank of a rational matrix.  No floats
-anywhere; height comparisons H <= B are exact.
+points in P^n(Q), naive heights, the cube test in Q, integer cube roots and
+the rank of a rational matrix.  No floats anywhere; height comparisons
+H <= B are exact.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-#: largest |numerator| or |denominator| that :func:`cube_class` factors
-CUBE_CLASS_LIMIT = 10 ** 12
 
 #: the 45 residues of integer cubes modulo 819 = 7 * 9 * 13 (3 * 3 * 5 per factor)
 _CUBE_RESIDUES = frozenset(x ** 3 % 819 for x in range(819))
@@ -72,8 +69,12 @@ def is_canonical(coords) -> bool:
 def normalize(raw_coords) -> ProjectivePoint:
     """Canonical representative: divide by the gcd, make the first nonzero
     coordinate positive.  Two integer tuples represent the same projective
-    point iff their normalizations are equal."""
-    coords = tuple(int(c) for c in raw_coords)
+    point iff their normalizations are equal.  Raises InvalidPoint unless
+    every coordinate is an integer."""
+    try:
+        coords = tuple(map(operator.index, raw_coords))
+    except TypeError:
+        raise InvalidPoint(f"coordinates {raw_coords!r} are not all integers") from None
     if not any(coords):
         raise InvalidPoint("all coordinates are zero")
     g = math.gcd(*coords)
@@ -85,73 +86,6 @@ def normalize(raw_coords) -> ProjectivePoint:
 def naive_height(p: ProjectivePoint) -> int:
     """max |c_i| over the canonical coordinates."""
     return max(map(abs, p.coords))
-
-
-def anticanonical_height(x: ProjectivePoint, y: ProjectivePoint) -> int:
-    """H(x)^3 * H(y): the height attached to the divisor 3*h1 + h2."""
-    return naive_height(x) ** 3 * naive_height(y)
-
-
-@dataclass(frozen=True)
-class CubeClass:
-    """Class of a nonzero rational in Q*/(Q*)^3.
-
-    Stored as the cube-free part: sorted (prime, exponent) pairs with
-    exponents in {1, 2}; the empty tuple is the trivial class (r is a
-    rational cube).  Signs are discarded since -1 = (-1)^3.
-    """
-
-    factorization: tuple[tuple[int, int], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factorization
-
-    def exponents(self) -> dict[int, int]:
-        return dict(self.factorization)
-
-
-def _cube_free_exponents(n: int) -> dict[int, int]:
-    """Prime -> exponent mod 3 (nonzero only) for a positive integer, by
-    trial division up to the square root; what is left above 1 is prime."""
-    exps: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 3:
-                exps[p] = e % 3
-        p += 1 if p == 2 else 2
-    if m > 1:
-        exps[m] = 1
-    return exps
-
-
-def cube_class(numerator: int, denominator: int) -> CubeClass:
-    """Class of numerator/denominator in Q*/(Q*)^3.
-
-    Exponents are reduced mod 3 into {1, 2}, zeros omitted, sign discarded;
-    the class is trivial iff the rational is a cube in Q.  Factoring is by
-    trial division, so both arguments are limited to CUBE_CLASS_LIMIT in
-    absolute value; :func:`is_cube` has no such limit.
-    """
-    if numerator == 0 or denominator == 0:
-        raise InvalidArgument("cube_class needs a nonzero rational")
-    if abs(numerator) > CUBE_CLASS_LIMIT or abs(denominator) > CUBE_CLASS_LIMIT:
-        raise InvalidArgument(f"cube_class arguments are limited to |n| <= {CUBE_CLASS_LIMIT}")
-    r = Fraction(numerator, denominator)
-    exps = _cube_free_exponents(abs(r.numerator))
-    for p, e in _cube_free_exponents(r.denominator).items():
-        total = (exps.get(p, 0) - e) % 3
-        if total:
-            exps[p] = total
-        else:
-            exps.pop(p, None)
-    return CubeClass(tuple(sorted(exps.items())))
 
 
 def is_cube(numerator: int, denominator: int) -> bool:
@@ -169,26 +103,32 @@ def is_cube(numerator: int, denominator: int) -> bool:
     )
 
 
+def floor_cube_root(n: int) -> int:
+    """The largest r >= 0 with r^3 <= n, for an int n >= 0, by integer
+    Newton iteration from a power of two above the root: it decreases
+    strictly until it reaches floor(n^(1/3)), so it is exact at any size."""
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
 def exact_cube_root(n: int) -> int | None:
     """The integer m with m^3 == n, or None when no such integer exists.
 
     Sign-preserving: exact_cube_root(-64) == -4.  An n whose residue modulo
     819 = 7 * 9 * 13 is not one of the 45 cube residues is no cube; that one
-    test turns away about 94% of non-cubes.  The rest take integer Newton
-    iteration from a power of two above the root; it decreases strictly
-    until it reaches floor(|n|^(1/3)), so it is exact at any size.
+    test turns away about 94% of non-cubes.  The rest take
+    :func:`floor_cube_root` of |n|.
     """
     if n % 819 not in _CUBE_RESIDUES:
         return None
-    if n == 0:
-        return 0
     m = abs(n)
-    r = 1 << -(-m.bit_length() // 3)
-    while True:
-        s = (2 * r + m // (r * r)) // 3
-        if s >= r:
-            break
-        r = s
+    r = floor_cube_root(m)
     if r * r * r != m:
         return None
     return r if n > 0 else -r

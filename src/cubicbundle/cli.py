@@ -226,7 +226,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def render_log_log_svg(bounds, series: dict[str, list[int]]) -> str:
-    """Self-contained SVG: one log-log polyline per class."""
+    """Self-contained SVG: one log-log polyline per class, each labelled
+    with its escaped class name."""
+    from xml.sax.saxutils import escape  # loads urllib and email, so only plot pays
+
     width, height, margin = 720, 540, 70
     xs = [math.log10(b) for b in bounds]
     positive = [v for counts in series.values() for v in counts if v > 0]
@@ -294,7 +297,7 @@ def render_log_log_svg(bounds, series: dict[str, list[int]]) -> str:
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="12">{label}</text>'
+            f'<text x="{width - margin - 112}" y="{ly + 4}" font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -302,11 +305,14 @@ def render_log_log_svg(bounds, series: dict[str, list[int]]) -> str:
 
 def cmd_plot(args) -> int:
     try:
-        with open(args.csv_path) as handle:
+        with open(args.csv_path, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except FileNotFoundError:
         print(f"error: no such file {args.csv_path}", file=sys.stderr)
         return EXIT_NOINPUT
+    except UnicodeDecodeError:
+        print(f"error: {args.csv_path} is not UTF-8 text", file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: cannot read {args.csv_path}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -69,6 +69,7 @@ from .arith import (
     ProjectivePoint,
     _integer,
     exact_cube_root,
+    floor_cube_root,
     is_canonical,
     naive_height,
 )
@@ -364,14 +365,12 @@ def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectiveP
 
 def _base_height(height_bound: int) -> int:
     """The largest h >= 1 with h^3 <= height_bound (1 below 8)."""
-    x_max = 1
-    while (x_max + 1) ** 3 <= height_bound:
-        x_max += 1
-    return x_max
+    return floor_cube_root(height_bound) if height_bound >= 8 else 1
 
 
 def base_points(height_bound: int) -> list[ProjectivePoint]:
     """Normalized x with H(x)^3 <= height_bound, in lexicographic order."""
+    height_bound = _integer(height_bound, "height bound")
     return [ProjectivePoint(c) for c in canonical_coords(4, _base_height(height_bound))]
 
 
@@ -622,13 +621,4 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
         for label, counts in tally.items():
             totals[label] = [a + weight * b for a, b in zip(totals[label], counts)]
     return CountSeries(bounds, totals)
-
-
-def projective_line_count(height_bound: int) -> int:
-    """Number of normalized points of P^1(Q) with naive height <= bound.
-
-    It is also the count on each line (s1*a, a, s2*b, b), in a pairing's
-    index order, of a pair locus: such a point has height max(|a|, |b|).
-    """
-    return primitive_count((1, 1), height_bound)
 

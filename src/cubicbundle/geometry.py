@@ -66,15 +66,6 @@ def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:
     return x0 * y0 ** 3 + x1 * y1 ** 3 + x2 * y2 ** 3 + x3 * y3 ** 3 == 0
 
 
-def in_pair_locus(p: BundlePoint, pairing: int) -> bool:
-    """True iff both pair-sums x_i*y_i^3 + x_j*y_j^3 vanish (membership in
-    V_tau)."""
-    (i, j), (k, l) = pairing_pairs(pairing)
-    x, y = p.x.coords, p.y.coords
-    return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3 == 0
-            and x[k] * y[k] ** 3 + x[l] * y[l] ** 3 == 0)
-
-
 def _p3_coords(x: ProjectivePoint) -> tuple[int, ...]:
     """The coordinates of the base point x, or InvalidPoint unless it has
     four: the one dimension check of the functions that take a base point."""

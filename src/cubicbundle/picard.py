@@ -34,12 +34,9 @@ Segre check (three more cube tests on integer products), which runs on every
 surface so that the two routes stay independent.  Both routes run on plain
 ints; no Fraction is built per surface.
 
-The incidence rules of the 27 lines (:func:`incidence`) are checked against a
-numeric oracle, :func:`incidence_numeric`, that uses none of them: it expands
-the 4x4 determinant of the four linear forms in the standard library's
-``decimal`` at 50 digits, with each complex entry held as a real pair in the
-basis (1, w), and calls two lines meeting when both coordinates of the
-determinant are below 1e-20.
+The incidence rules of the 27 lines (:func:`incidence`) are mod-3 rules on
+the labels; the tests check them against a 50-digit numeric oracle that
+uses none of them.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .arith import InvalidArgument, _integer, exact_cube_root, is_cube, rational_matrix_rank
@@ -205,13 +201,6 @@ def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
     return list(_lattice_orbits(tuple(relation_lattice(s))).group)
 
 
-def compose(g: GaloisElement, h: GaloisElement) -> GaloisElement:
-    """Composite automorphism g∘h (apply h first)."""
-    eps = -1 if g.conj else 1
-    twist = tuple((gk + eps * hk) % 3 for gk, hk in zip(g.twist, h.twist))
-    return GaloisElement((g.conj + h.conj) % 2, twist)
-
-
 def line_action(g: GaloisElement, label: LineLabel) -> LineLabel:
     """Image of a line under an automorphism.
 
@@ -239,7 +228,8 @@ def line_action(g: GaloisElement, label: LineLabel) -> LineLabel:
 #   pairings (1,2): lines meet iff m1 - n1 == m2 - n2  (mod 3)
 #   pairings (1,3): lines meet iff m1 + n1 == m3 - n3  (mod 3)
 #   pairings (2,3): lines meet iff m2 + n2 == m3 + n3  (mod 3)
-# Validated against the 50-digit numeric oracle and the Schlaefli counts.
+# Checked against the 50-digit numeric oracle incidence_numeric in
+# tests/oracles.py and against the Schlaefli counts.
 def incidence(l1: LineLabel, l2: LineLabel) -> int:
     """Intersection number of two of the 27 lines: -1, 0 or 1."""
     if l1 == l2:
@@ -304,47 +294,3 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
         galois_order=len(lattice.group),
     )
 
-
-# ---------------------------------------------------------------------------
-# numeric cross-check
-
-def incidence_numeric(s: DiagonalCubic, l1: LineLabel, l2: LineLabel) -> int:
-    """Do two distinct lines meet?  Decided numerically, without the mod-3
-    rules of :func:`incidence`: the four linear forms have a common
-    projective zero iff their 4x4 determinant vanishes.
-
-    The arithmetic is ``decimal`` at 50 digits; the real cube root of
-    x = a_i/a_0 is exp(ln|x| / 3) with the sign of x.  A complex entry is the
-    real pair (p, q) for p + q*w in the basis (1, w), with w^2 = -1 - w, so
-    w^m is (1, 0), (0, 1) or (-1, -1).  Each row has two nonzero entries;
-    the Leibniz sum runs over the permutations that pick one in every row.
-    The lines meet when both coordinates of the determinant are below 1e-20,
-    which separates exact zeros from honest nonzeros for desk-scale
-    coefficients.
-    """
-    if l1 == l2:
-        raise InvalidArgument("numeric incidence is for distinct lines")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a0 = Decimal(s.coefficients[0])
-        roots = [Decimal(1)]
-        for ai in s.coefficients[1:]:
-            x = Decimal(ai) / a0
-            roots.append((abs(x).ln() / 3).exp().copy_sign(x))
-        rows = []  # each row as {column: (p, q)}
-        for label in (l1, l2):
-            (i, j), (k, l) = pairing_pairs(label.pairing)
-            for u, v, twist in ((i, j, label.m), (k, l, label.n)):
-                r = roots[v] / roots[u]
-                rows.append({u: (1, 0), v: ((r, 0), (0, r), (-r, -r))[twist]})
-        det_p = det_q = Decimal(0)
-        for cols in itertools.product(*rows):
-            if len(set(cols)) == 4:
-                p, q = (-1) ** sum(a > b for a, b in itertools.combinations(cols, 2)), 0
-                for row, c in zip(rows, cols):
-                    e, f = row[c]
-                    p, q = p * e - q * f, p * f + q * e - q * f
-                det_p += p
-                det_q += q
-        tiny = Decimal("1e-20")
-        return 1 if abs(det_p) < tiny and abs(det_q) < tiny else 0

@@ -1,0 +1,81 @@
+"""Slow reference implementations that more than one test module compares the
+program against.  The program never calls them.
+"""
+
+import itertools
+import random
+from decimal import Decimal, localcontext
+
+from cubicbundle.arith import exact_cube_root
+from cubicbundle.cli import random_surface
+from cubicbundle.geometry import pairing_pairs
+
+
+def random_surfaces(count, seed):
+    """count surfaces drawn as `cubicbundle rank-survey --seed seed` draws them."""
+    rng = random.Random(seed)
+    return [random_surface(rng) for _ in range(count)]
+
+
+def in_pair_locus(p, pairing: int) -> bool:
+    """True iff both pair-sums x_i*y_i^3 + x_j*y_j^3 of the bundle point p
+    vanish (membership in V_tau)."""
+    (i, j), (k, l) = pairing_pairs(pairing)
+    x, y = p.x.coords, p.y.coords
+    return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3 == 0
+            and x[k] * y[k] ** 3 + x[l] * y[l] ** 3 == 0)
+
+
+def search_lift(a: int, b: int, cap: int = 100) -> bool:
+    """Is there (s:t) with height <= cap and s^3*a == t^3*b?"""
+    if b == 0:
+        return True  # (0:1)
+    for s in range(1, cap + 1):
+        val = s ** 3 * a
+        if val % b:
+            continue
+        t = exact_cube_root(val // b)
+        if t is not None and abs(t) <= cap:
+            return True
+    return False
+
+
+def incidence_numeric(s, l1, l2) -> int:
+    """Do two distinct lines of the surface s meet?  Decided numerically,
+    without the mod-3 rules of picard.incidence: the four linear forms have a
+    common projective zero iff their 4x4 determinant vanishes.
+
+    The arithmetic is ``decimal`` at 50 digits; the real cube root of
+    x = a_i/a_0 is exp(ln|x| / 3) with the sign of x.  A complex entry is the
+    real pair (p, q) for p + q*w in the basis (1, w), with w^2 = -1 - w, so
+    w^m is (1, 0), (0, 1) or (-1, -1).  Each row has two nonzero entries;
+    the Leibniz sum runs over the permutations that pick one in every row.
+    The lines meet when both coordinates of the determinant are below 1e-20,
+    which separates exact zeros from honest nonzeros for desk-scale
+    coefficients.
+    """
+    assert l1 != l2, "numeric incidence is for distinct lines"
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a0 = Decimal(s.coefficients[0])
+        roots = [Decimal(1)]
+        for ai in s.coefficients[1:]:
+            x = Decimal(ai) / a0
+            roots.append((abs(x).ln() / 3).exp().copy_sign(x))
+        rows = []  # each row as {column: (p, q)}
+        for label in (l1, l2):
+            (i, j), (k, l) = pairing_pairs(label.pairing)
+            for u, v, twist in ((i, j, label.m), (k, l, label.n)):
+                r = roots[v] / roots[u]
+                rows.append({u: (1, 0), v: ((r, 0), (0, r), (-r, -r))[twist]})
+        det_p = det_q = Decimal(0)
+        for cols in itertools.product(*rows):
+            if len(set(cols)) == 4:
+                p, q = (-1) ** sum(a > b for a, b in itertools.combinations(cols, 2)), 0
+                for row, c in zip(rows, cols):
+                    e, f = row[c]
+                    p, q = p * e - q * f, p * f + q * e - q * f
+                det_p += p
+                det_q += q
+        tiny = Decimal("1e-20")
+        return 1 if abs(det_p) < tiny and abs(det_q) < tiny else 0

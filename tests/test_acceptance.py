@@ -7,38 +7,30 @@ by far the slowest entry; it parallelizes over worker processes.
 
 import itertools
 import math
-import random
 import time
 
-from cubicbundle.arith import exact_cube_root, normalize, rational_matrix_rank
+from cubicbundle.arith import normalize, rational_matrix_rank
 from cubicbundle.classify import classify_point
 from cubicbundle.cli import main
 from cubicbundle.enumeration import (
     canonical_coords,
     count_series,
     enumerate_bundle,
-    projective_line_count,
+    primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, liftable, pair_products
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
-    DiagonalCubic,
     incidence,
     incidence_gram,
-    incidence_numeric,
     picard_rank,
 )
+from oracles import incidence_numeric, random_surfaces, search_lift
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"\nACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {number} ({name}) failed: {detail}"
-
-
-def random_surfaces(count, seed):
-    rng = random.Random(seed)
-    values = [v for v in range(-20, 21) if v]
-    return [DiagonalCubic(tuple(rng.choice(values) for _ in range(4))) for _ in range(count)]
 
 
 def test_criterion_1_intersection_identities(capsys):
@@ -148,19 +140,6 @@ def test_criterion_5_enumeration_oracle():
     )
 
 
-def search_lift(a, b, cap=100):
-    if b == 0:
-        return True
-    for s in range(1, cap + 1):
-        val = s ** 3 * a
-        if val % b:
-            continue
-        t = exact_cube_root(val // b)
-        if t is not None and abs(t) <= cap:
-            return True
-    return False
-
-
 def test_criterion_6_liftability_oracle():
     started = time.monotonic()
     search_memo = {}
@@ -197,7 +176,7 @@ def test_criterion_6_liftability_oracle():
 
 def test_criterion_7_growth_exponents():
     bounds = [50, 100, 200, 400, 800]
-    counts = [projective_line_count(b) for b in bounds]
+    counts = [primitive_count((1, 1), b) for b in bounds]
     logs = [(math.log(b), math.log(n)) for b, n in zip(bounds, counts)]
     mean_x = sum(x for x, _ in logs) / len(logs)
     mean_y = sum(y for _, y in logs) / len(logs)

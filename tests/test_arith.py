@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicbundle.arith import (
-    CubeClass,
     InvalidArgument,
     InvalidPoint,
     ProjectivePoint,
-    anticanonical_height,
-    cube_class,
     exact_cube_root,
     is_canonical,
     is_cube,
@@ -19,6 +16,7 @@ from cubicbundle.arith import (
     normalize,
     rational_matrix_rank,
 )
+from cubicbundle.enumeration import point_rows
 
 coord_lists = st.lists(st.integers(-1000, 1000), min_size=2, max_size=4).filter(any)
 
@@ -65,6 +63,23 @@ def fraction_matrix_rank(rows) -> int:
     return rank
 
 
+def cube_free_exponents(numerator: int, denominator: int) -> dict[int, int]:
+    """The class of numerator/denominator in Q*/(Q*)^3 by trial division:
+    prime -> exponent mod 3, nonzero exponents only, sign discarded.  It is
+    empty exactly when the rational is a cube: the oracle of is_cube."""
+    exps: dict[int, int] = {}
+    for n, sign in ((abs(numerator), 1), (abs(denominator), -1)):
+        p = 2
+        while p * p <= n:
+            while n % p == 0:
+                n //= p
+                exps[p] = exps.get(p, 0) + sign
+            p += 1 if p == 2 else 2
+        if n > 1:
+            exps[n] = exps.get(n, 0) + sign
+    return {p: e % 3 for p, e in sorted(exps.items()) if e % 3}
+
+
 def brute_is_cube(p: int, q: int, search_bound: int = 8) -> bool:
     """Independent oracle: search numerator/denominator pairs directly."""
     for d in range(1, search_bound + 1):
@@ -94,6 +109,16 @@ class TestNormalize:
         with pytest.raises(InvalidPoint):
             ProjectivePoint((-1, 1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "coords", [[1.5, 2, 0, 0], ["3", 1, 0, 0], [Fraction(3), 1, 0, 0], "3"], ids=repr
+    )
+    def test_non_integer_coordinates_rejected(self, coords):
+        with pytest.raises(InvalidPoint):
+            normalize(coords)
+
+    def test_bool_coordinates_read_as_ints(self):
+        assert str(normalize([True, 2, 0, 0])) == "1:2:0:0"
+
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(tuple))
     def test_is_canonical_iff_fixed_by_normalize(self, coords):
         expected = any(coords) and normalize(coords).coords == coords
@@ -115,26 +140,33 @@ class TestHeights:
         assert naive_height(normalize([1, -7, 2, 5])) == 7
 
     def test_anticanonical(self):
-        one = normalize([1, 1, 1, 1])
-        assert anticanonical_height(one, normalize([1, -1, 0, 0])) == 1
-        assert anticanonical_height(normalize([1, 0, 0, 2]), normalize([0, 1, -1, 0])) == 8
-        assert anticanonical_height(one, normalize([3, -3, 1, -1])) == 3
+        # the height field of every dump row is H(x)^3 * H(y)
+        heights = {}
+        for row in point_rows(8):
+            xs, ys, height, _ = row.split("|")
+            x, y = (normalize(map(int, c.split(":"))) for c in (xs, ys))
+            assert int(height) == naive_height(x) ** 3 * naive_height(y), row
+            heights[xs, ys] = int(height)
+        assert heights["1:1:1:1", "1:-1:0:0"] == 1
+        assert heights["1:0:0:2", "0:1:-1:0"] == 8
+        assert heights["1:1:1:1", "3:-3:1:-1"] == 3
 
 
 class TestCubeClass:
     def test_trivial_cubes(self):
-        assert cube_class(8, 27).is_trivial
-        assert cube_class(-8, 1).is_trivial
-        assert cube_class(1, 1) == CubeClass(())
+        for p, q in ((8, 27), (-8, 1), (1, 1)):
+            assert is_cube(p, q)
+            assert cube_free_exponents(p, q) == {}
 
     def test_cube_free_part(self):
-        assert cube_class(2, 15).exponents() == {2: 1, 3: 2, 5: 2}
+        assert cube_free_exponents(2, 15) == {2: 1, 3: 2, 5: 2}
+        assert not is_cube(2, 15)
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidArgument):
-            cube_class(0, 5)
+            is_cube(0, 5)
         with pytest.raises(InvalidArgument):
-            cube_class(5, 0)
+            is_cube(5, 0)
 
     def test_is_cube_examples(self):
         assert is_cube(1, 1)
@@ -151,16 +183,17 @@ class TestCubeClass:
     def test_invariant_under_cube_multiples(self, p, q, a, b):
         r = Fraction(p, q)
         scaled = r * Fraction(a, b) ** 3
-        assert cube_class(r.numerator, r.denominator) == cube_class(
+        assert cube_free_exponents(r.numerator, r.denominator) == cube_free_exponents(
             scaled.numerator, scaled.denominator
         )
+        assert is_cube(r.numerator, r.denominator) == is_cube(scaled.numerator, scaled.denominator)
 
     def test_exponents_lie_in_1_2(self):
         for p in range(-60, 61):
             for q in range(1, 40):
                 if p == 0:
                     continue
-                assert all(e in (1, 2) for e in cube_class(p, q).exponents().values())
+                assert all(e in (1, 2) for e in cube_free_exponents(p, q).values())
 
     def test_agrees_with_brute_force_oracle(self):
         # all reduced fractions with small numerator and denominator
@@ -169,25 +202,25 @@ class TestCubeClass:
                 if p == 0 or math.gcd(abs(p), q) != 1:
                     continue
                 assert is_cube(p, q) == brute_is_cube(p, q), (p, q)
-                assert is_cube(p, q) == cube_class(p, q).is_trivial, (p, q)
+                assert is_cube(p, q) == (cube_free_exponents(p, q) == {}), (p, q)
 
     def test_large_prime_cofactors(self):
         # semiprime and prime-square cofactors beyond the trial bound
         p1, p2 = 1009, 1013
-        assert cube_class(p1 * p2, 1).exponents() == {p1: 1, p2: 1}
-        assert cube_class(p1 ** 2, 1).exponents() == {p1: 2}
-        assert cube_class(p1 ** 3, 1).is_trivial
-        assert cube_class(2 * p1 ** 2, p2).exponents() == {2: 1, p1: 2, p2: 2}
-
-    def test_size_limit(self):
-        assert cube_class(10 ** 12, -(10 ** 12)).is_trivial
-        assert cube_class(999999999989, 1).exponents() == {999999999989: 1}
-        with pytest.raises(InvalidArgument):
-            cube_class(10 ** 12 + 1, 1)
-        with pytest.raises(InvalidArgument):
-            cube_class(1, -(10 ** 12 + 1))
+        cases = [
+            ((p1 * p2, 1), {p1: 1, p2: 1}),
+            ((p1 ** 2, 1), {p1: 2}),
+            ((p1 ** 3, 1), {}),
+            ((2 * p1 ** 2, p2), {2: 1, p1: 2, p2: 2}),
+            ((999999999989, 1), {999999999989: 1}),
+            ((10 ** 12, -(10 ** 12)), {}),
+        ]
+        for (p, q), exponents in cases:
+            assert cube_free_exponents(p, q) == exponents
+            assert is_cube(p, q) == (exponents == {})
 
     def test_is_cube_beyond_the_limit(self):
+        # beyond what trial division factors in a test's time
         q = 1000000000000037
         assert is_cube(-(q ** 3), 8 * 10 ** 300)
         assert not is_cube(q ** 3, 2 * q ** 6)

@@ -10,7 +10,8 @@ import cubicbundle
 from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
-from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, in_pair_locus
+from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety
+from oracles import in_pair_locus
 
 
 def bundle_point(xs, ys):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -336,6 +337,23 @@ class TestPlot:
         assert code == 65
         assert "no rows" in err
 
+    def test_header_labels_are_escaped(self, tmp_path, capsys):
+        csv = tmp_path / "counts.csv"
+        svg = tmp_path / "counts.svg"
+        csv.write_text("B,A<B&C,ALL\n1,2,3\n2,5,9\n")
+        code, _, _ = run(capsys, "plot", str(csv), str(svg))
+        assert code == 0
+        texts = minidom.parse(str(svg)).getElementsByTagName("text")
+        assert "A<B&C" in [t.firstChild.data for t in texts]
+
+    def test_non_utf8_csv(self, tmp_path, capsys):
+        csv = tmp_path / "binary.csv"
+        csv.write_bytes(b"\xff\xfeB,ALL\n1,2\n")
+        code, _, err = run(capsys, "plot", str(csv), str(tmp_path / "x.svg"))
+        assert code == 65
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
     @pytest.mark.parametrize(
         "body", ["0,5", "-2,5", "1,5\n0,6"], ids=["zero", "negative", "zero-after-valid"]
     )
@@ -396,18 +414,16 @@ def test_cli_import_leaves_intersection_and_typing_unloaded():
     code = (
         "import sys, cubicbundle.cli\n"
         "print(sorted({'cubicbundle.intersection', 'typing'} & set(sys.modules)))\n"
-        "import cubicbundle\n"
-        "from cubicbundle import intersection\n"
-        "names = cubicbundle._INTERSECTION_NAMES\n"
-        "print(all(getattr(cubicbundle, n) is getattr(intersection, n) for n in names))\n"
-        "print(hasattr(cubicbundle, 'H3'))\n"
+        "import cubicbundle.intersection\n"
+        "print(type(cubicbundle.intersection.H1).__name__)\n"
+        "print(hasattr(cubicbundle, 'H1'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\nTrue\nFalse\n"
+    assert result.stdout == "[]\nDivisorClass\nFalse\n"
 
 
 def cli_process(*argv, stdout):

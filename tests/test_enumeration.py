@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from cubicbundle import classify, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
     ProjectivePoint,
-    anticanonical_height,
     is_canonical,
     naive_height,
     normalize,
@@ -26,6 +26,7 @@ from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     CountSeries,
+    _base_height,
     _base_orbits,
     _checked_points,
     _classify_fiber,
@@ -43,7 +44,6 @@ from cubicbundle.enumeration import (
     point_row,
     point_rows,
     primitive_count,
-    projective_line_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
 
@@ -134,7 +134,7 @@ def classified_tally(points, grid):
             labels.append("LIFTABLE_ONLY")
         if record.singular_fiber:
             labels.append("SINGULAR_FIBER")
-        height = anticanonical_height(point.x, point.y)
+        height = naive_height(point.x) ** 3 * naive_height(point.y)
         for idx, b in enumerate(grid):
             if height <= b:
                 for label in labels:
@@ -145,7 +145,7 @@ def classified_tally(points, grid):
 def classified_rows(height_bound):
     """Dump rows from enumerate_bundle and classify_point, in numeric order."""
     return [
-        point_row(classify_point(p), anticanonical_height(p.x, p.y))
+        point_row(classify_point(p), naive_height(p.x) ** 3 * naive_height(p.y))
         for p in enumerate_bundle(height_bound)
     ]
 
@@ -265,7 +265,7 @@ class TestBundleEnumeration:
 
     def test_heights_respect_bound(self):
         for p in enumerate_bundle(8):
-            assert anticanonical_height(p.x, p.y) <= 8
+            assert naive_height(p.x) ** 3 * naive_height(p.y) <= 8
 
     def test_height_split(self):
         # base points of height 2 appear exactly when 8 <= B
@@ -282,6 +282,8 @@ class TestBundleEnumeration:
             next(enumerate_bundle(bound))
         with pytest.raises(InvalidArgument, match="must be an integer"):
             enumerate_fiber(normalize([1, 1, 1, 1]), bound)
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            base_points(bound)
 
 
 class TestCountSeries:
@@ -523,7 +525,7 @@ class TestFiberRows:
         monkeypatch.setattr(enumeration, "_fiber_coords", lambda xs, bound: ys)
         x = ProjectivePoint((1, 1, 1, 2))
         expected = [
-            point_row(classify_point(BundlePoint(x, y)), anticanonical_height(x, y))
+            point_row(classify_point(BundlePoint(x, y)), naive_height(x) ** 3 * naive_height(y))
             for y in map(ProjectivePoint, ys)
         ]
         assert _fiber_rows(((1, 1, 1, 2), 16)) == expected
@@ -697,7 +699,7 @@ class TestSurfaceFibers:
         # the lines meet pairwise, at height 1
         assert {(1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1)} <= set(points)
         y_bounds = tuple(range(1, 41))
-        on_lines = [3 * projective_line_count(b) - 3 for b in y_bounds]
+        on_lines = [3 * primitive_count((1, 1), b) - 3 for b in y_bounds]
         assert _classify_fiber(((1, 1, 1, 1), y_bounds))["IN_SOME_V"] == on_lines
 
     def test_isolated_pair_locus_points(self):
@@ -715,7 +717,7 @@ class TestSurfaceFibers:
         assert params == ((0, 1), (0, 1), (1, 1), (1, 1)) and sides == (1, 1)
         assert shared == () and on
         tally = _classify_fiber(((1, -1, 2, -2), tuple(8 * b for b in range(1, 31))))
-        assert tally["IN_SOME_V"] == [projective_line_count(b) for b in range(1, 31)]
+        assert tally["IN_SOME_V"] == [primitive_count((1, 1), b) for b in range(1, 31)]
 
     def test_cone_over_trivial_curve_points(self):
         # the curve y1^3 + y2^3 + y3^3 = 0 has only its three trivial points
@@ -724,7 +726,7 @@ class TestSurfaceFibers:
         assert sorted(sides for _, sides, _, _ in boxes) == [(1, 1)] * 3
         y_bounds = tuple(range(1, 41))
         tally = _classify_fiber(((0, 1, 1, 1), y_bounds))
-        expected = [1 + 3 * (projective_line_count(b) - 1) for b in y_bounds]
+        expected = [1 + 3 * (primitive_count((1, 1), b) - 1) for b in y_bounds]
         assert tally["ALL"] == tally["IN_SOME_V"] == expected
 
     def test_cone_line_off_the_pair_loci(self):
@@ -770,10 +772,31 @@ class TestSurfaceFibers:
         )
 
 
+class TestBaseHeight:
+    def test_matches_counting_up_to_1e5(self):
+        h = 1
+        for bound in range(-3, 10 ** 5 + 1):
+            while (h + 1) ** 3 <= bound:
+                h += 1
+            assert _base_height(bound) == h, bound
+
+    def test_around_cubes(self):
+        for k in [*range(2, 1001), *(10 ** j for j in range(1, 14))]:
+            assert [_base_height(k ** 3 + d) for d in (-1, 0, 1)] == [k - 1, k, k], k
+
+    def test_huge_bound_returns_at_once(self):
+        started = time.perf_counter()
+        assert _base_height(10 ** 30) == 10 ** 10
+        assert time.perf_counter() - started < 1.0
+
+
 class TestLineCount:
+    """Points of P^1(Q) of height <= B, primitive_count((1, 1), B): also the
+    count on each rational line of a pair locus."""
+
     def test_p1_pins(self):
-        assert projective_line_count(1) == 4
-        assert projective_line_count(2) == 8
+        assert primitive_count((1, 1), 1) == 4
+        assert primitive_count((1, 1), 2) == 8
 
     def test_off_fermat_spec_brute_force(self):
         # y0 = y1, y2 = y3 above x = (1, -1, 2, -2), a smooth fiber
@@ -785,7 +808,7 @@ class TestLineCount:
                 if ys[0] == ys[1] and ys[2] == ys[3]
             ]
             assert all(on_bundle(x, normalize(ys)) for ys in on_line)
-            assert len(on_line) == projective_line_count(bound)
+            assert len(on_line) == primitive_count((1, 1), bound)
 
     def test_counts_match_enumeration(self):
         # points on the line y0 = -y1, y2 = -y3 inside the Fermat fiber
@@ -795,11 +818,11 @@ class TestLineCount:
                 for y in enumerate_fiber(normalize([1, 1, 1, 1]), bound)
                 if y.coords[0] == -y.coords[1] and y.coords[2] == -y.coords[3]
             ]
-            assert len(on_line) == projective_line_count(bound)
+            assert len(on_line) == primitive_count((1, 1), bound)
 
     def test_growth_exponent(self):
         bounds = [50, 100, 200, 400, 800]
-        counts = [projective_line_count(b) for b in bounds]
+        counts = [primitive_count((1, 1), b) for b in bounds]
         logs = [(math.log(b), math.log(n)) for b, n in zip(bounds, counts)]
         mean_x = sum(x for x, _ in logs) / len(logs)
         mean_y = sum(y for _, y in logs) / len(logs)
@@ -812,7 +835,7 @@ class TestLineCount:
         # N(B) / ((2/zeta(2)) B^2) -> 1
         b = 800
         expected = 12 / math.pi ** 2 * b ** 2
-        assert abs(projective_line_count(b) / expected - 1) < 0.01
+        assert abs(primitive_count((1, 1), b) / expected - 1) < 0.01
 
 
 class TestCanonicalPoints:

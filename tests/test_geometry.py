@@ -10,33 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicbundle
-from cubicbundle.arith import InvalidPoint, ProjectivePoint, exact_cube_root, normalize
+from cubicbundle.arith import InvalidPoint, ProjectivePoint, normalize
+from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
 from cubicbundle.geometry import (
     PAIRINGS,
     BundlePoint,
     NotOnVariety,
-    in_pair_locus,
     liftable,
     on_bundle,
     over_singular_fiber,
     pair_products,
 )
-
-
-def search_lift(a: int, b: int, cap: int = 100) -> bool:
-    """Brute-force oracle: is there (s:t) with height <= cap and
-    s^3*a == t^3*b?"""
-    if b == 0:
-        return True  # (0:1)
-    for s in range(1, cap + 1):
-        val = s ** 3 * a
-        if val % b:
-            continue
-        t = exact_cube_root(val // b)
-        if t is not None and abs(t) <= cap:
-            return True
-    return False
+from oracles import in_pair_locus, search_lift
 
 
 nonzero_coord = st.integers(-10, 10).filter(bool)
@@ -127,9 +113,11 @@ class TestPairLocus:
 
     def test_first_pairing_holds(self):
         assert in_pair_locus(self.p, 1)
+        assert classify_point(self.p).in_V[1]
 
     def test_second_pairing_fails(self):
         assert not in_pair_locus(self.p, 2)
+        assert not classify_point(self.p).in_V[2]
 
     def test_implies_on_bundle(self):
         # both pair-sums add up to the defining cubic
