@@ -3,15 +3,16 @@
 Everything here is integer/Fraction exact: canonical representatives of
 points in P^n(Q), naive heights, the cube test in Q, integer cube roots and
 the rank of a rational matrix.  No floats anywhere; height comparisons
-H <= B are exact.
+H <= B are exact.  ``fractions`` is imported only where a non-integer
+matrix entry needs it, so start-up does not load it (nor ``decimal``, which
+it imports).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 #: the 45 residues of integer cubes modulo 819 = 7 * 9 * 13 (3 * 3 * 5 per factor)
 _CUBE_RESIDUES = frozenset(x ** 3 % 819 for x in range(819))
@@ -37,19 +38,32 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+def _checked_tuple(typename: str, field_names: str):
+    """A namedtuple base for a type whose __new__ checks its fields: its
+    _make, and so _replace, build through the subclass, not tuple.__new__."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class ProjectivePoint(_checked_tuple("ProjectivePoint", "coords")):
     """Canonical integer representative of a point in P^n(Q).
 
-    Invariant: the coordinates pass :func:`is_canonical`.  Build via
+    Invariant: the coordinates are a tuple of ints that passes
+    :func:`is_canonical`; anything else raises InvalidPoint.  Build via
     :func:`normalize`.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_canonical(self.coords):
-            raise InvalidPoint(f"coordinates {self.coords} are not canonical")
+    def __new__(cls, coords):
+        try:
+            ints = tuple(map(operator.index, coords))
+        except TypeError:
+            raise InvalidPoint(f"coordinates {coords!r} are not all integers") from None
+        if not is_canonical(ints):
+            raise InvalidPoint(f"coordinates {coords} are not canonical")
+        return tuple.__new__(cls, (ints,))
 
     def __str__(self) -> str:
         return ":".join(str(c) for c in self.coords)
@@ -138,19 +152,24 @@ def rational_matrix_rank(rows) -> int:
     """Rank of a matrix whose entries are anything Fraction() accepts, by
     fraction-free elimination over Z.
 
-    Each row is scaled once by the lcm of its denominators into an integer
-    row of the same span.  Eliminating below a pivot p replaces a row r by
-    p*r - r[col]*pivot_row, divided by the gcd of its entries, so the
-    entries stay small and the rank stays exact.  Rows of unequal length
-    raise InvalidArgument.
+    A row of ints is taken as it is; any other row is scaled once by the
+    lcm of its denominators into an integer row of the same span.
+    Eliminating below a pivot p replaces a row r by p*r - r[col]*pivot_row,
+    divided by the gcd of its entries, so the entries stay small and the
+    rank stays exact.  Rows of unequal length raise InvalidArgument.
     """
     m = []
     for row in rows:
-        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        values = list(row)
+        if not all(isinstance(v, int) for v in values):
+            from fractions import Fraction
+
+            values = [Fraction(v) for v in values]
+            scale = math.lcm(*(v.denominator for v in values))
+            values = [v.numerator * (scale // v.denominator) for v in values]
         if m and len(values) != len(m[0]):
             raise InvalidArgument("matrix rows must have equal length")
-        scale = math.lcm(*(v.denominator for v in values))
-        m.append([v.numerator * (scale // v.denominator) for v in values])
+        m.append(values)
     rank = 0
     for col in range(len(m[0]) if m else 0):
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)

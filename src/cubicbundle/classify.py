@@ -11,7 +11,7 @@ under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import ProjectivePoint
@@ -19,14 +19,11 @@ from .geometry import PAIRINGS, BundlePoint, liftable, over_singular_fiber
 from .picard import DiagonalCubic, picard_rank
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    point: BundlePoint
-    in_V: dict[int, bool]
-    liftable: dict[int, bool]
-    singular_fiber: bool
-    fiber_rank: int | None  # present iff the fiber is smooth
-    in_Z: bool
+#: point: BundlePoint; in_V, liftable: pairing -> bool; singular_fiber: bool;
+#: fiber_rank: int, or None iff the fiber is singular; in_Z: bool
+ClassificationRecord = namedtuple(
+    "ClassificationRecord", "point in_V liftable singular_fiber fiber_rank in_Z"
+)
 
 
 @lru_cache(maxsize=None)
@@ -61,16 +58,11 @@ def classify_point(p: BundlePoint) -> ClassificationRecord:
     (x0, x1, x2, x3), (y0, y1, y2, y3) = p.x.coords, p.y.coords
     t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
     # the pairings of geometry.PAIRINGS: {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}
-    in_v = {
-        1: t0 + t1 == 0 and t2 + t3 == 0,
-        2: t0 + t2 == 0 and t1 + t3 == 0,
-        3: t0 + t3 == 0 and t1 + t2 == 0,
-    }
-    return ClassificationRecord(
-        point=p,
-        in_V=in_v,
-        liftable=dict(lifts),
-        singular_fiber=singular,
-        fiber_rank=rank,
-        in_Z=any(in_v.values()) or any(lifts.values()),
+    v1 = t0 + t1 == 0 and t2 + t3 == 0
+    v2 = t0 + t2 == 0 and t1 + t3 == 0
+    v3 = t0 + t3 == 0 and t1 + t2 == 0
+    in_z = v1 or v2 or v3 or any(lifts.values())
+    # what ClassificationRecord(...) does, without the Python-level __new__ of a namedtuple
+    return tuple.__new__(
+        ClassificationRecord, (p, {1: v1, 2: v2, 3: v3}, lifts.copy(), singular, rank, in_z)
     )

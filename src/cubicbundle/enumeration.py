@@ -60,9 +60,8 @@ import itertools
 import math
 import os
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .arith import (
     InvalidArgument,
@@ -80,12 +79,12 @@ from .geometry import PAIRINGS, BundlePoint, NotOnVariety, _p3_coords
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
 
 
-@dataclass
-class CountSeries:
-    """Counting-function values N(class, B) on an ascending grid of bounds."""
+class CountSeries(namedtuple("CountSeries", "bounds counts")):
+    """Counting-function values N(class, B) on an ascending grid of bounds:
+    bounds, a tuple of ints, and counts, each label of CLASS_LABELS mapped
+    to its list of values."""
 
-    bounds: tuple[int, ...]
-    counts: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ()
 
     def csv_text(self) -> str:
         lines = ["B," + ",".join(CLASS_LABELS)]

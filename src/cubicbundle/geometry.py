@@ -17,9 +17,7 @@ classifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import InvalidArgument, InvalidPoint, ProjectivePoint, is_cube
+from .arith import InvalidArgument, InvalidPoint, ProjectivePoint, _checked_tuple, is_cube
 
 
 class NotOnVariety(ValueError):
@@ -41,17 +39,16 @@ def pairing_pairs(pairing: int) -> tuple[tuple[int, int], tuple[int, int]]:
         raise InvalidArgument(f"pairing must be 1, 2 or 3, got {pairing!r}") from None
 
 
-@dataclass(frozen=True)
-class BundlePoint:
+class BundlePoint(_checked_tuple("BundlePoint", "x y")):
     """A rational point of the bundle: normalized (x, y) in P^3 x P^3 with
     the defining equation holding exactly in integer arithmetic."""
 
-    x: ProjectivePoint
-    y: ProjectivePoint
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not on_bundle(self.x, self.y):
-            raise NotOnVariety(f"({self.x}, {self.y}) is not on the bundle")
+    def __new__(cls, x: ProjectivePoint, y: ProjectivePoint):
+        if not on_bundle(x, y):
+            raise NotOnVariety(f"({x}, {y}) is not on the bundle")
+        return tuple.__new__(cls, (x, y))
 
 
 def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:

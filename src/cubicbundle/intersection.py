@@ -13,10 +13,10 @@ for the subvariety types relevant to the exceptional-set computation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .arith import InvalidArgument
+from .arith import InvalidArgument, _checked_tuple
 
 _MAX_EXP = 3  # h1^4 = h2^4 = 0
 
@@ -156,25 +156,25 @@ class SubvarietyKind(enum.Enum):
     PLANE_PREIMAGE = "plane-preimage"
 
 
-@dataclass(frozen=True)
-class SubvarietyDescriptor:
-    kind: SubvarietyKind
-    rank_over_ground_field: int | None = None
+class SubvarietyDescriptor(_checked_tuple("SubvarietyDescriptor", "kind rank_over_ground_field")):
+    """A SubvarietyKind and the Picard rank over the ground field, which a
+    smooth surface fiber carries (1..7) and no other kind does."""
 
-    def __post_init__(self) -> None:
-        rank = self.rank_over_ground_field
-        if self.kind is SubvarietyKind.SMOOTH_SURFACE_FIBER:
+    __slots__ = ()
+
+    def __new__(cls, kind: SubvarietyKind, rank_over_ground_field: int | None = None):
+        rank = rank_over_ground_field
+        if kind is SubvarietyKind.SMOOTH_SURFACE_FIBER:
             if rank is None or not 1 <= rank <= 7:
                 raise InvalidArgument("smooth surface fibers need a Picard rank in 1..7")
         elif rank is not None:
-            raise InvalidArgument(f"{self.kind.value} does not carry a Picard rank")
+            raise InvalidArgument(f"{kind.value} does not carry a Picard rank")
+        return tuple.__new__(cls, (kind, rank))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    a_value: Fraction
-    adjoint_rigid: bool
-    b_value: int | None  # None where the table does not determine b
+#: a_value: Fraction; adjoint_rigid: bool; b_value: int, or None where the
+#: table does not determine b
+InvariantReport = namedtuple("InvariantReport", "a_value adjoint_rigid b_value")
 
 
 # kind -> (a, adjoint rigid, b); b = None marks non-Fano cases where only

@@ -43,69 +43,65 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from .arith import InvalidArgument, _integer, exact_cube_root, is_cube, rational_matrix_rank
+from .arith import (
+    InvalidArgument, _checked_tuple, _integer, exact_cube_root, is_cube, rational_matrix_rank
+)
 from .geometry import PAIRINGS, pairing_pairs
 
 
-@dataclass(frozen=True)
-class DiagonalCubic:
+class DiagonalCubic(_checked_tuple("DiagonalCubic", "coefficients")):
     """Coefficients of a smooth diagonal cubic surface, up to scaling.
 
     Raises InvalidArgument unless given four nonzero integers, which it
     stores as a tuple of ints.
     """
 
-    coefficients: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, coefficients):
         try:
-            coefficients = tuple(_integer(c, "a coefficient") for c in self.coefficients)
+            ints = tuple(_integer(c, "a coefficient") for c in coefficients)
         except TypeError:
             raise InvalidArgument("the coefficients must be a sequence of integers") from None
-        object.__setattr__(self, "coefficients", coefficients)
-        if len(coefficients) != 4:
+        if len(ints) != 4:
             raise InvalidArgument("a diagonal cubic needs exactly 4 coefficients")
-        if 0 in coefficients:
+        if 0 in ints:
             raise InvalidArgument("zero coefficient: the surface is singular")
+        return tuple.__new__(cls, (ints,))
 
     def pairing_ratio(self, pairing: int) -> Fraction:
         """(a_i*a_j)/(a_k*a_l) for the pairing's two index pairs."""
+        from fractions import Fraction
+
         (i, j), (k, l) = pairing_pairs(pairing)
         a = self.coefficients
         return Fraction(a[i] * a[j], a[k] * a[l])
 
 
-@dataclass(frozen=True, order=True)
-class LineLabel:
-    """One of the 27 lines: a pairing and two Z/3 twist exponents."""
+class LineLabel(namedtuple("LineLabel", "pairing m n")):
+    """One of the 27 lines: a pairing and two Z/3 twist exponents, ordered
+    as tuples."""
 
-    pairing: int
-    m: int
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GaloisElement:
+class GaloisElement(namedtuple("GaloisElement", "conj twist")):
     """Field automorphism of the splitting field Q(w, u1, u2, u3).
 
     conj = 1 conjugates w (and fixes the real cube roots u_i); the twist
     (k1, k2, k3) sends u_i to w^(k_i) * u_i.
     """
 
-    conj: int
-    twist: tuple[int, int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PicardReport:
-    rank_over_Q: int
-    segre_rank_one: bool
-    orbit_sizes: tuple[int, ...]
-    agreement: bool
-    galois_order: int
+#: rank_over_Q and galois_order: ints; segre_rank_one and agreement: bools;
+#: orbit_sizes: the sorted sizes of the line orbits
+PicardReport = namedtuple(
+    "PicardReport", "rank_over_Q segre_rank_one orbit_sizes agreement galois_order"
+)
 
 
 ALL_LINE_LABELS: tuple[LineLabel, ...] = tuple(
@@ -152,14 +148,9 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     return found
 
 
-@dataclass(frozen=True)
-class LatticeOrbits:
-    """What the Galois route derives from one relation lattice."""
-
-    group: tuple[GaloisElement, ...]
-    orbits: tuple[tuple[LineLabel, ...], ...]
-    rank: int
-    orbit_sizes: tuple[int, ...]
+#: what the Galois route derives from one relation lattice: the group, a tuple
+#: of GaloisElement; the line orbits; the Gram rank; the sorted orbit sizes
+LatticeOrbits = namedtuple("LatticeOrbits", "group orbits rank orbit_sizes")
 
 
 @functools.lru_cache(maxsize=28)

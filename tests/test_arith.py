@@ -16,7 +16,9 @@ from cubicbundle.arith import (
     normalize,
     rational_matrix_rank,
 )
+from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import point_rows
+from cubicbundle.geometry import BundlePoint
 
 coord_lists = st.lists(st.integers(-1000, 1000), min_size=2, max_size=4).filter(any)
 
@@ -115,6 +117,23 @@ class TestNormalize:
     def test_non_integer_coordinates_rejected(self, coords):
         with pytest.raises(InvalidPoint):
             normalize(coords)
+
+    def test_direct_construction_stores_a_tuple_of_ints(self):
+        point = ProjectivePoint([1, 0, 0, 0])
+        assert type(point.coords) is tuple and point.coords == (1, 0, 0, 0)
+        assert hash(point) == hash(ProjectivePoint((1, 0, 0, 0)))
+        x, y = ProjectivePoint([1, -1, 0, 0]), ProjectivePoint([1, 1, 0, 0])
+        assert classify_point(BundlePoint(x, y)).in_V == {1: True, 2: False, 3: False}
+
+    @pytest.mark.parametrize("coords", [(1.0, 0, 0, 0), "1", (Fraction(1), 0, 0, 0)], ids=repr)
+    def test_direct_construction_rejects_non_integers(self, coords):
+        with pytest.raises(InvalidPoint, match="are not all integers"):
+            ProjectivePoint(coords)
+
+    def test_direct_construction_reads_bools_as_ints(self):
+        point = ProjectivePoint((True, 0, 0, 0))
+        assert str(point) == "1:0:0:0"
+        assert [type(c) for c in point.coords] == [int] * 4
 
     def test_bool_coordinates_read_as_ints(self):
         assert str(normalize([True, 2, 0, 0])) == "1:2:0:0"

@@ -49,13 +49,13 @@ class TestClassifyPoint:
     def test_rank_check_survives_optimize(self):
         # x = (1, 2, 3, 5) has no liftable pairing, so a reported rank of 3 is inconsistent
         code = textwrap.dedent("""
-            import dataclasses, sys
+            import sys
             from cubicbundle import classify
             from cubicbundle.arith import normalize
             from cubicbundle.geometry import BundlePoint
             assert False, "asserts must be off"
             real = classify.picard_rank
-            classify.picard_rank = lambda s: dataclasses.replace(real(s), rank_over_Q=3)
+            classify.picard_rank = lambda s: real(s)._replace(rank_over_Q=3)
             classify.classify_point(BundlePoint(normalize([1, 2, 3, 5]), normalize([1, 1, -1, 0])))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))

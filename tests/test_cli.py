@@ -411,11 +411,16 @@ def test_package_imports_only_the_standard_library():
 
 def test_cli_import_leaves_intersection_and_typing_unloaded():
     # -S: no site hooks, which may load typing on their own
+    # dataclasses loads inspect, ast and dis; fractions loads decimal
     code = (
         "import sys, cubicbundle.cli\n"
-        "print(sorted({'cubicbundle.intersection', 'typing'} & set(sys.modules)))\n"
+        "unloaded = {'cubicbundle.intersection', 'typing', 'dataclasses', 'inspect',"
+        " 'fractions', 'decimal'}\n"
+        "print(sorted(unloaded & set(sys.modules)))\n"
+        "from cubicbundle.picard import DiagonalCubic, picard_rank\n"
+        "print(picard_rank(DiagonalCubic((1, 2, 3, 5))).rank_over_Q, 'fractions' in sys.modules)\n"
         "import cubicbundle.intersection\n"
-        "print(type(cubicbundle.intersection.H1).__name__)\n"
+        "print(type(cubicbundle.intersection.H1).__name__, 'dataclasses' in sys.modules)\n"
         "print(hasattr(cubicbundle, 'H1'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
@@ -423,7 +428,7 @@ def test_cli_import_leaves_intersection_and_typing_unloaded():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\nDivisorClass\nFalse\n"
+    assert result.stdout == "[]\n1 False\nDivisorClass False\nFalse\n"
 
 
 def cli_process(*argv, stdout):

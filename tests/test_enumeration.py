@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -477,7 +476,7 @@ class TestPointRows:
 
         def flipped(surface):
             result = real(surface)
-            return dataclasses.replace(result, rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
+            return result._replace(rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
 
         classify._fiber_profile.cache_clear()
         monkeypatch.setattr(classify, "picard_rank", flipped)
@@ -580,7 +579,7 @@ class TestBaseOrbits:
 
         def flipped(surface):
             result = real(surface)
-            return dataclasses.replace(result, rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
+            return result._replace(rank_over_Q=1 if result.rank_over_Q >= 2 else 3)
 
         classify._fiber_profile.cache_clear()
         monkeypatch.setattr(classify, "picard_rank", flipped)
