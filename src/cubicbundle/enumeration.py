@@ -49,9 +49,10 @@ number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
 Dumps walk the fiber of every canonical base point, one fiber at a time
 (:func:`point_rows`), and build each row from two per-fiber tables: the
-text of each coordinate value, and the tail |height|flags of each key;
-enumerate_bundle with classify_point and point_row stays the oracle for
-the orbit weights, the closed form and the dumps.
+text of each coordinate value, and the tail |height|flags of each key.
+The oracle for the orbit weights, the closed form and the dumps is
+enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
+point, each point through classify_point and point_row.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ from .arith import (
     exact_cube_root,
     floor_cube_root,
     is_canonical,
-    naive_height,
 )
 from .classify import _fiber_profile
-from .geometry import PAIRINGS, BundlePoint, NotOnVariety, _p3_coords
+from .geometry import PAIRINGS, NotOnVariety, _p3_coords
 
 #: CSV column order for count series
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
@@ -363,8 +363,8 @@ def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectiveP
 
 
 def _base_height(height_bound: int) -> int:
-    """The largest h >= 1 with h^3 <= height_bound (1 below 8)."""
-    return floor_cube_root(height_bound) if height_bound >= 8 else 1
+    """The largest h >= 0 with h^3 <= height_bound (0 below 1)."""
+    return floor_cube_root(height_bound) if height_bound > 0 else 0
 
 
 def base_points(height_bound: int) -> list[ProjectivePoint]:
@@ -388,15 +388,6 @@ def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
             perms = 24 // math.prod(math.factorial(m) for m in Counter(rep).values())
             orbits.append((rep, perms * 2 ** (4 - rep.count(0) - 1)))
     return orbits
-
-
-def enumerate_bundle(height_bound: int):
-    """Stream every bundle point with anticanonical height <= height_bound
-    exactly once, lexicographically in normalized x then y."""
-    height_bound = _integer(height_bound, "height bound", 1)
-    for x in base_points(height_bound):
-        for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
-            yield BundlePoint(x, y)
 
 
 def _mobius(n: int) -> list[int]:
@@ -577,9 +568,9 @@ def _pool_map(fn, tasks: list, workers: int):
 
 def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     """Stream the dump rows of all points of anticanonical height <=
-    height_bound, one fiber at a time, in the order of enumerate_bundle:
-    the rows point_row(classify_point(p), height) would give, built from
-    each fiber's profile (:func:`_fiber_rows`).
+    height_bound, one fiber at a time, in lexicographic order of the
+    normalized x, then y: the rows point_row(classify_point(p), height)
+    would give, built from each fiber's profile (:func:`_fiber_rows`).
 
     as_text sorts the rows as strings instead: base points by str(x) + "|",
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"

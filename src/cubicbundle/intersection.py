@@ -6,17 +6,16 @@ the fundamental class of the ambient space, so intersection numbers on the
 hypersurface (class h1 + 3*h2) are coefficients of h1^3*h2^3 after one
 extra multiplication.
 
-Also houses the lookup table of (a-invariant, adjoint rigidity, b-invariant)
-for the subvariety types relevant to the exceptional-set computation.
+The anticanonical class 3*h1 + h2 that the intersection tests pair curves
+with lives in tests/test_intersection.py, since the program never reads it.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import namedtuple
+import operator
 from fractions import Fraction
 
-from .arith import InvalidArgument, _checked_tuple
+from .arith import InvalidArgument
 
 _MAX_EXP = 3  # h1^4 = h2^4 = 0
 
@@ -31,8 +30,16 @@ class DivisorClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
+        """Raises InvalidArgument unless every key is a pair (i, j) of
+        non-negative integer exponents; exponents above 3 give zero."""
         self.coeffs: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in (coeffs or {}).items():
+        for key, v in (coeffs or {}).items():
+            try:
+                i, j = map(operator.index, key)
+            except (TypeError, ValueError):
+                raise InvalidArgument(f"exponents {key!r} are not a pair of integers") from None
+            if i < 0 or j < 0:
+                raise InvalidArgument(f"exponents {key!r} are negative")
             v = Fraction(v)
             if v and i <= _MAX_EXP and j <= _MAX_EXP:
                 self.coeffs[(i, j)] = v
@@ -94,8 +101,6 @@ class DivisorClass:
 
 H1 = DivisorClass({(1, 0): 1})
 H2 = DivisorClass({(0, 1): 1})
-#: anticanonical class of the bundle hypersurface
-ANTICANONICAL = 3 * H1 + H2
 #: class of the hypersurface itself inside P^3 x P^3
 HYPERSURFACE_CLASS = H1 + 3 * H2
 
@@ -132,74 +137,3 @@ def intersect_on_bundle(classes) -> Fraction:
     if total != 5:
         raise DegreeMismatch(f"total degree {total} != 5")
     return ambient_degree(multiply(classes) * HYPERSURFACE_CLASS)
-
-
-def curve_a_value(h1_degree: int, h2_degree: int) -> Fraction:
-    """a-invariant 2/(3*d1 + d2) of a rational curve of bidegree (d1, d2)
-    against the anticanonical polarization."""
-    if h1_degree == 0 and h2_degree == 0:
-        raise InvalidArgument("curve bidegree (0, 0) is not a curve")
-    if h1_degree < 0 or h2_degree < 0:
-        raise InvalidArgument("curve bidegrees must be non-negative")
-    return Fraction(2, 3 * h1_degree + h2_degree)
-
-
-class SubvarietyKind(enum.Enum):
-    WHOLE_SPACE = "whole-space"
-    SMOOTH_SURFACE_FIBER = "smooth-surface-fiber"
-    CONE_FIBER = "cone-fiber"
-    PLANE_COMPONENT_FIBER = "plane-component-fiber"
-    SECOND_PROJECTION_FIBER = "second-projection-fiber"
-    LINE_IN_FIBER = "line-in-fiber"
-    CONIC_IN_FIBER = "conic-in-fiber"
-    LINE_PREIMAGE = "line-preimage"
-    PLANE_PREIMAGE = "plane-preimage"
-
-
-class SubvarietyDescriptor(_checked_tuple("SubvarietyDescriptor", "kind rank_over_ground_field")):
-    """A SubvarietyKind and the Picard rank over the ground field, which a
-    smooth surface fiber carries (1..7) and no other kind does."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: SubvarietyKind, rank_over_ground_field: int | None = None):
-        rank = rank_over_ground_field
-        if kind is SubvarietyKind.SMOOTH_SURFACE_FIBER:
-            if rank is None or not 1 <= rank <= 7:
-                raise InvalidArgument("smooth surface fibers need a Picard rank in 1..7")
-        elif rank is not None:
-            raise InvalidArgument(f"{kind.value} does not carry a Picard rank")
-        return tuple.__new__(cls, (kind, rank))
-
-
-#: a_value: Fraction; adjoint_rigid: bool; b_value: int, or None where the
-#: table does not determine b
-InvariantReport = namedtuple("InvariantReport", "a_value adjoint_rigid b_value")
-
-
-# kind -> (a, adjoint rigid, b); b = None marks non-Fano cases where only
-# the a-value and rigidity are tabulated.
-_INVARIANTS: dict[SubvarietyKind, tuple[Fraction, bool, int | None]] = {
-    SubvarietyKind.WHOLE_SPACE: (Fraction(1), True, 2),
-    SubvarietyKind.CONE_FIBER: (Fraction(2), False, None),
-    SubvarietyKind.PLANE_COMPONENT_FIBER: (Fraction(3), True, None),
-    SubvarietyKind.SECOND_PROJECTION_FIBER: (Fraction(1), True, 1),
-    SubvarietyKind.LINE_IN_FIBER: (Fraction(2), True, 1),
-    SubvarietyKind.CONIC_IN_FIBER: (Fraction(1), True, 1),
-    SubvarietyKind.LINE_PREIMAGE: (Fraction(1), False, None),
-    SubvarietyKind.PLANE_PREIMAGE: (Fraction(1), False, None),
-}
-
-
-def lookup_invariants(d: SubvarietyDescriptor) -> InvariantReport:
-    """Tabulated (a-invariant, adjoint rigidity, b-invariant).
-
-    Smooth surface fibers are Fano with anticanonical polarization, so their
-    b-invariant is the Picard rank carried by the descriptor.
-    """
-    if not isinstance(d, SubvarietyDescriptor):
-        raise InvalidArgument(f"expected a SubvarietyDescriptor, got {d!r}")
-    if d.kind is SubvarietyKind.SMOOTH_SURFACE_FIBER:
-        return InvariantReport(Fraction(1), True, d.rank_over_ground_field)
-    a, rigid, b = _INVARIANTS[d.kind]
-    return InvariantReport(a, rigid, b)

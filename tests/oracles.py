@@ -6,15 +6,27 @@ import itertools
 import random
 from decimal import Decimal, localcontext
 
-from cubicbundle.arith import exact_cube_root
+from cubicbundle.arith import _integer, exact_cube_root, naive_height
 from cubicbundle.cli import random_surface
-from cubicbundle.geometry import pairing_pairs
+from cubicbundle.enumeration import base_points, enumerate_fiber
+from cubicbundle.geometry import BundlePoint, pairing_pairs
 
 
 def random_surfaces(count, seed):
     """count surfaces drawn as `cubicbundle rank-survey --seed seed` draws them."""
     rng = random.Random(seed)
     return [random_surface(rng) for _ in range(count)]
+
+
+def enumerate_bundle(height_bound: int):
+    """Stream every bundle point with anticanonical height <= height_bound
+    exactly once, lexicographically in normalized x then y: the fiber walk
+    over every base point, which the orbit-weighted count and the dumps
+    are compared against."""
+    height_bound = _integer(height_bound, "height bound", 1)
+    for x in base_points(height_bound):
+        for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
+            yield BundlePoint(x, y)
 
 
 def in_pair_locus(p, pairing: int) -> bool:

@@ -15,7 +15,6 @@ from cubicbundle.cli import main
 from cubicbundle.enumeration import (
     canonical_coords,
     count_series,
-    enumerate_bundle,
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, liftable, pair_products
@@ -25,7 +24,7 @@ from cubicbundle.picard import (
     incidence_gram,
     picard_rank,
 )
-from oracles import incidence_numeric, random_surfaces, search_lift
+from oracles import enumerate_bundle, incidence_numeric, random_surfaces, search_lift
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

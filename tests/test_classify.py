@@ -9,9 +9,9 @@ import pytest
 import cubicbundle
 from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point
-from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
+from cubicbundle.enumeration import enumerate_fiber
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety
-from oracles import in_pair_locus
+from oracles import enumerate_bundle, in_pair_locus
 
 
 def bundle_point(xs, ys):

@@ -409,6 +409,63 @@ def test_package_imports_only_the_standard_library():
     assert sorted(imported - sys.stdlib_module_names) == []
 
 
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('cubicbundle.'))\n"
+        "import cubicbundle\n"
+        "print(loaded())\n"
+        "import cubicbundle.cli\n"
+        "print(loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    cli_modules = ["arith", "classify", "cli", "enumeration", "geometry", "picard"]
+    assert result.stdout.splitlines() == [
+        "[]", str([f"cubicbundle.{name}" for name in cli_modules]),
+    ]
+
+
+def _defined_names(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return [node.id for target in targets if target is not None
+            for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def test_every_top_level_name_is_loaded_by_the_program():
+    """Every function, class and assignment at the top of a package module
+    is loaded, by name or as an attribute, by code in src/ or perfbench/,
+    outside its tests; a name that only the tests or the docstrings read
+    belongs in the tests.  Imports do not count as loads, so a re-export
+    keeps nothing alive.  Dunder names such as __version__ are read by the
+    interpreter and by tools, not by code, and are not checked."""
+    root = Path(__file__).parents[1]
+    modules = sorted((root / "src" / "cubicbundle").glob("*.py"))
+    program = [*root.joinpath("src").rglob("*.py"), *root.joinpath("perfbench").glob("*.py")]
+    loaded = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = [
+        f"{path.name}:{statement.lineno} {name}"
+        for path in modules
+        for statement in ast.parse(path.read_text(), str(path)).body
+        for name in _defined_names(statement)
+        if name not in loaded and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert len(modules) > 5 and len(program) > len(modules)
+    assert unused == []
+
+
 def test_cli_import_leaves_intersection_and_typing_unloaded():
     # -S: no site hooks, which may load typing on their own
     # dataclasses loads inspect, ast and dis; fractions loads decimal

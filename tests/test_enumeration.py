@@ -38,13 +38,13 @@ from cubicbundle.enumeration import (
     base_points,
     canonical_coords,
     count_series,
-    enumerate_bundle,
     enumerate_fiber,
     point_row,
     point_rows,
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
+from oracles import enumerate_bundle
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -270,6 +270,12 @@ class TestBundleEnumeration:
         # base points of height 2 appear exactly when 8 <= B
         assert all(naive_height(x) == 1 for x in base_points(7))
         assert any(naive_height(x) == 2 for x in base_points(8))
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_no_base_point_below_bound_one(self, bound):
+        # H(x) >= 1 for every x, so no base point has H(x)^3 <= bound < 1
+        assert base_points(bound) == []
+        assert enumerate_fiber(normalize([1, 1, 1, 1]), bound) == []
 
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
@@ -773,7 +779,7 @@ class TestSurfaceFibers:
 
 class TestBaseHeight:
     def test_matches_counting_up_to_1e5(self):
-        h = 1
+        h = 0
         for bound in range(-3, 10 ** 5 + 1):
             while (h + 1) ** 3 <= bound:
                 h += 1

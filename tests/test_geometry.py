@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cubicbundle
 from cubicbundle.arith import InvalidPoint, ProjectivePoint, normalize
 from cubicbundle.classify import classify_point
-from cubicbundle.enumeration import enumerate_bundle, enumerate_fiber
+from cubicbundle.enumeration import enumerate_fiber
 from cubicbundle.geometry import (
     PAIRINGS,
     BundlePoint,
@@ -22,7 +22,7 @@ from cubicbundle.geometry import (
     over_singular_fiber,
     pair_products,
 )
-from oracles import in_pair_locus, search_lift
+from oracles import enumerate_bundle, in_pair_locus, search_lift
 
 
 nonzero_coord = st.integers(-10, 10).filter(bool)

@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 
 from cubicbundle.arith import InvalidArgument
 from cubicbundle.intersection import (
-    ANTICANONICAL,
     H1,
     H2,
     HYPERSURFACE_CLASS,
     DegreeMismatch,
     DivisorClass,
-    InvariantReport,
-    SubvarietyDescriptor,
-    SubvarietyKind,
     ambient_degree,
-    curve_a_value,
     intersect_on_bundle,
-    lookup_invariants,
     multiply,
 )
+
+#: anticanonical class of the bundle hypersurface
+ANTICANONICAL = 3 * H1 + H2
 
 
 def poly_mul(p, q):
@@ -147,49 +144,39 @@ class TestBundleIntersections:
 
 
 class TestCurveAValue:
+    """The a-invariant 2/(-K . C) of a rational curve C on the bundle, the
+    a-values of Lehmann-Sengupta-Tanimoto, from the calculus: in each P^3 a
+    point is the cube of the hyperplane class and a curve of degree d is d
+    times its square."""
+
+    @staticmethod
+    def a_value(curve):
+        return 2 / ambient_degree(ANTICANONICAL * curve)
+
     def test_line_in_fiber(self):
-        assert curve_a_value(0, 1) == 2
+        assert self.a_value(H1 ** 3 * H2 ** 2) == 2
 
     def test_conic_in_fiber(self):
-        assert curve_a_value(0, 2) == 1
+        assert self.a_value(2 * H1 ** 3 * H2 ** 2) == 1
 
     def test_other_bidegree(self):
-        assert curve_a_value(1, 0) == Fraction(2, 3)
+        assert self.a_value(H1 ** 2 * H2 ** 3) == Fraction(2, 3)
 
-    def test_rejects_zero_bidegree(self):
+
+class TestExponentKeys:
+    @pytest.mark.parametrize(
+        "key", [(-1, 0), (0, -2), (0.5, 0), (1, "1"), (1,), (1, 2, 3), 5, None],
+        ids=repr,
+    )
+    def test_rejects_keys_that_are_not_exponent_pairs(self, key):
         with pytest.raises(InvalidArgument):
-            curve_a_value(0, 0)
+            DivisorClass({key: 1})
 
+    def test_negative_exponent_never_reaches_a_product(self):
+        # h1^-1 * h1 would be 1, and this pairing would be 4
+        with pytest.raises(InvalidArgument, match="negative"):
+            intersect_on_bundle([DivisorClass({(-1, 2): 1}), H1 + H2, H1, H1, H1])
 
-class TestInvariantTable:
-    def test_whole_space(self):
-        report = lookup_invariants(SubvarietyDescriptor(SubvarietyKind.WHOLE_SPACE))
-        assert report == InvariantReport(Fraction(1), True, 2)
-
-    def test_smooth_fiber_rank_is_b(self):
-        d = SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER, rank_over_ground_field=1)
-        assert lookup_invariants(d) == InvariantReport(Fraction(1), True, 1)
-        d4 = SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER, rank_over_ground_field=4)
-        assert lookup_invariants(d4).b_value == 4
-
-    def test_line_in_fiber(self):
-        report = lookup_invariants(SubvarietyDescriptor(SubvarietyKind.LINE_IN_FIBER))
-        assert report == InvariantReport(Fraction(2), True, 1)
-
-    def test_cone_fiber_not_rigid(self):
-        report = lookup_invariants(SubvarietyDescriptor(SubvarietyKind.CONE_FIBER))
-        assert report.a_value == 2 and not report.adjoint_rigid and report.b_value is None
-
-    def test_every_descriptor_has_positive_a(self):
-        for kind in SubvarietyKind:
-            rank = 3 if kind is SubvarietyKind.SMOOTH_SURFACE_FIBER else None
-            report = lookup_invariants(SubvarietyDescriptor(kind, rank))
-            assert report.a_value >= 1
-
-    def test_rank_validation(self):
-        with pytest.raises(InvalidArgument):
-            SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER)
-        with pytest.raises(InvalidArgument):
-            SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER, rank_over_ground_field=8)
-        with pytest.raises(InvalidArgument):
-            SubvarietyDescriptor(SubvarietyKind.CONE_FIBER, rank_over_ground_field=2)
+    def test_exponents_above_three_truncate_to_zero(self):
+        assert DivisorClass({(4, 0): 1, (0, 7): 2}).is_zero
+        assert DivisorClass({(4, 0): 1, (1, 0): 2}) == 2 * H1

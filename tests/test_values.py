@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import count_series
 from cubicbundle.geometry import BundlePoint
-from cubicbundle.intersection import InvariantReport, SubvarietyDescriptor, SubvarietyKind
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -34,7 +32,6 @@ CHECKED_BUILDS = textwrap.dedent("""
     import sys
     from cubicbundle.arith import ProjectivePoint, normalize
     from cubicbundle.geometry import BundlePoint
-    from cubicbundle.intersection import SubvarietyDescriptor, SubvarietyKind
     from cubicbundle.picard import DiagonalCubic
 
     x, y = normalize((1, 1, 1, 1)), normalize((1, -1, 0, 0))
@@ -44,9 +41,6 @@ CHECKED_BUILDS = textwrap.dedent("""
         (BundlePoint(x, y), (x, x)),
         (DiagonalCubic((1, 2, 3, 5)), ((1, 0, 3, 5),)),
         (DiagonalCubic((1, 2, 3, 5)), ((1, 2, 3),)),
-        (SubvarietyDescriptor(SubvarietyKind.CONE_FIBER), (SubvarietyKind.CONE_FIBER, 2)),
-        (SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER, 3),
-         (SubvarietyKind.SMOOTH_SURFACE_FIBER, 8)),
     ]
 
     def error(build):
@@ -100,8 +94,6 @@ def public_values():
         galois_group(cubic)[1],
         picard_rank(cubic),
         _lattice_orbits(tuple(relation_lattice(cubic))),
-        SubvarietyDescriptor(SubvarietyKind.SMOOTH_SURFACE_FIBER, 2),
-        InvariantReport(Fraction(2), False, None),
     ]
 
 
