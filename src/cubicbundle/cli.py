@@ -9,14 +9,20 @@ point or surface), 66 missing input file.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
-import random
 import sys
+
+# every main() builds a parser, and the first parser built imports locale
+# (argparse's gettext) and shutil (the help formatter's terminal width):
+# importing them with the module keeps that cost in start-up
+import locale  # noqa: F401
+import shutil  # noqa: F401
 
 from .arith import InvalidArgument, InvalidPoint, normalize
 from .classify import classify_point
-from .enumeration import count_series, point_rows
+from .enumeration import POOL_MIN_BOUND, count_series, point_rows
 from .geometry import NotOnVariety, BundlePoint
 from .picard import (
     ALL_LINE_LABELS,
@@ -175,6 +181,8 @@ IDENTITY_TRIALS = 20
 
 
 def cmd_verify_intersections(args) -> int:
+    import random  # only this command and rank-survey draw random numbers
+
     rng = random.Random(args.seed)
     ok = [True] * len(_IDENTITY_LABELS)
     for _ in range(IDENTITY_TRIALS):
@@ -200,6 +208,8 @@ def cmd_rank_survey(args) -> int:
     if args.samples < 1:
         print("error: samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    import random
+
     rng = random.Random(args.seed)
     distribution: dict[int, int] = {}
     orders: dict[int, int] = {}
@@ -361,7 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_count)
     p.add_argument("--bounds", required=True, help="comma-separated ascending heights")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="most processes to use; the count uses one when the largest bound "
+        f"is below {POOL_MIN_BOUND}",
+    )
     p.add_argument(
         "--emit-points",
         action="store_true",
@@ -404,6 +420,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the thousands of start-up objects (modules, classes, functions) live
+    # through the command; frozen, no collection during it walks them, in
+    # whatever phase the imports left the collector's counters
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()  # a caller that runs main in its process collects them again
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:

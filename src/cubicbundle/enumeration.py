@@ -62,7 +62,6 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 from .arith import (
     InvalidArgument,
@@ -77,6 +76,11 @@ from .geometry import PAIRINGS, NotOnVariety, _p3_coords
 
 #: CSV column order for count series
 CLASS_LABELS = ("ALL", "IN_Z", "NOT_IN_Z", "IN_SOME_V", "LIFTABLE_ONLY", "SINGULAR_FIBER")
+
+#: the least top bound at which count_series starts a process pool; below it
+#: one process counts faster than a pool starts (1- vs 2-worker sweep in
+#: BENCH_19.json)
+POOL_MIN_BOUND = 256
 
 
 class CountSeries(namedtuple("CountSeries", "bounds counts")):
@@ -562,6 +566,10 @@ def _pool_map(fn, tasks: list, workers: int):
     if pool_size <= 1:
         yield from map(fn, tasks)
         return
+    # imported here: it loads multiprocessing and logging, over a third of
+    # the package's import time, and only a pool needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         yield from pool.map(fn, tasks, chunksize=1)
 
@@ -597,13 +605,17 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     swept in only through liftability of their base point.  Orbit tasks run
     largest fiber bound bounds[-1] // H(x)^3 first, so the few huge fibers
     over height-1 base points start at once; the merge is a weighted sum,
-    so any worker count produces identical output.
+    so any worker count produces identical output.  workers is a maximum:
+    below a top bound of POOL_MIN_BOUND the count runs in this process.
     """
+    workers = _integer(workers, "workers", 1)
     bounds = tuple(_integer(b, "bound") for b in height_bounds)
     if not bounds:
         raise InvalidArgument("empty bounds grid")
     if any(b < 1 for b in bounds) or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise InvalidArgument("bounds must be positive and strictly ascending")
+    if bounds[-1] < POOL_MIN_BOUND:
+        workers = 1
     weighted = sorted(_base_orbits(_base_height(bounds[-1])), key=lambda xw: max(xw[0]))
     tallies = _pool_map(_classify_fiber, [(xs, bounds) for xs, _ in weighted], workers)
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}

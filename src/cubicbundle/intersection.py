@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .arith import InvalidArgument
+from .arith import InvalidArgument, _integer
 
 _MAX_EXP = 3  # h1^4 = h2^4 = 0
 
@@ -68,8 +68,9 @@ class DivisorClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DivisorClass":
+        """Raises InvalidArgument unless n is a non-negative integer."""
         out = DivisorClass({(0, 0): 1})
-        for _ in range(n):
+        for _ in range(_integer(n, "exponent", 0)):
             out = out * self
         return out
 

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import os
 import re
@@ -11,6 +12,7 @@ from xml.dom import minidom
 import pytest
 
 import cubicbundle
+from cubicbundle import cli
 from cubicbundle.cli import main
 
 # a prime above 10^15, too large to factor by trial division within a test's time
@@ -409,6 +411,15 @@ def test_package_imports_only_the_standard_library():
     assert sorted(imported - sys.stdlib_module_names) == []
 
 
+@pytest.mark.filterwarnings("ignore:Support for .*tool.setuptools.* is still")
+def test_project_version_is_the_package_version():
+    # pyproject.toml declares the version dynamic and reads it from the package
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == cubicbundle.__version__
+
+
 def test_package_import_loads_no_submodule():
     code = (
         "import sys\n"
@@ -428,6 +439,60 @@ def test_package_import_loads_no_submodule():
     assert result.stdout.splitlines() == [
         "[]", str([f"cubicbundle.{name}" for name in cli_modules]),
     ]
+
+
+def test_main_freezes_start_up_objects_while_the_command_runs(monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(cli, "cmd_lines", lambda args: frozen.append(gc.get_freeze_count()) or 0)
+    assert main(["lines", "1", "1", "1", "1"]) == 0
+    assert frozen[0] > 1000
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["lines"])
+    assert gc.get_freeze_count() == 0
+
+
+#: what cli loads only on demand: the process pool's modules, and random
+LAZY_MODULES = ("concurrent.futures", "multiprocessing", "logging", "random")
+
+
+def modules_loaded_by(code, tmp_path):
+    """Which of LAZY_MODULES a fresh interpreter has loaded after running
+    code; -S keeps out the site hooks, which may load any of them."""
+    code = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2  # so that two workers may start a pool here\n"
+        f"{code}\n"
+        f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_pool_and_no_random(tmp_path):
+    assert modules_loaded_by("import cubicbundle.cli", tmp_path) == []
+
+
+def test_count_below_the_pool_cut_loads_no_pool(tmp_path):
+    code = (
+        "from cubicbundle.cli import main\n"
+        "main(['count', '--bounds', '1,2,4,8,16', '--workers', '2', '--out', 'c.csv'])"
+    )
+    assert "concurrent.futures" not in modules_loaded_by(code, tmp_path)
+
+
+def test_dump_on_two_workers_loads_the_pool(tmp_path):
+    # the dumps keep their pool at every bound; enumerate runs on one worker
+    code = (
+        "from cubicbundle.cli import main\n"
+        "main(['count', '--bounds', '4', '--emit-points', '--workers', '2', '--out', 'c.csv'])"
+    )
+    assert "concurrent.futures" in modules_loaded_by(code, tmp_path)
 
 
 def _defined_names(statement):

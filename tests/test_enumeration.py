@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 from collections import Counter
+from concurrent import futures
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from cubicbundle.arith import (
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
+    POOL_MIN_BOUND,
     CountSeries,
     _base_height,
     _base_orbits,
@@ -170,7 +172,8 @@ def recording_pool(monkeypatch):
             record["maps"].append((tasks, chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    # enumeration imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     return record
 
 
@@ -368,8 +371,8 @@ class TestCountSeries:
         assert count_series(grid).counts == classified_tally(enumerate_bundle(grid[-1]), grid)
 
     def test_pool_size_is_bounded(self, monkeypatch, recording_pool):
-        expected = count_series([1])
-        tasks = 4  # orbit representatives (0,0,0,1), (0,0,1,1), (0,1,1,1), (1,1,1,1)
+        expected = count_series([POOL_MIN_BOUND])
+        tasks = len(_base_orbits(_base_height(POOL_MIN_BOUND)))
         for cpus, workers, size in (
             (2, 10_000, 2),
             (1_000, 10_000, tasks),
@@ -378,18 +381,38 @@ class TestCountSeries:
         ):
             recording_pool["sizes"].clear()
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-            series = count_series([1], workers=workers)
+            series = count_series([POOL_MIN_BOUND], workers=workers)
             assert series.counts == expected.counts
             assert recording_pool["sizes"] == ([] if size is None else [size])
 
     def test_pool_runs_largest_fibers_first_one_at_a_time(self, monkeypatch, recording_pool):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        count_series([1, 8, 64], workers=2)
+        count_series([1, 8, 64, POOL_MIN_BOUND], workers=2)
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        fiber_bounds = [64 // max(xs) ** 3 for xs, _ in tasks]
+        fiber_bounds = [POOL_MIN_BOUND // max(xs) ** 3 for xs, _ in tasks]
         assert fiber_bounds == sorted(fiber_bounds, reverse=True)
-        assert sorted(xs for xs, _ in tasks) == [rep for rep, _ in _base_orbits(4)]
+        orbits = _base_orbits(_base_height(POOL_MIN_BOUND))
+        assert sorted(xs for xs, _ in tasks) == [rep for rep, _ in orbits]
+
+    def test_no_pool_below_the_cut(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        count_series([1, 8, POOL_MIN_BOUND - 1], workers=2)
+        assert recording_pool["sizes"] == []
+
+    def test_two_processes_at_the_cut_count_as_one(self, monkeypatch):
+        sizes = []
+
+        class CountedPool(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        grid = [16, 64, POOL_MIN_BOUND]
+        assert count_series(grid, workers=2).counts == count_series(grid).counts
+        assert sizes == [2]
 
     def test_frontier_rows(self):
         series = count_series([64, 128, 256])

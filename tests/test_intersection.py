@@ -180,3 +180,21 @@ class TestExponentKeys:
     def test_exponents_above_three_truncate_to_zero(self):
         assert DivisorClass({(4, 0): 1, (0, 7): 2}).is_zero
         assert DivisorClass({(4, 0): 1, (1, 0): 2}) == 2 * H1
+
+
+class TestPower:
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_rejects_negative_exponents(self, n):
+        # the repeated product would be empty, which is the class 1
+        with pytest.raises(InvalidArgument, match="exponent must be >= 0"):
+            H1 ** n
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_exponents(self, n):
+        with pytest.raises(InvalidArgument, match="exponent must be an integer"):
+            H1 ** n
+
+    def test_powers_are_repeated_products(self):
+        assert H1 ** 0 == DivisorClass({(0, 0): 1})
+        assert (H1 + H2) ** 3 == multiply([H1 + H2] * 3)
+        assert H2 ** 4 == DivisorClass()
