@@ -80,7 +80,7 @@ def cmd_count(args) -> int:
     status = _write_text(args.out, [series.csv_text()])
     if status == EXIT_OK and args.emit_points:
         rows = point_rows(series.bounds[-1], args.workers, as_text=True)
-        status = _write_text((args.out or "points") + ".points", (r + "\n" for r in rows))
+        status = _write_text((args.out or "points") + ".points", rows)
     if status != EXIT_OK:
         return status
     # the summary table, laid out as the CSV, must not trail a CSV on stdout
@@ -96,7 +96,7 @@ def cmd_enumerate(args) -> int:
     if args.bound < 1:
         print("error: bound must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    return _write_text(args.out, (row + "\n" for row in point_rows(args.bound)))
+    return _write_text(args.out, point_rows(args.bound))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ y_k is a fixed multiple of one parameter t_p, or 0, and the height bound
 caps each |t_p| by its box side.  Its points are the primitive t up to sign,
 so a Moebius sum counts them (:func:`primitive_count`), and the walk visits
 the half of the box whose first nonzero entry is positive
-(:func:`_half_box`), keeps the primitive vectors and negates each image y
-whose first nonzero coordinate is negative.  The description is
-case-split on the number of nonzero coordinates of x:
+(:func:`_half_box`), its parameters renumbered and signed so that every
+image is canonical, a row of the last parameter at a time
+(:func:`_box_coords`).  The description is case-split on the number of
+nonzero coordinates of x:
 
 * one or two: a linear fiber, one box, a plane or a line
   (:func:`_linear_locus`), every point on the pair locus of the pairing
@@ -38,8 +39,9 @@ reproducible byte for byte and the outer loop parallelizes freely.
 Counting and the dumps read the fiber profile (liftability, singularity,
 rank) once per fiber; per walked point only the bundle check, the height
 and the pair-locus test remain, one walk that reads the terms x_k*y_k^3
-from per-fiber memo tables and gives each point one int key, its height
-H(y) and its pair-locus pattern (:func:`_checked_points`).  Counting takes
+from per-fiber signed tables, lists that y_k indexes directly
+(:func:`_signed`), and gives each point one int key, its height H(y) and
+its pair-locus pattern (:func:`_checked_points`).  Counting takes
 one fiber per orbit of base points under the signed permutations
 (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.  They preserve the
 equation, the heights, the set of pair loci, liftability (-1 is a cube)
@@ -49,7 +51,8 @@ number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
 Dumps walk the fiber of every canonical base point, one fiber at a time
 (:func:`point_rows`), and build each row from two per-fiber tables: the
-text of each coordinate value, and the tail |height|flags of each key.
+signed table of each coordinate value's text, and the tail
+|height|flags plus newline of each key; a fiber's rows go out as one str.
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -65,6 +68,7 @@ from collections import Counter, namedtuple
 
 from .arith import (
     InvalidArgument,
+    InvalidPoint,
     ProjectivePoint,
     _integer,
     exact_cube_root,
@@ -330,29 +334,62 @@ def _fiber_locus(xs, bound: int):
 
 
 def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
-    """The canonical points of a box with H(y) <= bound."""
-    (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
-    ys = []
-    # primitive t up to sign: y is primitive with t, and is negated when
-    # its first nonzero coordinate is negative, that is when y < 0 as tuples
-    for t in _half_box([bound // s for s in sides]):
-        if math.gcd(*t) == 1:
-            # spelled out: a generic tuple(m * t[p] for ...) per point is much slower
-            y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
-            ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
+    """The canonical points of a box with H(y) <= bound, in no particular
+    order.
+
+    The parameters are renumbered in the order of their first use, by the
+    first y_k with a nonzero multiplier, and a parameter whose first
+    multiplier is negative is negated.  Then the first nonzero coordinate
+    of the image of t is the first multiplier of t's first nonzero entry
+    times that entry, so every t of the half box (:func:`_half_box`) maps
+    to a canonical y, and y is primitive with t.  The walk fixes every
+    parameter but the last and takes the row of the last at once: one zip
+    of constant columns and arithmetic progressions, filtered by gcd only
+    when the fixed entries are not coprime.
+    """
+    signs = {}
+    for p, m in params:
+        if m and p not in signs:
+            signs[p] = 1 if m > 0 else -1
+    order = {p: i for i, p in enumerate(signs)}
+    *caps, n = (bound // sides[p] for p in signs)
+    last = len(caps)
+    row = range(-n, n + 1)
+    # per coordinate: (parameter, multiplier, None) for a column that is
+    # constant along a row, or the column itself (the same in every row)
+    cols = []
+    for p, m in params:
+        p, m = (order[p], m * signs[p]) if m else (0, 0)
+        cols.append((p, m, range(-n * m, (n + 1) * m, m) if p == last and m else None))
+    # the row whose fixed entries are all 0: only t_last = 1 is primitive
+    ys = [tuple(m if p == last else 0 for p, m, _ in cols)] if n else []
+    masks = {}  # gcd of the fixed entries -> which entries of the row are coprime to it
+    for fixed in _half_box(caps):
+        points = zip(*[itertools.repeat(m * fixed[p]) if col is None else col for p, m, col in cols])
+        g = math.gcd(*fixed)
+        if g > 1:
+            if g not in masks:
+                masks[g] = [math.gcd(g, t) == 1 for t in row]
+            points = itertools.compress(points, masks[g])
+        ys += points
     return ys
 
 
-def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
+def _fiber_walk(xs, bound: int) -> list[tuple[int, ...]]:
     """Canonical y with H(y) <= bound on the cubic surface above the
-    canonical x, each exactly once, sorted."""
+    canonical x, each exactly once, in no particular order."""
     if bound < 1:
         return []
     boxes, ys = _fiber_locus(xs, bound)
     for params, sides, shared, _ in boxes:
         coords = _box_coords(params, sides, bound)
         ys += [y for y in coords if y not in shared] if shared else coords
-    return sorted(ys)
+    return ys
+
+
+def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
+    """The points of :func:`_fiber_walk`, sorted."""
+    return sorted(_fiber_walk(xs, bound))
 
 
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:
@@ -360,10 +397,17 @@ def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectiveP
     each exactly once, sorted by coordinates.
 
     Raises InvalidPoint unless x has four coordinates, and InvalidArgument
-    unless the bound is an integer.
+    unless the bound is an integer.  The walk yields canonical tuples; they
+    are checked in one pass, also under python -O, and wrapped unchecked.
     """
     bound = _integer(y_height_bound, "height bound")
-    return [ProjectivePoint(c) for c in _fiber_coords(_p3_coords(x), bound)]
+    ys = _fiber_coords(_p3_coords(x), bound)
+    # (0, 0, 0, 0) < y: the first nonzero coordinate is positive
+    if not (all(map((0, 0, 0, 0).__lt__, ys))
+            and all(map((1).__eq__, itertools.starmap(math.gcd, ys)))):
+        bad = next(y for y in ys if not is_canonical(y))
+        raise InvalidPoint(f"coordinates {bad} are not canonical")
+    return list(map(tuple.__new__, itertools.repeat(ProjectivePoint), zip(ys)))
 
 
 def _base_height(height_bound: int) -> int:
@@ -487,19 +531,12 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{flags}"
 
 
-class _Cubes(dict):
-    """x * v^3 for each v looked up, computed on first lookup: a fiber's
-    coordinate values repeat thousands of times among its points."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: int):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, v: int) -> int:
-        term = self[v] = self.x * v ** 3
-        return term
+def _signed(top: int):
+    """-top..top in the order of a signed table: 0..top, then -top..-1, so
+    that the entry of v, read as table[v], sits at index v for v >= 0 and
+    counts from the end for v < 0.  A table built over it serves exactly
+    the v with |v| <= top."""
+    return itertools.chain(range(top + 1), range(-top, 0))
 
 
 def _checked_points(x_coords, ys) -> list[int]:
@@ -508,38 +545,50 @@ def _checked_points(x_coords, ys) -> list[int]:
     locus of pairing p.
 
     Raises NotOnVariety for a y off the bundle, also under python -O.  The
-    terms x_k*y_k^3 come from one memo table per k (:class:`_Cubes`).  On
-    the bundle the four terms sum to 0, so both pair sums of a pairing
-    vanish as soon as the one holding index 0 does.
+    terms x_k*y_k^3 come from one signed table per k (:func:`_signed`),
+    built when the first point comes and built again, at least twice as
+    large, whenever a point's height H(y) outgrows it; so no entry is read
+    for another value, and the tables grow with the points' heights, not
+    with the fiber bound.  On the bundle the four terms sum to 0, so both
+    pair sums of a pairing vanish as soon as the one holding index 0 does.
     """
-    c0, c1, c2, c3 = map(_Cubes, x_coords)
     keys = []
     append = keys.append
+    top = -1
     for y0, y1, y2, y3 in ys:
-        t0, t1, t2, t3 = c0[y0], c1[y1], c2[y2], c3[y3]
-        if t0 + t1 + t2 + t3:
-            x, y = (":".join(map(str, c)) for c in (x_coords, (y0, y1, y2, y3)))
-            raise NotOnVariety(f"({x}, {y}) is not on the bundle")
         # H(y) by comparisons, which cost less than calls of max and abs
         h = y0 if y0 > 0 else -y0
         h = y1 if y1 > h else -y1 if -y1 > h else h
         h = y2 if y2 > h else -y2 if -y2 > h else h
         h = y3 if y3 > h else -y3 if -y3 > h else h
+        if h > top:
+            top = max(h, 2 * top)
+            cubes = [v ** 3 for v in _signed(top)]
+            c0, c1, c2, c3 = ([x * c for c in cubes] for x in x_coords)
+        t0, t1, t2, t3 = c0[y0], c1[y1], c2[y2], c3[y3]
+        if t0 + t1 + t2 + t3:
+            x, y = (":".join(map(str, c)) for c in (x_coords, (y0, y1, y2, y3)))
+            raise NotOnVariety(f"({x}, {y}) is not on the bundle")
         # pairings 1, 2, 3 pair index 0 with 1, 2, 3 (geometry.PAIRINGS)
         append(h << 3 | (t0 + t1 == 0) | (t0 + t2 == 0) << 1 | (t0 + t3 == 0) << 2)
     return keys
 
 
-def _fiber_rows(args) -> list[str]:
-    """Worker task: the dump rows of the fiber above x, in numeric order of y.
+def _fiber_rows(args) -> str:
+    """Worker task: the dump rows of the fiber above x, each ending in a
+    newline, as one str; in numeric order of y, or sorted as strings when
+    as_text holds.
 
     The fiber profile, the row head x| and the flag field of each of the
-    eight pair-locus patterns are built once per fiber, and so are the text
-    of each coordinate value and the row tail |height|flags of each key of
-    :func:`_checked_points`, up to the largest height present: a row is the
-    head, four looked-up texts and the tail of its key.
+    eight pair-locus patterns are built once per fiber, and so are signed
+    tables of the text of each coordinate value (:func:`_signed`) and the
+    row tail |height|flags plus newline of each key of
+    :func:`_checked_points`, up to the largest height present: a row is
+    four looked-up texts, the first with the head, and the tail of its key.
+    Either order takes one sort: the walk's numeric sort, or the rows' sort
+    as strings.
     """
-    x_coords, height_bound = args
+    x_coords, height_bound, as_text = args
     lifts, singular, _ = _fiber_profile(x_coords)
     liftable = any(lifts.values())
     hx3 = max(map(abs, x_coords)) ** 3
@@ -549,13 +598,20 @@ def _fiber_rows(args) -> list[str]:
         _flag_field(liftable or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS}, lifts, singular)
         for k in range(8)
     ]
-    ys = _fiber_coords(x_coords, height_bound // hx3)
+    walk = _fiber_walk if as_text else _fiber_coords
+    ys = walk(x_coords, height_bound // hx3)
     keys = _checked_points(x_coords, ys)
     top = max(keys, default=0) >> 3
-    text = {v: str(v) for v in range(-top, top + 1)}
-    tails = [f"|{hx3 * h}|{field}" for h in range(top + 1) for field in fields]
-    return [f"{head}{text[y0]}:{text[y1]}:{text[y2]}:{text[y3]}{tails[key]}"
+    # each coordinate's text with what precedes or follows it in a row
+    text = list(map(str, _signed(top)))
+    firsts = [f"{head}{v}:" for v in text]
+    inner = [f"{v}:" for v in text]
+    tails = [f"|{hx3 * h}|{field}\n" for h in range(top + 1) for field in fields]
+    rows = [f"{firsts[y0]}{inner[y1]}{inner[y2]}{text[y3]}{tails[key]}"
             for (y0, y1, y2, y3), key in zip(ys, keys)]
+    if as_text:
+        rows.sort()
+    return "".join(rows)
 
 
 def _pool_map(fn, tasks: list, workers: int):
@@ -575,10 +631,11 @@ def _pool_map(fn, tasks: list, workers: int):
 
 
 def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
-    """Stream the dump rows of all points of anticanonical height <=
-    height_bound, one fiber at a time, in lexicographic order of the
-    normalized x, then y: the rows point_row(classify_point(p), height)
-    would give, built from each fiber's profile (:func:`_fiber_rows`).
+    """Stream the dump of all points of anticanonical height <= height_bound,
+    one str per fiber: its rows, each ending in a newline, in lexicographic
+    order of the normalized x, then y.  A row is the line
+    point_row(classify_point(p), height) would give, built from each
+    fiber's profile (:func:`_fiber_rows`).
 
     as_text sorts the rows as strings instead: base points by str(x) + "|",
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
@@ -588,8 +645,7 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     xs = list(canonical_coords(4, _base_height(height_bound)))
     if as_text:
         xs.sort(key=lambda c: str(ProjectivePoint(c)) + "|")
-    for rows in _pool_map(_fiber_rows, [(c, height_bound) for c in xs], workers):
-        yield from sorted(rows) if as_text else rows
+    yield from _pool_map(_fiber_rows, [(c, height_bound, as_text) for c in xs], workers)
 
 
 def count_series(height_bounds, workers: int = 1) -> CountSeries:

@@ -3,12 +3,13 @@ program against.  The program never calls them.
 """
 
 import itertools
+import math
 import random
 from decimal import Decimal, localcontext
 
 from cubicbundle.arith import _integer, exact_cube_root, naive_height
 from cubicbundle.cli import random_surface
-from cubicbundle.enumeration import base_points, enumerate_fiber
+from cubicbundle.enumeration import _half_box, base_points, enumerate_fiber
 from cubicbundle.geometry import BundlePoint, pairing_pairs
 
 
@@ -27,6 +28,21 @@ def enumerate_bundle(height_bound: int):
     for x in base_points(height_bound):
         for y in enumerate_fiber(x, height_bound // naive_height(x) ** 3):
             yield BundlePoint(x, y)
+
+
+def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
+    """The canonical points of a box of enumeration._fiber_locus with
+    H(y) <= bound, one parameter vector at a time: the row walk of
+    enumeration._box_coords is compared against it."""
+    (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
+    ys = []
+    # primitive t up to sign: y is primitive with t, and is negated when
+    # its first nonzero coordinate is negative, that is when y < 0 as tuples
+    for t in _half_box([bound // s for s in sides]):
+        if math.gcd(*t) == 1:
+            y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
+            ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
+    return ys
 
 
 def in_pair_locus(p, pairing: int) -> bool:

@@ -161,7 +161,7 @@ class TestHeights:
     def test_anticanonical(self):
         # the height field of every dump row is H(x)^3 * H(y)
         heights = {}
-        for row in point_rows(8):
+        for row in "".join(point_rows(8)).splitlines():
             xs, ys, height, _ = row.split("|")
             x, y = (normalize(map(int, c.split(":"))) for c in (xs, ys))
             assert int(height) == naive_height(x) ** 3 * naive_height(y), row

@@ -17,6 +17,7 @@ import cubicbundle
 from cubicbundle import classify, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
+    InvalidPoint,
     ProjectivePoint,
     is_canonical,
     naive_height,
@@ -29,6 +30,7 @@ from cubicbundle.enumeration import (
     CountSeries,
     _base_height,
     _base_orbits,
+    _box_coords,
     _checked_points,
     _classify_fiber,
     _fiber_coords,
@@ -36,6 +38,7 @@ from cubicbundle.enumeration import (
     _fiber_rows,
     _half_box,
     _linear_locus,
+    _signed,
     _surface_scan,
     base_points,
     canonical_coords,
@@ -46,7 +49,7 @@ from cubicbundle.enumeration import (
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
-from oracles import enumerate_bundle
+from oracles import box_coords, enumerate_bundle
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -151,6 +154,11 @@ def classified_rows(height_bound):
     ]
 
 
+def dump_text(rows):
+    """The dump of the given rows: each row and a newline."""
+    return "".join(row + "\n" for row in rows)
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replaces the process pool by one that records its sizes and map calls
@@ -246,6 +254,67 @@ class TestFiber:
         coords = [y.coords for y in fiber]
         assert coords == sorted(set(coords))
 
+    def test_points_are_checked_point_objects(self):
+        fiber = enumerate_fiber(normalize([1, 1, 1, 1]), 3)
+        assert fiber and all(type(y) is ProjectivePoint for y in fiber)
+        assert fiber == [ProjectivePoint(y.coords) for y in fiber]
+
+    # a negative first nonzero coordinate, a common factor, the zero tuple
+    @pytest.mark.parametrize("bad", [(0, -1, 1, 0), (2, -2, 0, 0), (0, 0, 0, 0)])
+    def test_non_canonical_walk_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [(1, -1, 0, 0), bad])
+        with pytest.raises(InvalidPoint, match=rf"coordinates \({bad[0]}, .* are not canonical"):
+            enumerate_fiber(normalize([1, 1, 1, 1]), 3)
+
+    def test_non_canonical_check_survives_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle import enumeration
+            from cubicbundle.arith import normalize
+            assert False, "asserts must be off"
+            enumeration._fiber_walk = lambda xs, bound: [(1, -1, 0, 0), (0, -1, 1, 0)]
+            enumeration.enumerate_fiber(normalize([1, 1, 1, 1]), 3)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == "cubicbundle.arith.InvalidPoint: coordinates (0, -1, 1, 0) are not canonical"
+
+
+class TestBoxWalk:
+    """The row walk of each box against the per-vector walk in tests/oracles.py."""
+
+    def test_matches_the_per_vector_walk_on_every_small_fiber(self):
+        walked = 0
+        for xs in canonical_coords(4, 3):
+            for bound in (1, 2, 7, 20):
+                boxes, _ = _fiber_locus(xs, bound)
+                for params, sides, _, _ in boxes:
+                    ys = _box_coords(params, sides, bound)
+                    assert len(ys) == len(set(ys)), (xs, params, bound)
+                    assert set(ys) == set(box_coords(params, sides, bound)), (xs, params, bound)
+                    assert all(map(is_canonical, ys)), (xs, params, bound)
+                    assert all(max(map(abs, y)) <= bound for y in ys), (xs, params, bound)
+                    walked += len(ys)
+        assert walked > 0
+
+    @pytest.mark.parametrize("params, sides", [
+        # a negative first multiplier; a parameter first used after the other
+        (((0, -1), (0, 2), (1, 1), (1, 0)), (2, 1)),
+        (((1, 0), (1, 3), (0, -1), (1, -2)), (1, 3)),
+        # three parameters, the first one used last
+        (((1, 1), (2, -1), (0, 1), (0, 0)), (1, 1, 1)),
+    ])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 5, 9])
+    def test_renumbered_and_negated_parameters(self, params, sides, bound):
+        ys = _box_coords(params, sides, bound)
+        assert len(ys) == len(set(ys))
+        assert set(ys) == set(box_coords(params, sides, bound))
+        assert all(map(is_canonical, ys))
+
 
 class TestBundleEnumeration:
     def test_b1_pin(self):
@@ -317,7 +386,7 @@ class TestCountSeries:
         assert solo.counts == duo.counts == trio.counts
 
     def test_point_rows_sorted(self):
-        rows = list(point_rows(2, as_text=True))
+        rows = "".join(point_rows(2, as_text=True)).splitlines()
         assert rows == sorted(rows)
         assert all(len(row.split("|")) == 4 for row in rows)
 
@@ -430,11 +499,11 @@ class TestPointRows:
         return classified_rows(10)
 
     def test_numeric_order_matches_enumerate_then_classify(self, oracle_rows):
-        assert list(point_rows(10)) == oracle_rows
+        assert "".join(point_rows(10)) == dump_text(oracle_rows)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_text_order_is_the_sorted_dump(self, oracle_rows, workers):
-        assert list(point_rows(10, workers, as_text=True)) == sorted(oracle_rows)
+        assert "".join(point_rows(10, workers, as_text=True)) == dump_text(sorted(oracle_rows))
 
     def test_first_row_comes_before_the_second_fiber_task(self, monkeypatch):
         calls = []
@@ -446,9 +515,13 @@ class TestPointRows:
 
         monkeypatch.setattr(enumeration, "_fiber_rows", counted)
         stream = point_rows(8, as_text=True)
-        assert next(stream).startswith("0:0:0:1|")
+        first = next(stream)
+        assert first.startswith("0:0:0:1|")
         assert len(calls) == 1
-        assert next(stream)
+        # one unit holds the whole fiber, every row newline-terminated
+        rows = first.splitlines(keepends=True)
+        assert len(rows) > 1
+        assert all(row.startswith("0:0:0:1|") and row.endswith("\n") for row in rows)
         stream.close()
         assert len(calls) == 1
 
@@ -458,7 +531,7 @@ class TestPointRows:
         assert recording_pool["sizes"] == [2]
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        assert tasks == [(xs, 1) for xs in canonical_coords(4, 1)]
+        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1)]
 
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
@@ -533,7 +606,8 @@ class TestFiberRows:
         expected = self.oracle(x, y_bound)
         # a bound between multiples of H(x)^3 gives the same fiber
         for height_bound in (hx3 * y_bound, hx3 * y_bound + hx3 - 1):
-            assert _fiber_rows((x.coords, height_bound)) == expected
+            assert _fiber_rows((x.coords, height_bound, False)) == dump_text(expected)
+            assert _fiber_rows((x.coords, height_bound, True)) == dump_text(sorted(expected))
 
     @pytest.mark.parametrize("xs", ROW_SHAPES)
     def test_keys_decode_to_height_and_pair_loci(self, xs):
@@ -556,21 +630,56 @@ class TestFiberRows:
             point_row(classify_point(BundlePoint(x, y)), naive_height(x) ** 3 * naive_height(y))
             for y in map(ProjectivePoint, ys)
         ]
-        assert _fiber_rows(((1, 1, 1, 2), 16)) == expected
+        assert _fiber_rows(((1, 1, 1, 2), 16, False)) == dump_text(expected)
+
+    @pytest.mark.parametrize("top", range(6))
+    def test_signed_table_reads_each_value_at_its_own_index(self, top):
+        table = list(_signed(top))
+        assert len(table) == 2 * top + 1
+        assert [table[v] for v in range(-top, top + 1)] == list(range(-top, top + 1))
+
+    def test_signed_tables_give_exact_keys_at_and_beyond_the_bound(self):
+        # over 1:1:1:1 at the fiber bound 3: coordinates +-3, then heights
+        # that outgrow each table built so far (5, then 12); a table sized to
+        # a smaller height would read -5 at the index of another value
+        ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -1, 3, -3), (5, -5, -3, 3),
+              (12, -12, 1, -1), (2, 1, -1, -2), (0, 1, -1, 0)]
+        xs = (1, 1, 1, 1)
+        keys = _checked_points(xs, ys)
+        for y, key in zip(ys, keys):
+            t = [x * c ** 3 for x, c in zip(xs, y)]
+            bits = sum(1 << p - 1 for p in (1, 2, 3) if t[0] + t[p] == 0)
+            assert key == max(map(abs, y)) << 3 | bits, y
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_rows_at_and_beyond_the_bound_get_their_own_texts(self, monkeypatch, as_text):
+        # fiber bound 3 over 1:1:1:1: coordinates +-3 at the bound, and a
+        # point of height 12 beyond it whose -12 and -1 must not share a text
+        ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -3, 3, -1), (12, -12, 1, -1), (1, -1, 12, -12)]
+        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
+        x = ProjectivePoint((1, 1, 1, 1))
+        # numeric order sorts the walk, text order the rows
+        expected = [
+            point_row(classify_point(BundlePoint(x, y)), naive_height(y))
+            for y in map(ProjectivePoint, sorted(ys))
+        ]
+        if as_text:
+            expected.sort()
+        assert _fiber_rows(((1, 1, 1, 1), 3, as_text)) == dump_text(expected)
 
     def test_fermat_fiber_flags(self):
-        rows = _fiber_rows(((1, 1, 1, 1), 20))
+        rows = _fiber_rows(((1, 1, 1, 1), 20, False)).splitlines()
         assert all(row.endswith("L1,L2,L3") for row in rows)
         # (1, -1, 1, -1) lies on V1 and V3 but not on V2
         assert "1:1:1:1|1:-1:1:-1|1|Z,V1,V3,L1,L2,L3" in rows
 
     def test_non_liftable_fiber_flags(self):
-        rows = _fiber_rows(((1, 2, 3, 5), 125 * 20))
+        rows = _fiber_rows(((1, 2, 3, 5), 125 * 20, False)).splitlines()
         assert not any("L" in row for row in rows)
         assert "1:2:3:5|1:1:-1:0|125|-" in rows
 
     def test_cone_fiber_flags(self):
-        rows = _fiber_rows(((0, 1, 1, 1), 20))
+        rows = _fiber_rows(((0, 1, 1, 1), 20, False)).splitlines()
         assert rows and all(row.split("|")[3].startswith("Z,") for row in rows)
         assert all(row.endswith("SING") for row in rows)
 
