@@ -49,10 +49,13 @@ and singularity, so a fiber's tally depends only on the sorted |x_i|: the
 representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
-Dumps walk the fiber of every canonical base point, one fiber at a time
-(:func:`point_rows`), and build each row from two per-fiber tables: the
-signed table of each coordinate value's text, and the tail
-|height|flags plus newline of each key; a fiber's rows go out as one str.
+Dumps take the same orbits and still write every fiber, one at a time
+(:func:`point_rows`), but walk and check only the representative's fiber,
+once per process, grouped by the sign pattern of its points
+(:func:`_rep_walk`).  Each member's rows come from it by table lookups
+(:func:`_fiber_rows`): the signed texts of the permuted, signed
+coordinates, and the tail |height|flags plus newline of each key, its
+pair-locus bits remapped; a fiber's rows go out as one str.
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -65,6 +68,8 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter, namedtuple
+from functools import lru_cache, partial
+from operator import add, itemgetter
 
 from .arith import (
     InvalidArgument,
@@ -574,43 +579,177 @@ def _checked_points(x_coords, ys) -> list[int]:
     return keys
 
 
-def _fiber_rows(args) -> str:
-    """Worker task: the dump rows of the fiber above x, each ending in a
-    newline, as one str; in numeric order of y, or sorted as strings when
-    as_text holds.
-
-    The fiber profile, the row head x| and the flag field of each of the
-    eight pair-locus patterns are built once per fiber, and so are signed
-    tables of the text of each coordinate value (:func:`_signed`) and the
-    row tail |height|flags plus newline of each key of
-    :func:`_checked_points`, up to the largest height present: a row is
-    four looked-up texts, the first with the head, and the tail of its key.
-    Either order takes one sort: the walk's numeric sort, or the rows' sort
-    as strings.
-    """
-    x_coords, height_bound, as_text = args
-    lifts, singular, _ = _fiber_profile(x_coords)
-    liftable = any(lifts.values())
-    hx3 = max(map(abs, x_coords)) ** 3
-    head = f"{ProjectivePoint(x_coords)}|"
-    # the flag field of each pair-locus pattern k = key & 7, V_p in bit p - 1
-    fields = [
-        _flag_field(liftable or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS}, lifts, singular)
+@lru_cache(maxsize=None)
+def _flag_fields(lifts: tuple[bool, ...], singular: bool) -> tuple[str, ...]:
+    """The flag field of each pair-locus pattern k = key & 7 (V_p in bit
+    p - 1), each ending in a newline, over a fiber whose pairings 1, 2, 3
+    lift as lifts says: built once per profile, of which there are at most
+    16."""
+    lift_of = dict(zip(PAIRINGS, lifts))
+    return tuple(
+        _flag_field(any(lifts) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS}, lift_of,
+                    singular) + "\n"
         for k in range(8)
-    ]
-    walk = _fiber_walk if as_text else _fiber_coords
-    ys = walk(x_coords, height_bound // hx3)
-    keys = _checked_points(x_coords, ys)
+    )
+
+
+def _orbit_members(rep) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The canonical base points x in the orbit of the representative rep
+    (:func:`_base_orbits`), each with one signed permutation (perm, signs)
+    that sends rep to it: x_k = signs[k] * rep[perm[k]], and signs[k] = 1
+    where x_k = 0."""
+    members = {}
+    for perm in itertools.permutations(range(4)):
+        values = [rep[p] for p in perm]
+        nonzero = [k for k, v in enumerate(values) if v]
+        # the first nonzero entry of a canonical x is positive
+        for tail in itertools.product((1, -1), repeat=len(nonzero) - 1):
+            signs = [1] * 4
+            for k, s in zip(nonzero[1:], tail):
+                signs[k] = s
+            members.setdefault(tuple(s * v for s, v in zip(signs, values)), (perm, tuple(signs)))
+    return members
+
+
+def _pair_locus_map(perm) -> list[int]:
+    """The pair-locus patterns (V_p in bit p - 1) over a member of rep's
+    orbit, x_k = +-rep[perm[k]], by those over rep: entry k is the pattern
+    of x's point that comes from a point of rep's fiber with pattern k.
+    x's V_q is rep's V for the pairing that groups perm[0] with perm[q]:
+    0 with the other index, or else the index of 1, 2, 3 in neither."""
+    a = perm[0]
+    pairings = [a + b if not a * b else 6 - a - b for b in perm[1:]]
+    return [sum((k >> p - 1 & 1) << q for q, p in enumerate(pairings)) for k in range(8)]
+
+
+def _negated(table: list) -> list:
+    """The signed table (:func:`_signed`) whose entry for v is table's entry
+    for -v."""
+    return table[:1] + table[:0:-1]
+
+
+def _sort_by(items: list, keys) -> None:
+    """Sort items in place, stably, by the keys given in their order.
+
+    list.sort computes every key once, in list order, before it sorts, so
+    the key function can hand out the keys one after another: they are
+    never held in a list of their own, nor is a list of indices.
+    """
+    items.sort(key=partial(next, iter(keys)))
+
+
+def _rep_walk(rep, fiber_bound: int):
+    """The fiber over an orbit representative, walked and checked once for
+    every member of the orbit (:func:`_fiber_rows`): (top, groups, texts).
+
+    top is the largest height H(y).  The points are grouped by sign
+    pattern, at most 81 of them: each group is (pattern, columns, keys),
+    the pattern as four signs -1, 0 or 1, the four coordinate columns
+    (None where the pattern is 0) and the keys of :func:`_checked_points`,
+    as views of one array of machine ints per column.  texts are the
+    signed tables (:func:`_signed`) of each value's text followed by ":",
+    and of the bare text.
+    """
+    # imported here: only dumps need it, and import time counts for every command
+    from array import array
+
+    ys = _fiber_walk(rep, fiber_bound)
+    keys = _checked_points(rep, ys)
     top = max(keys, default=0) >> 3
-    # each coordinate's text with what precedes or follows it in a row
+    # the sign pattern as a base-3 code: digit 1 for a positive entry, 2 for a negative one
+    digits = [int(v > 0) + 2 * (v < 0) for v in _signed(top)]
+    d0, d1, d2, d3 = ([d * 3 ** (3 - k) for d in digits] for k in range(4))
+    patterns = bytes(d0[y0] + d1[y1] + d2[y2] + d3[y3] for y0, y1, y2, y3 in ys)
+    _sort_by(ys, patterns)
+    _sort_by(keys, patterns)  # stable with the same keys: the same order
+    patterns = sorted(patterns)
+    typecode = "h" if top < 4096 else "q"  # a key is top << 3 | 7 at most
+    columns = [memoryview(array(typecode, list(map(itemgetter(k), ys)))) for k in range(4)]
+    keys = memoryview(array(typecode, keys))
+    groups = []
+    for code in sorted(set(patterns)):
+        cut = slice(bisect_left(patterns, code), bisect_left(patterns, code + 1))
+        pattern = tuple((0, 1, -1)[code // 3 ** (3 - k) % 3] for k in range(4))
+        cols = [col[cut] if sign else None for sign, col in zip(pattern, columns)]
+        groups.append((pattern, cols, keys[cut]))
     text = list(map(str, _signed(top)))
-    firsts = [f"{head}{v}:" for v in text]
-    inner = [f"{v}:" for v in text]
-    tails = [f"|{hx3 * h}|{field}\n" for h in range(top + 1) for field in fields]
-    rows = [f"{firsts[y0]}{inner[y1]}{inner[y2]}{text[y3]}{tails[key]}"
-            for (y0, y1, y2, y3), key in zip(ys, keys)]
+    return top, groups, ([v + ":" for v in text], text)
+
+
+#: this process's walks of the orbits that a dump stream has open:
+#: (representative, fiber bound) -> (stream index of the orbit's last
+#: member, walk of :func:`_rep_walk`); point_rows empties it as it starts
+_walks = {}
+
+
+def _fiber_rows(args) -> str:
+    """Worker task: the dump rows of the fiber above the base point x, each
+    ending in a newline, as one str; in numeric order of y, or sorted as
+    strings when as_text holds.
+
+    args is (x, rep, perm, signs, height_bound, as_text, index, until): x
+    is the member at position index of the stream, sent there from its
+    orbit's representative rep by x_k = signs[k] * rep[perm[k]], checked
+    also under python -O, and until is the position of the orbit's last
+    member.  The representative's fiber is walked and checked once per
+    process (:func:`_rep_walk`) and dropped after the task at until or
+    later.
+
+    The signed permutation sends each point y of that fiber to the
+    canonical form of z, z_k = signs[k] * y[perm[k]], of the same height;
+    within a sign pattern of y the sign that makes z canonical is one
+    constant.  x's pair-locus bit q is rep's bit for the pairing that groups
+    perm[0] with perm[q] (:func:`_pair_locus_map`), so one table of eight
+    flag fields, from x's own fiber profile (its liftability and rank
+    cross-check runs for every base point), remaps rep's keys.  A row is
+    five lookups in column order, fewer where the pattern is 0: the texts
+    of the signed values, the first with the head x|, and the tail
+    |height|flags plus newline of rep's key.
+    Either order takes one sort: the rows as strings, or the rows by the
+    int sum of z_k * (2*top + 1)^(3 - k), which orders as the tuples z do.
+    """
+    x, rep, perm, signs, height_bound, as_text, index, until = args
+    if tuple(s * rep[p] for s, p in zip(signs, perm)) != x:
+        raise RuntimeError(f"the signed permutation {perm}, {signs} does not send {rep} to {x}")
+    lifts, singular, _ = _fiber_profile(x)
+    fields = _flag_fields(tuple(lifts.values()), singular)
+    hx3 = max(rep) ** 3
+    walk_key = rep, height_bound // hx3
+    if walk_key not in _walks:
+        _walks[walk_key] = until, _rep_walk(*walk_key)
+    top, groups, (inner, last) = _walks[walk_key][1]
+    remapped = [fields[k] for k in _pair_locus_map(perm)]
+    tails = [f"|{hx3 * h}|{field}" for h in range(top + 1) for field in remapped]
+    head = ":".join(map(str, x)) + "|"
+    firsts = [head + v for v in inner]
+    # each coordinate's signed text tables, for y[perm[k]] and for its negative
+    texts = [(t, _negated(t)) for t in (firsts, inner, inner, last)]
+    if not as_text:
+        # z_k * width^(3 - k) for each coordinate k, for y[perm[k]] and for its negative
+        width = 2 * top + 1
+        places = [[width ** (3 - k) * v for v in _signed(top)] for k in range(4)]
+        places = [(p, _negated(p)) for p in places]
+    rows, codes = [], []
+    for pattern, columns, keys in groups:
+        # the sign that makes the image canonical: that of its first nonzero entry
+        flip = next(signs[k] * pattern[p] for k, p in enumerate(perm) if pattern[p])
+        row_parts, code = [], itertools.repeat(0)
+        for k, p in enumerate(perm):
+            negate = flip * signs[k] < 0
+            if not pattern[p]:
+                row_parts.append(itertools.repeat(texts[k][0][0]))
+                continue
+            row_parts.append(map(texts[k][negate].__getitem__, columns[p]))
+            if not as_text:
+                code = map(add, code, map(places[k][negate].__getitem__, columns[p]))
+        rows += map("".join, zip(*row_parts, map(tails.__getitem__, keys)))
+        codes.append(code)
+    for done in [k for k, (end, _) in _walks.items() if end <= index]:
+        del _walks[done]
     if as_text:
         rows.sort()
+    else:
+        _sort_by(rows, itertools.chain.from_iterable(codes))
     return "".join(rows)
 
 
@@ -640,12 +779,26 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     as_text sorts the rows as strings instead: base points by str(x) + "|",
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
+
+    The base points are the members of the orbits that count_series counts
+    (:func:`_base_orbits`, :func:`_orbit_members`); each process walks one
+    fiber per orbit and keeps it until the orbit's last member in stream
+    order is done.
     """
     height_bound = _integer(height_bound, "height bound", 1)
-    xs = list(canonical_coords(4, _base_height(height_bound)))
+    members = [
+        (x, rep, *member)
+        for rep, _ in _base_orbits(_base_height(height_bound))
+        for x, member in _orbit_members(rep).items()
+    ]
     if as_text:
-        xs.sort(key=lambda c: str(ProjectivePoint(c)) + "|")
-    yield from _pool_map(_fiber_rows, [(c, height_bound, as_text) for c in xs], workers)
+        members.sort(key=lambda m: ":".join(map(str, m[0])) + "|")
+    else:
+        members.sort()
+    until = {m[1]: index for index, m in enumerate(members)}
+    tasks = [(*m, height_bound, as_text, index, until[m[1]]) for index, m in enumerate(members)]
+    _walks.clear()
+    yield from _pool_map(_fiber_rows, tasks, workers)
 
 
 def count_series(height_bounds, workers: int = 1) -> CountSeries:

@@ -7,10 +7,20 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-from cubicbundle.arith import _integer, exact_cube_root, naive_height
+from cubicbundle.arith import ProjectivePoint, _integer, exact_cube_root, naive_height
+from cubicbundle.classify import _fiber_profile
 from cubicbundle.cli import random_surface
-from cubicbundle.enumeration import _half_box, base_points, enumerate_fiber
-from cubicbundle.geometry import BundlePoint, pairing_pairs
+from cubicbundle.enumeration import (
+    _checked_points,
+    _fiber_coords,
+    _fiber_walk,
+    _flag_field,
+    _half_box,
+    _signed,
+    base_points,
+    enumerate_fiber,
+)
+from cubicbundle.geometry import PAIRINGS, BundlePoint, pairing_pairs
 
 
 def random_surfaces(count, seed):
@@ -43,6 +53,37 @@ def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
             y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
             ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
     return ys
+
+
+def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
+    """The dump rows of the fiber above the canonical x, each ending in a
+    newline, as one str, in numeric order of y or sorted as strings: the
+    walk and the per-point checks of x's own fiber, which the rows that
+    enumeration._fiber_rows builds from the orbit representative's walk
+    are compared against.  A row is four texts from signed tables of the
+    coordinate values, the first with the head x|, and the tail
+    |height|flags plus newline of the point's key."""
+    lifts, singular, _ = _fiber_profile(x_coords)
+    hx3 = max(map(abs, x_coords)) ** 3
+    head = f"{ProjectivePoint(x_coords)}|"
+    # the flag field of each pair-locus pattern k = key & 7, V_p in bit p - 1
+    fields = [
+        _flag_field(any(lifts.values()) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
+                    lifts, singular)
+        for k in range(8)
+    ]
+    ys = (_fiber_walk if as_text else _fiber_coords)(x_coords, height_bound // hx3)
+    keys = _checked_points(x_coords, ys)
+    top = max(keys, default=0) >> 3
+    text = list(map(str, _signed(top)))
+    firsts = [f"{head}{v}:" for v in text]
+    inner = [f"{v}:" for v in text]
+    tails = [f"|{hx3 * h}|{field}\n" for h in range(top + 1) for field in fields]
+    rows = [f"{firsts[y0]}{inner[y1]}{inner[y2]}{text[y3]}{tails[key]}"
+            for (y0, y1, y2, y3), key in zip(ys, keys)]
+    if as_text:
+        rows.sort()
+    return "".join(rows)
 
 
 def in_pair_locus(p, pairing: int) -> bool:

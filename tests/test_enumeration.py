@@ -36,9 +36,15 @@ from cubicbundle.enumeration import (
     _fiber_coords,
     _fiber_locus,
     _fiber_rows,
+    _fiber_walk,
+    _flag_field,
+    _flag_fields,
     _half_box,
     _linear_locus,
+    _orbit_members,
+    _pair_locus_map,
     _signed,
+    _sort_by,
     _surface_scan,
     base_points,
     canonical_coords,
@@ -49,7 +55,7 @@ from cubicbundle.enumeration import (
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
-from oracles import box_coords, enumerate_bundle
+from oracles import box_coords, enumerate_bundle, fiber_rows
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -157,6 +163,28 @@ def classified_rows(height_bound):
 def dump_text(rows):
     """The dump of the given rows: each row and a newline."""
     return "".join(row + "\n" for row in rows)
+
+
+def member_task(xs, height_bound, as_text, perm=None, signs=None):
+    """The _fiber_rows task of the canonical base point xs alone: first and
+    last of its stream, sent from its orbit's representative by its own
+    signed permutation unless another is given."""
+    rep = tuple(sorted(map(abs, xs)))
+    own_perm, own_signs = _orbit_members(rep)[xs]
+    return (xs, rep, perm or own_perm, signs or own_signs, height_bound, as_text, 0, 0)
+
+
+def member_rows(xs, height_bound, as_text):
+    """The dump rows of the fiber above xs, built from its representative's walk."""
+    return _fiber_rows(member_task(xs, height_bound, as_text))
+
+
+def member_point(perm, signs, y):
+    """The point of the member's fiber that the signed permutation makes
+    of the representative's point y: z_k = signs[k] * y[perm[k]], made
+    canonical."""
+    z = tuple(s * y[p] for s, p in zip(signs, perm))
+    return z if z > (0, 0, 0, 0) else tuple(-v for v in z)
 
 
 @pytest.fixture
@@ -517,7 +545,8 @@ class TestPointRows:
         stream = point_rows(8, as_text=True)
         first = next(stream)
         assert first.startswith("0:0:0:1|")
-        assert len(calls) == 1
+        # one fiber task, the stream's first: the base point 0:0:0:1
+        assert [(args[0], args[6]) for args in calls] == [((0, 0, 0, 1), 0)]
         # one unit holds the whole fiber, every row newline-terminated
         rows = first.splitlines(keepends=True)
         assert len(rows) > 1
@@ -531,7 +560,50 @@ class TestPointRows:
         assert recording_pool["sizes"] == [2]
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1)]
+        # one task per base point, in stream order: the point, its orbit's
+        # representative and signed permutation, the bound, the order, and
+        # the positions of the task and of the orbit's last member
+        assert [task[0] for task in tasks] == list(canonical_coords(4, 1))
+        last = {task[1]: index for index, task in enumerate(tasks)}
+        for index, (xs, rep, perm, signs, *rest) in enumerate(tasks):
+            assert rep == tuple(sorted(map(abs, xs)))
+            assert (perm, signs) == _orbit_members(rep)[xs]
+            assert rest == [1, False, index, last[rep]]
+
+    def test_orbits_split_over_two_workers(self, monkeypatch):
+        # B = 8: 272 fibers of 10 orbits, whose members interleave in the
+        # stream, so both workers walk most representatives
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        one = list(point_rows(8, as_text=True))
+        assert list(point_rows(8, workers=2, as_text=True)) == one
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_two_walk_caches_give_the_one_process_stream(self, monkeypatch, recording_pool,
+                                                         as_text):
+        # the tasks dealt alternately to two processes, each with its own cache
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        list(point_rows(8, workers=2, as_text=as_text))
+        [(tasks, _)] = recording_pool["maps"]
+        caches, out = ({}, {}), []
+        for index, task in enumerate(tasks):
+            monkeypatch.setattr(enumeration, "_walks", caches[index % 2])
+            out.append(_fiber_rows(task))
+        assert out == list(point_rows(8, as_text=as_text))
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_walks_are_kept_while_their_orbit_is_open(self, monkeypatch, recording_pool, as_text):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        list(point_rows(12, workers=2, as_text=as_text))
+        [(tasks, _)] = recording_pool["maps"]
+        first, last = {}, {}
+        for index, task in enumerate(tasks):
+            first.setdefault(task[1], index)
+            last[task[1]] = index
+        for index, _ in enumerate(point_rows(12, as_text=as_text)):
+            # after the task at index: the orbits with a member up to index and one after it
+            expected = {rep for rep in first if first[rep] <= index < last[rep]}
+            assert {rep for rep, _ in enumeration._walks} == expected
+        assert enumeration._walks == {}
 
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
@@ -552,16 +624,18 @@ class TestPointRows:
             next(point_rows(2, workers=workers))
 
     def test_off_bundle_point_raises(self, monkeypatch):
-        # (0:0:0:1) is not on the fiber over the first base point (0:0:0:1)
-        monkeypatch.setattr(enumeration, "_fiber_coords", lambda xs, bound: [(0, 0, 0, 1)])
-        with pytest.raises(NotOnVariety, match=r"\(0:0:0:1, 0:0:0:1\) is not on the bundle"):
-            next(point_rows(1))
+        # (0:0:0:1) is not on the fiber over the first base point (0:0:0:1),
+        # its own orbit's representative, whose walk both orders check
+        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [(0, 0, 0, 1)])
+        for as_text in (False, True):
+            with pytest.raises(NotOnVariety, match=r"\(0:0:0:1, 0:0:0:1\) is not on the bundle"):
+                next(point_rows(1, as_text=as_text))
 
     def test_off_bundle_check_survives_optimize(self):
         code = textwrap.dedent("""
             from cubicbundle import enumeration
             assert False, "asserts must be off"
-            enumeration._fiber_coords = lambda xs, bound: [(0, 0, 0, 1)]
+            enumeration._fiber_walk = lambda xs, bound: [(0, 0, 0, 1)]
             next(enumeration.point_rows(1))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
@@ -606,8 +680,8 @@ class TestFiberRows:
         expected = self.oracle(x, y_bound)
         # a bound between multiples of H(x)^3 gives the same fiber
         for height_bound in (hx3 * y_bound, hx3 * y_bound + hx3 - 1):
-            assert _fiber_rows((x.coords, height_bound, False)) == dump_text(expected)
-            assert _fiber_rows((x.coords, height_bound, True)) == dump_text(sorted(expected))
+            assert member_rows(x.coords, height_bound, False) == dump_text(expected)
+            assert member_rows(x.coords, height_bound, True) == dump_text(sorted(expected))
 
     @pytest.mark.parametrize("xs", ROW_SHAPES)
     def test_keys_decode_to_height_and_pair_loci(self, xs):
@@ -623,14 +697,24 @@ class TestFiberRows:
     def test_point_beyond_the_fiber_bound_gets_the_oracle_row(self, monkeypatch):
         # H(y) = 18 and 37 above the fiber bound 2 over 1:1:1:2: coordinate
         # texts and heights beyond those of the points within the bound
-        ys = [(1, -1, 0, 0), (1, -18, 7, 14), (6, -37, -35, 36)]
-        monkeypatch.setattr(enumeration, "_fiber_coords", lambda xs, bound: ys)
+        ys = [(1, -1, 0, 0), (6, -37, -35, 36), (1, -18, 7, 14)]
+        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
+        monkeypatch.setattr(enumeration, "_walks", {})
         x = ProjectivePoint((1, 1, 1, 2))
         expected = [
             point_row(classify_point(BundlePoint(x, y)), naive_height(x) ** 3 * naive_height(y))
-            for y in map(ProjectivePoint, ys)
+            for y in map(ProjectivePoint, sorted(ys))
         ]
-        assert _fiber_rows(((1, 1, 1, 2), 16, False)) == dump_text(expected)
+        assert member_rows((1, 1, 1, 2), 16, False) == dump_text(expected)
+        # a member of its orbit gets the rows of the mapped points, the
+        # representative's walk being x's own only at the identity
+        member = ProjectivePoint((2, -1, 1, 1))
+        perm, signs = _orbit_members((1, 1, 1, 2))[member.coords]
+        expected = [
+            point_row(classify_point(BundlePoint(member, z)), 8 * naive_height(z))
+            for z in map(ProjectivePoint, sorted(member_point(perm, signs, y) for y in ys))
+        ]
+        assert member_rows(member.coords, 16, False) == dump_text(expected)
 
     @pytest.mark.parametrize("top", range(6))
     def test_signed_table_reads_each_value_at_its_own_index(self, top):
@@ -657,6 +741,7 @@ class TestFiberRows:
         # point of height 12 beyond it whose -12 and -1 must not share a text
         ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -3, 3, -1), (12, -12, 1, -1), (1, -1, 12, -12)]
         monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
+        monkeypatch.setattr(enumeration, "_walks", {})
         x = ProjectivePoint((1, 1, 1, 1))
         # numeric order sorts the walk, text order the rows
         expected = [
@@ -665,23 +750,117 @@ class TestFiberRows:
         ]
         if as_text:
             expected.sort()
-        assert _fiber_rows(((1, 1, 1, 1), 3, as_text)) == dump_text(expected)
+        assert member_rows((1, 1, 1, 1), 3, as_text) == dump_text(expected)
 
     def test_fermat_fiber_flags(self):
-        rows = _fiber_rows(((1, 1, 1, 1), 20, False)).splitlines()
+        rows = member_rows((1, 1, 1, 1), 20, False).splitlines()
         assert all(row.endswith("L1,L2,L3") for row in rows)
         # (1, -1, 1, -1) lies on V1 and V3 but not on V2
         assert "1:1:1:1|1:-1:1:-1|1|Z,V1,V3,L1,L2,L3" in rows
 
     def test_non_liftable_fiber_flags(self):
-        rows = _fiber_rows(((1, 2, 3, 5), 125 * 20, False)).splitlines()
+        rows = member_rows((1, 2, 3, 5), 125 * 20, False).splitlines()
         assert not any("L" in row for row in rows)
         assert "1:2:3:5|1:1:-1:0|125|-" in rows
 
     def test_cone_fiber_flags(self):
-        rows = _fiber_rows(((0, 1, 1, 1), 20, False)).splitlines()
+        rows = member_rows((0, 1, 1, 1), 20, False).splitlines()
         assert rows and all(row.split("|")[3].startswith("Z,") for row in rows)
         assert all(row.endswith("SING") for row in rows)
+
+
+class TestOrbitRows:
+    """Each base point's rows, built from its orbit representative's walk,
+    equal those of its own walk."""
+
+    @staticmethod
+    def orbit_tasks(x_max, y_bound, as_text):
+        """The tasks of every canonical base point with H(x) <= x_max at the
+        fiber bound y_bound, orbit by orbit, each orbit's walk kept from its
+        first member to its last."""
+        tasks = []
+        for rep, _ in _base_orbits(x_max):
+            members = list(_orbit_members(rep).items())
+            until = len(tasks) + len(members) - 1
+            for xs, (perm, signs) in members:
+                tasks.append((xs, rep, perm, signs, max(rep) ** 3 * y_bound, as_text, len(tasks),
+                              until))
+        return tasks
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_match_the_per_base_point_walk(self, monkeypatch, as_text):
+        # fiber bound 10: two-digit and negative coordinates in most fibers
+        monkeypatch.setattr(enumeration, "_walks", {})
+        tasks = self.orbit_tasks(3, 10, as_text)
+        assert sorted(task[0] for task in tasks) == list(canonical_coords(4, 3))
+        for task in tasks:
+            xs, height_bound = task[0], task[4]
+            assert _fiber_rows(task) == fiber_rows(xs, height_bound, as_text), xs
+        assert enumeration._walks == {}
+
+    def test_remapped_pair_loci_are_the_members_own(self):
+        checked = 0
+        for rep, _ in _base_orbits(3):
+            ys = _fiber_walk(rep, 4)
+            keys = _checked_points(rep, ys)
+            for xs, (perm, signs) in _orbit_members(rep).items():
+                x = ProjectivePoint(xs)
+                remap = _pair_locus_map(perm)
+                for y, key in zip(ys, keys):
+                    z = ProjectivePoint(member_point(perm, signs, y))
+                    assert naive_height(z) == key >> 3
+                    bits = remap[key & 7]
+                    in_v = classify_point(BundlePoint(x, z)).in_V
+                    assert {p: bits >> p - 1 & 1 == 1 for p in PAIRINGS} == in_v, (xs, z)
+                    checked += 1
+        assert checked > 10_000
+
+    def test_wrong_signed_permutation_raises(self):
+        # the identity sends 0:0:1:1 to itself, not to 0:0:1:-1
+        task = member_task((0, 0, 1, -1), 1, False, perm=(0, 1, 2, 3), signs=(1, 1, 1, 1))
+        with pytest.raises(RuntimeError, match=r"does not send \(0, 0, 1, 1\) to \(0, 0, 1, -1\)"):
+            _fiber_rows(task)
+
+    def test_wrong_signed_permutation_raises_under_optimize(self):
+        code = textwrap.dedent("""
+            from cubicbundle import enumeration
+            assert False, "asserts must be off"
+            enumeration._fiber_rows(
+                ((0, 0, 1, -1), (0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1), 1, False, 0, 0))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == ("RuntimeError: the signed permutation (0, 1, 2, 3), (1, 1, 1, 1) "
+                        "does not send (0, 0, 1, 1) to (0, 0, 1, -1)")
+
+    def test_flag_fields_are_built_once_per_profile(self):
+        _flag_fields.cache_clear()
+        "".join(point_rows(12, as_text=True))
+        profiles = {
+            (tuple(lifts.values()), singular)
+            for lifts, singular, _ in map(classify._fiber_profile, canonical_coords(4, 2))
+        }
+        info = _flag_fields.cache_info()
+        assert info.currsize == len(profiles) <= 16
+        assert info.hits + info.misses == 272
+        for lifts, singular in profiles:
+            lift_of = dict(zip(PAIRINGS, lifts))
+            assert _flag_fields(lifts, singular) == tuple(
+                _flag_field(any(lifts) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
+                            lift_of, singular) + "\n"
+                for k in range(8)
+            )
+
+    def test_sort_by_takes_the_keys_in_list_order(self):
+        items = ["d", "c", "b", "a"]
+        _sort_by(items, iter([2, 1, 2, 0]))
+        # stable: d before b, which share the key 2
+        assert items == ["a", "c", "d", "b"]
 
 
 class TestBaseOrbits:
@@ -697,6 +876,19 @@ class TestBaseOrbits:
         # the number of canonical base points
         members = Counter(map(self.representative, canonical_coords(4, x_max)))
         assert dict(_base_orbits(x_max)) == members
+
+    @pytest.mark.parametrize("x_max", range(1, 6))
+    def test_orbit_members_are_the_canonical_base_points(self, x_max):
+        seen = []
+        for rep, weight in _base_orbits(x_max):
+            members = _orbit_members(rep)
+            assert len(members) == weight
+            for xs, (perm, signs) in members.items():
+                assert sorted(perm) == [0, 1, 2, 3]
+                assert xs == tuple(s * rep[p] for s, p in zip(signs, perm))
+                assert all(s == 1 for s, v in zip(signs, xs) if v == 0)
+            seen += members
+        assert sorted(seen) == list(canonical_coords(4, x_max))
 
     def test_orbit_members_share_the_representative_tally(self):
         bounds = (1, 2, 4, 8, 16, 32, 64)
