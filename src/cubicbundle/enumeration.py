@@ -49,11 +49,12 @@ and singularity, so a fiber's tally depends only on the sorted |x_i|: the
 representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
-Dumps take the same orbits and still write every fiber, one at a time
-(:func:`point_rows`), but walk and check only the representative's fiber,
-once per process, grouped by the sign pattern of its points
-(:func:`_rep_walk`).  Each member's rows come from it by table lookups
-(:func:`_fiber_rows`): the signed texts of the permuted, signed
+Dumps still write every fiber, one base point at a time
+(:func:`point_rows`), but walk and check only the fiber of its orbit's
+representative, grouped by the sign pattern of its points and cached for
+the rest of the stream in each process that meets the orbit
+(:func:`_rep_walk`).  A base point's rows come from that walk by table
+lookups (:func:`_fiber_rows`): the signed texts of the permuted, signed
 coordinates, and the tail |height|flags plus newline of each key, its
 pair-locus bits remapped; a fiber's rows go out as one str.
 The oracle for the orbit weights, the closed form and the dumps is
@@ -593,22 +594,14 @@ def _flag_fields(lifts: tuple[bool, ...], singular: bool) -> tuple[str, ...]:
     )
 
 
-def _orbit_members(rep) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The canonical base points x in the orbit of the representative rep
-    (:func:`_base_orbits`), each with one signed permutation (perm, signs)
-    that sends rep to it: x_k = signs[k] * rep[perm[k]], and signs[k] = 1
-    where x_k = 0."""
-    members = {}
-    for perm in itertools.permutations(range(4)):
-        values = [rep[p] for p in perm]
-        nonzero = [k for k, v in enumerate(values) if v]
-        # the first nonzero entry of a canonical x is positive
-        for tail in itertools.product((1, -1), repeat=len(nonzero) - 1):
-            signs = [1] * 4
-            for k, s in zip(nonzero[1:], tail):
-                signs[k] = s
-            members.setdefault(tuple(s * v for s, v in zip(signs, values)), (perm, tuple(signs)))
-    return members
+def _orbit_map(x):
+    """(rep, perm, signs) for the canonical base point x: its orbit's
+    representative rep = sorted |x_k| (:func:`_base_orbits`) and a signed
+    permutation that sends rep to x, x_k = signs[k] * rep[perm[k]], by a
+    stable argsort of |x|; signs[k] = 1 where x_k = 0."""
+    order = sorted(range(4), key=lambda k: abs(x[k]))
+    perm = tuple(map(order.index, range(4)))  # perm[order[i]] = i
+    return tuple(abs(x[k]) for k in order), perm, tuple(-1 if v < 0 else 1 for v in x)
 
 
 def _pair_locus_map(perm) -> list[int]:
@@ -638,9 +631,12 @@ def _sort_by(items: list, keys) -> None:
     items.sort(key=partial(next, iter(keys)))
 
 
+@lru_cache(maxsize=None)
 def _rep_walk(rep, fiber_bound: int):
-    """The fiber over an orbit representative, walked and checked once for
-    every member of the orbit (:func:`_fiber_rows`): (top, groups, texts).
+    """The fiber over an orbit representative, walked and checked once per
+    process and dump stream for every member of the orbit that the process
+    meets (:func:`_fiber_rows`; :func:`point_rows` empties the cache as a
+    stream starts and ends): (top, groups, texts).
 
     top is the largest height H(y).  The points are grouped by sign
     pattern, at most 81 of them: each group is (pattern, columns, keys),
@@ -676,24 +672,16 @@ def _rep_walk(rep, fiber_bound: int):
     return top, groups, ([v + ":" for v in text], text)
 
 
-#: this process's walks of the orbits that a dump stream has open:
-#: (representative, fiber bound) -> (stream index of the orbit's last
-#: member, walk of :func:`_rep_walk`); point_rows empties it as it starts
-_walks = {}
-
-
 def _fiber_rows(args) -> str:
     """Worker task: the dump rows of the fiber above the base point x, each
     ending in a newline, as one str; in numeric order of y, or sorted as
     strings when as_text holds.
 
-    args is (x, rep, perm, signs, height_bound, as_text, index, until): x
-    is the member at position index of the stream, sent there from its
-    orbit's representative rep by x_k = signs[k] * rep[perm[k]], checked
-    also under python -O, and until is the position of the orbit's last
-    member.  The representative's fiber is walked and checked once per
-    process (:func:`_rep_walk`) and dropped after the task at until or
-    later.
+    args is (x, height_bound, as_text).  x is sent from its orbit's
+    representative rep = sorted |x_k| by x_k = signs[k] * rep[perm[k]]
+    (:func:`_orbit_map`), checked also under python -O.  The
+    representative's fiber is walked and checked once per process and
+    stream (:func:`_rep_walk`).
 
     The signed permutation sends each point y of that fiber to the
     canonical form of z, z_k = signs[k] * y[perm[k]], of the same height;
@@ -708,16 +696,14 @@ def _fiber_rows(args) -> str:
     Either order takes one sort: the rows as strings, or the rows by the
     int sum of z_k * (2*top + 1)^(3 - k), which orders as the tuples z do.
     """
-    x, rep, perm, signs, height_bound, as_text, index, until = args
+    x, height_bound, as_text = args
+    rep, perm, signs = _orbit_map(x)
     if tuple(s * rep[p] for s, p in zip(signs, perm)) != x:
         raise RuntimeError(f"the signed permutation {perm}, {signs} does not send {rep} to {x}")
     lifts, singular, _ = _fiber_profile(x)
     fields = _flag_fields(tuple(lifts.values()), singular)
     hx3 = max(rep) ** 3
-    walk_key = rep, height_bound // hx3
-    if walk_key not in _walks:
-        _walks[walk_key] = until, _rep_walk(*walk_key)
-    top, groups, (inner, last) = _walks[walk_key][1]
+    top, groups, (inner, last) = _rep_walk(rep, height_bound // hx3)
     remapped = [fields[k] for k in _pair_locus_map(perm)]
     tails = [f"|{hx3 * h}|{field}" for h in range(top + 1) for field in remapped]
     head = ":".join(map(str, x)) + "|"
@@ -744,8 +730,6 @@ def _fiber_rows(args) -> str:
                 code = map(add, code, map(places[k][negate].__getitem__, columns[p]))
         rows += map("".join, zip(*row_parts, map(tails.__getitem__, keys)))
         codes.append(code)
-    for done in [k for k, (end, _) in _walks.items() if end <= index]:
-        del _walks[done]
     if as_text:
         rows.sort()
     else:
@@ -755,8 +739,8 @@ def _fiber_rows(args) -> str:
 
 def _pool_map(fn, tasks: list, workers: int):
     """Stream fn over tasks in order, one task at a time on each of min(workers,
-    number of tasks, CPU count) processes, or in this process when that is 1."""
-    workers = _integer(workers, "workers", 1)
+    number of tasks, CPU count) processes, or in this process when that is 1;
+    workers is a checked int."""
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size <= 1:
         yield from map(fn, tasks)
@@ -780,25 +764,21 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
 
-    The base points are the members of the orbits that count_series counts
-    (:func:`_base_orbits`, :func:`_orbit_members`); each process walks one
-    fiber per orbit and keeps it until the orbit's last member in stream
-    order is done.
+    Each process walks the representative fiber of every orbit it meets
+    once (:func:`_rep_walk`) and keeps the walk for the rest of the stream;
+    with workers > 1 the tasks are dealt out one at a time, so each process
+    walks most orbits.
     """
     height_bound = _integer(height_bound, "height bound", 1)
-    members = [
-        (x, rep, *member)
-        for rep, _ in _base_orbits(_base_height(height_bound))
-        for x, member in _orbit_members(rep).items()
-    ]
+    workers = _integer(workers, "workers", 1)
+    xs = canonical_coords(4, _base_height(height_bound))
     if as_text:
-        members.sort(key=lambda m: ":".join(map(str, m[0])) + "|")
-    else:
-        members.sort()
-    until = {m[1]: index for index, m in enumerate(members)}
-    tasks = [(*m, height_bound, as_text, index, until[m[1]]) for index, m in enumerate(members)]
-    _walks.clear()
-    yield from _pool_map(_fiber_rows, tasks, workers)
+        xs = sorted(xs, key=lambda x: ":".join(map(str, x)) + "|")
+    _rep_walk.cache_clear()  # before a pool forks, so its workers start empty
+    try:
+        yield from _pool_map(_fiber_rows, [(x, height_bound, as_text) for x in xs], workers)
+    finally:
+        _rep_walk.cache_clear()
 
 
 def count_series(height_bounds, workers: int = 1) -> CountSeries:

@@ -86,6 +86,25 @@ def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
     return "".join(rows)
 
 
+def orbit_members(rep) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The canonical base points x in the orbit of the representative rep
+    (enumeration._base_orbits), each with one signed permutation
+    (perm, signs) that sends rep to it: x_k = signs[k] * rep[perm[k]], and
+    signs[k] = 1 where x_k = 0.  Every permutation and sign is tried: the
+    orbit weights and enumeration._orbit_map are compared against it."""
+    members = {}
+    for perm in itertools.permutations(range(4)):
+        values = [rep[p] for p in perm]
+        nonzero = [k for k, v in enumerate(values) if v]
+        # the first nonzero entry of a canonical x is positive
+        for tail in itertools.product((1, -1), repeat=len(nonzero) - 1):
+            signs = [1] * 4
+            for k, s in zip(nonzero[1:], tail):
+                signs[k] = s
+            members.setdefault(tuple(s * v for s, v in zip(signs, values)), (perm, tuple(signs)))
+    return members
+
+
 def in_pair_locus(p, pairing: int) -> bool:
     """True iff both pair-sums x_i*y_i^3 + x_j*y_j^3 of the bundle point p
     vanish (membership in V_tau)."""

@@ -24,6 +24,12 @@ COUNT_8_CSV_SHA256 = "2f197215ecd3cb5479ea9a1f62c82be286aee1c54fd15063c786af766d
 COUNT_8_POINTS_SHA256 = "8b72c66af71c01bc8f4357af10b73dee4fb65d3b9599843b450e7253680007e3"
 ENUMERATE_8_SHA256 = "ee34843c7e5d5d8d4e0e442b0eb343abca5a5ed9fc682ce6cb93f775cbd15377"
 
+# SHA-256 of `enumerate --bound 27` and of the .points file of
+# `count --bounds 27 --emit-points --workers 2`: the first dumps whose
+# streams hold base points of height 3
+ENUMERATE_27_SHA256 = "e27184773420fc7d8f730e10d22b4d5fad9658838474acf5c951e3cb0b7f5929"
+COUNT_27_POINTS_SHA256 = "a8f639d58003c59355c6c6105fc82f430d1e0eda4dd4ea772bfb3550732c9826"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -146,6 +152,14 @@ class TestCount:
         assert sha256(out) == COUNT_8_CSV_SHA256
         assert sha256(tmp_path / "counts.csv.points") == COUNT_8_POINTS_SHA256
 
+    def test_height_3_dump_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "counts.csv"
+        code, _, _ = run(
+            capsys, "count", "--bounds", "27", "--emit-points", "--out", str(out), "--workers", "2",
+        )
+        assert code == 0
+        assert sha256(tmp_path / "counts.csv.points") == COUNT_27_POINTS_SHA256
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_csv_is_the_tally_of_its_own_points(self, tmp_path, capsys, workers):
         grid = [1, 2, 4, 8, 16]
@@ -184,6 +198,12 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "--bound", "8", "--out", str(out))
         assert code == 0
         assert sha256(out) == ENUMERATE_8_SHA256
+
+    def test_height_3_dump_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "points.txt"
+        code, _, _ = run(capsys, "enumerate", "--bound", "27", "--out", str(out))
+        assert code == 0
+        assert sha256(out) == ENUMERATE_27_SHA256
 
     def test_stdout_matches_out_file(self, tmp_path, capsys):
         out = tmp_path / "points.txt"

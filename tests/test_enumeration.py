@@ -41,8 +41,9 @@ from cubicbundle.enumeration import (
     _flag_fields,
     _half_box,
     _linear_locus,
-    _orbit_members,
+    _orbit_map,
     _pair_locus_map,
+    _rep_walk,
     _signed,
     _sort_by,
     _surface_scan,
@@ -55,7 +56,7 @@ from cubicbundle.enumeration import (
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
-from oracles import box_coords, enumerate_bundle, fiber_rows
+from oracles import box_coords, enumerate_bundle, fiber_rows, orbit_members
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -165,18 +166,14 @@ def dump_text(rows):
     return "".join(row + "\n" for row in rows)
 
 
-def member_task(xs, height_bound, as_text, perm=None, signs=None):
-    """The _fiber_rows task of the canonical base point xs alone: first and
-    last of its stream, sent from its orbit's representative by its own
-    signed permutation unless another is given."""
-    rep = tuple(sorted(map(abs, xs)))
-    own_perm, own_signs = _orbit_members(rep)[xs]
-    return (xs, rep, perm or own_perm, signs or own_signs, height_bound, as_text, 0, 0)
-
-
 def member_rows(xs, height_bound, as_text):
-    """The dump rows of the fiber above xs, built from its representative's walk."""
-    return _fiber_rows(member_task(xs, height_bound, as_text))
+    """The dump rows of the fiber above xs, built from its representative's
+    walk, with the walk cache empty before and after."""
+    _rep_walk.cache_clear()
+    try:
+        return _fiber_rows((xs, height_bound, as_text))
+    finally:
+        _rep_walk.cache_clear()
 
 
 def member_point(perm, signs, y):
@@ -546,7 +543,7 @@ class TestPointRows:
         first = next(stream)
         assert first.startswith("0:0:0:1|")
         # one fiber task, the stream's first: the base point 0:0:0:1
-        assert [(args[0], args[6]) for args in calls] == [((0, 0, 0, 1), 0)]
+        assert calls == [((0, 0, 0, 1), 8, True)]
         # one unit holds the whole fiber, every row newline-terminated
         rows = first.splitlines(keepends=True)
         assert len(rows) > 1
@@ -560,15 +557,8 @@ class TestPointRows:
         assert recording_pool["sizes"] == [2]
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        # one task per base point, in stream order: the point, its orbit's
-        # representative and signed permutation, the bound, the order, and
-        # the positions of the task and of the orbit's last member
-        assert [task[0] for task in tasks] == list(canonical_coords(4, 1))
-        last = {task[1]: index for index, task in enumerate(tasks)}
-        for index, (xs, rep, perm, signs, *rest) in enumerate(tasks):
-            assert rep == tuple(sorted(map(abs, xs)))
-            assert (perm, signs) == _orbit_members(rep)[xs]
-            assert rest == [1, False, index, last[rep]]
+        # one task per base point, in stream order: the point, the bound and the order
+        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1)]
 
     def test_orbits_split_over_two_workers(self, monkeypatch):
         # B = 8: 272 fibers of 10 orbits, whose members interleave in the
@@ -578,32 +568,24 @@ class TestPointRows:
         assert list(point_rows(8, workers=2, as_text=True)) == one
 
     @pytest.mark.parametrize("as_text", [False, True])
-    def test_two_walk_caches_give_the_one_process_stream(self, monkeypatch, recording_pool,
-                                                         as_text):
-        # the tasks dealt alternately to two processes, each with its own cache
+    def test_walk_cache_is_empty_when_a_stream_ends(self, as_text):
+        stream = point_rows(12, as_text=as_text)
+        next(stream)
+        assert _rep_walk.cache_info().currsize == 1
+        stream.close()
+        assert _rep_walk.cache_info().currsize == 0
+        units = list(point_rows(12, as_text=as_text))
+        assert len(units) == 272
+        assert _rep_walk.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_each_pool_task_alone_gives_the_one_process_unit(self, monkeypatch, recording_pool,
+                                                             as_text):
+        # a task gives the same rows whichever walks its process has cached
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         list(point_rows(8, workers=2, as_text=as_text))
         [(tasks, _)] = recording_pool["maps"]
-        caches, out = ({}, {}), []
-        for index, task in enumerate(tasks):
-            monkeypatch.setattr(enumeration, "_walks", caches[index % 2])
-            out.append(_fiber_rows(task))
-        assert out == list(point_rows(8, as_text=as_text))
-
-    @pytest.mark.parametrize("as_text", [False, True])
-    def test_walks_are_kept_while_their_orbit_is_open(self, monkeypatch, recording_pool, as_text):
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        list(point_rows(12, workers=2, as_text=as_text))
-        [(tasks, _)] = recording_pool["maps"]
-        first, last = {}, {}
-        for index, task in enumerate(tasks):
-            first.setdefault(task[1], index)
-            last[task[1]] = index
-        for index, _ in enumerate(point_rows(12, as_text=as_text)):
-            # after the task at index: the orbits with a member up to index and one after it
-            expected = {rep for rep in first if first[rep] <= index < last[rep]}
-            assert {rep for rep, _ in enumeration._walks} == expected
-        assert enumeration._walks == {}
+        assert [member_rows(*task) for task in tasks] == list(point_rows(8, as_text=as_text))
 
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
@@ -699,7 +681,6 @@ class TestFiberRows:
         # texts and heights beyond those of the points within the bound
         ys = [(1, -1, 0, 0), (6, -37, -35, 36), (1, -18, 7, 14)]
         monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
-        monkeypatch.setattr(enumeration, "_walks", {})
         x = ProjectivePoint((1, 1, 1, 2))
         expected = [
             point_row(classify_point(BundlePoint(x, y)), naive_height(x) ** 3 * naive_height(y))
@@ -709,7 +690,7 @@ class TestFiberRows:
         # a member of its orbit gets the rows of the mapped points, the
         # representative's walk being x's own only at the identity
         member = ProjectivePoint((2, -1, 1, 1))
-        perm, signs = _orbit_members((1, 1, 1, 2))[member.coords]
+        _, perm, signs = _orbit_map(member.coords)
         expected = [
             point_row(classify_point(BundlePoint(member, z)), 8 * naive_height(z))
             for z in map(ProjectivePoint, sorted(member_point(perm, signs, y) for y in ys))
@@ -741,7 +722,6 @@ class TestFiberRows:
         # point of height 12 beyond it whose -12 and -1 must not share a text
         ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -3, 3, -1), (12, -12, 1, -1), (1, -1, 12, -12)]
         monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
-        monkeypatch.setattr(enumeration, "_walks", {})
         x = ProjectivePoint((1, 1, 1, 1))
         # numeric order sorts the walk, text order the rows
         expected = [
@@ -776,34 +756,34 @@ class TestOrbitRows:
     @staticmethod
     def orbit_tasks(x_max, y_bound, as_text):
         """The tasks of every canonical base point with H(x) <= x_max at the
-        fiber bound y_bound, orbit by orbit, each orbit's walk kept from its
-        first member to its last."""
-        tasks = []
-        for rep, _ in _base_orbits(x_max):
-            members = list(_orbit_members(rep).items())
-            until = len(tasks) + len(members) - 1
-            for xs, (perm, signs) in members:
-                tasks.append((xs, rep, perm, signs, max(rep) ** 3 * y_bound, as_text, len(tasks),
-                              until))
-        return tasks
+        fiber bound y_bound, orbit by orbit."""
+        return [
+            (xs, max(rep) ** 3 * y_bound, as_text)
+            for rep, _ in _base_orbits(x_max)
+            for xs in orbit_members(rep)
+        ]
 
     @pytest.mark.parametrize("as_text", [False, True])
-    def test_match_the_per_base_point_walk(self, monkeypatch, as_text):
+    def test_match_the_per_base_point_walk(self, as_text):
         # fiber bound 10: two-digit and negative coordinates in most fibers
-        monkeypatch.setattr(enumeration, "_walks", {})
         tasks = self.orbit_tasks(3, 10, as_text)
         assert sorted(task[0] for task in tasks) == list(canonical_coords(4, 3))
-        for task in tasks:
-            xs, height_bound = task[0], task[4]
-            assert _fiber_rows(task) == fiber_rows(xs, height_bound, as_text), xs
-        assert enumeration._walks == {}
+        _rep_walk.cache_clear()
+        try:
+            for task in tasks:
+                assert _fiber_rows(task) == fiber_rows(*task), task[0]
+            # one walk per orbit
+            assert _rep_walk.cache_info().misses == len(_base_orbits(3))
+        finally:
+            _rep_walk.cache_clear()
 
     def test_remapped_pair_loci_are_the_members_own(self):
         checked = 0
         for rep, _ in _base_orbits(3):
             ys = _fiber_walk(rep, 4)
             keys = _checked_points(rep, ys)
-            for xs, (perm, signs) in _orbit_members(rep).items():
+            for xs in orbit_members(rep):
+                _, perm, signs = _orbit_map(xs)
                 x = ProjectivePoint(xs)
                 remap = _pair_locus_map(perm)
                 for y, key in zip(ys, keys):
@@ -815,18 +795,19 @@ class TestOrbitRows:
                     checked += 1
         assert checked > 10_000
 
-    def test_wrong_signed_permutation_raises(self):
+    def test_wrong_signed_permutation_raises(self, monkeypatch):
         # the identity sends 0:0:1:1 to itself, not to 0:0:1:-1
-        task = member_task((0, 0, 1, -1), 1, False, perm=(0, 1, 2, 3), signs=(1, 1, 1, 1))
+        monkeypatch.setattr(enumeration, "_orbit_map",
+                            lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1)))
         with pytest.raises(RuntimeError, match=r"does not send \(0, 0, 1, 1\) to \(0, 0, 1, -1\)"):
-            _fiber_rows(task)
+            _fiber_rows(((0, 0, 1, -1), 1, False))
 
     def test_wrong_signed_permutation_raises_under_optimize(self):
         code = textwrap.dedent("""
             from cubicbundle import enumeration
             assert False, "asserts must be off"
-            enumeration._fiber_rows(
-                ((0, 0, 1, -1), (0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1), 1, False, 0, 0))
+            enumeration._orbit_map = lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1))
+            enumeration._fiber_rows(((0, 0, 1, -1), 1, False))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
@@ -881,7 +862,7 @@ class TestBaseOrbits:
     def test_orbit_members_are_the_canonical_base_points(self, x_max):
         seen = []
         for rep, weight in _base_orbits(x_max):
-            members = _orbit_members(rep)
+            members = orbit_members(rep)
             assert len(members) == weight
             for xs, (perm, signs) in members.items():
                 assert sorted(perm) == [0, 1, 2, 3]
@@ -889,6 +870,19 @@ class TestBaseOrbits:
                 assert all(s == 1 for s, v in zip(signs, xs) if v == 0)
             seen += members
         assert sorted(seen) == list(canonical_coords(4, x_max))
+
+    def test_orbit_map_sends_the_representative_to_each_base_point(self):
+        weights = dict(_base_orbits(4))
+        # ties and zero entries: several signed permutations send rep to x
+        assert _orbit_map((0, 1, -1, 1)) == ((0, 1, 1, 1), (0, 1, 2, 3), (1, 1, -1, 1))
+        assert _orbit_map((1, -1, 1, -1)) == ((1, 1, 1, 1), (0, 1, 2, 3), (1, -1, 1, -1))
+        assert _orbit_map((2, 0, -1, 0)) == ((0, 0, 1, 2), (3, 0, 2, 1), (1, 1, -1, 1))
+        for xs in canonical_coords(4, 4):
+            rep, perm, signs = _orbit_map(xs)
+            assert rep in weights and rep == self.representative(xs)
+            assert sorted(perm) == [0, 1, 2, 3]
+            assert xs == tuple(s * rep[p] for s, p in zip(signs, perm))
+            assert all(s == 1 for s, v in zip(signs, xs) if v == 0)
 
     def test_orbit_members_share_the_representative_tally(self):
         bounds = (1, 2, 4, 8, 16, 32, 64)
