@@ -2,8 +2,8 @@
 
 Subcommands: count, enumerate, classify, fiber-rank, lines,
 verify-intersections, rank-survey, plot.  Exit codes: 0 success, 2 I/O
-error (a closed stdout pipe included), 64 usage error, 65 domain error (bad
-point or surface), 66 missing input file.
+error (a closed or full stdout included), 64 usage error, 65 domain error
+(bad point or surface), 66 missing input file.
 """
 
 from __future__ import annotations
@@ -438,11 +438,14 @@ def _run(argv) -> int:
         except (InvalidPoint, InvalidArgument, NotOnVariety) as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = EXIT_DOMAIN
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # the reader went away: send what is still buffered to devnull, so
-        # that the interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stdout.flush()  # so that a full or closed stdout raises here, not at exit
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe needs no message
+            print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # the error may not have come from stdout
+        except OSError:  # drop what is still buffered, so that the final flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     return status
 

@@ -51,12 +51,11 @@ number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
 Dumps still write every fiber, one base point at a time
 (:func:`point_rows`), but walk and check only the fiber of its orbit's
-representative, grouped by the sign pattern of its points and cached for
-the rest of the stream in each process that meets the orbit
-(:func:`_rep_walk`).  A base point's rows come from that walk by table
-lookups (:func:`_fiber_rows`): the signed texts of the permuted, signed
-coordinates, and the tail |height|flags plus newline of each key, its
-pair-locus bits remapped; a fiber's rows go out as one str.
+representative, kept for the rest of the stream with every table that
+depends on the walk alone, in each process that meets the orbit
+(:func:`_rep_walk`).  A base point builds only its own parts, its flag
+fields, pair-locus remap and coordinate signs; its sorted rows go out as
+one str, the head x| written by the one join (:func:`_fiber_rows`).
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -519,22 +518,11 @@ def _classify_fiber(args):
     return _tally(on_loci, off_loci, any(lifts.values()), singular)
 
 
-def _flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:
-    """The class-flags field of a dump row: Z, the pair loci V and the
-    liftable pairings L in pairing order, SING, or - when none hold.  in_v
-    and lifts map each pairing to a bool."""
-    flags = ["Z"] if in_z else []
-    flags.extend(f"V{p}" for p in sorted(in_v) if in_v[p])
-    flags.extend(f"L{p}" for p in sorted(lifts) if lifts[p])
-    if singular:
-        flags.append("SING")
-    return ",".join(flags) or "-"
-
-
 def point_row(record, height: int) -> str:
-    """One dump line: x|y|height|class-flags."""
-    flags = _flag_field(record.in_Z, record.in_V, record.liftable, record.singular_fiber)
-    return f"{record.point.x}|{record.point.y}|{height}|{flags}"
+    """One dump line: x|y|height|class-flags (:func:`_flag_fields`)."""
+    fields = _flag_fields(tuple(record.liftable.values()), record.singular_fiber)
+    bits = sum(v << p - 1 for p, v in record.in_V.items())
+    return f"{record.point.x}|{record.point.y}|{height}|{fields[bits][:-1]}"
 
 
 def _signed(top: int):
@@ -582,16 +570,17 @@ def _checked_points(x_coords, ys) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _flag_fields(lifts: tuple[bool, ...], singular: bool) -> tuple[str, ...]:
-    """The flag field of each pair-locus pattern k = key & 7 (V_p in bit
-    p - 1), each ending in a newline, over a fiber whose pairings 1, 2, 3
-    lift as lifts says: built once per profile, of which there are at most
-    16."""
-    lift_of = dict(zip(PAIRINGS, lifts))
-    return tuple(
-        _flag_field(any(lifts) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS}, lift_of,
-                    singular) + "\n"
-        for k in range(8)
-    )
+    """The class-flags field of each pair-locus pattern k = key & 7 (V_p in
+    bit p - 1), each ending in a newline, over a fiber whose pairings 1, 2,
+    3 lift as lifts says: Z (on a pair locus, or over a lifting fiber), the
+    V_p, the liftable L_p, SING, or - when none hold.  Built once per
+    profile, of which there are at most 16."""
+    tail = [f"L{p}" for p, lift in zip(PAIRINGS, lifts) if lift] + ["SING"] * singular
+    fields = []
+    for k in range(8):
+        flags = ["Z"] * (any(lifts) or k > 0) + [f"V{p}" for p in PAIRINGS if k >> p - 1 & 1]
+        fields.append((",".join(flags + tail) or "-") + "\n")
+    return tuple(fields)
 
 
 def _orbit_map(x):
@@ -636,15 +625,17 @@ def _rep_walk(rep, fiber_bound: int):
     """The fiber over an orbit representative, walked and checked once per
     process and dump stream for every member of the orbit that the process
     meets (:func:`_fiber_rows`; :func:`point_rows` empties the cache as a
-    stream starts and ends): (top, groups, texts).
+    stream starts and ends), with the tables that the members' rows read:
+    (groups, heights, texts, places).
 
-    top is the largest height H(y).  The points are grouped by sign
-    pattern, at most 81 of them: each group is (pattern, columns, keys),
-    the pattern as four signs -1, 0 or 1, the four coordinate columns
-    (None where the pattern is 0) and the keys of :func:`_checked_points`,
-    as views of one array of machine ints per column.  texts are the
-    signed tables (:func:`_signed`) of each value's text followed by ":",
-    and of the bare text.
+    The points are grouped by sign pattern, at most 81 of them: each group
+    is (pattern, columns, keys), the pattern as four signs -1, 0 or 1, the
+    four coordinate columns (None where the pattern is 0) and the keys of
+    :func:`_checked_points`, as views of one array of machine ints per
+    column.  heights are the texts |H(x)^3 * h| for h up to the largest
+    H(y), top.  For each place k of a row, texts and places hold a signed
+    table (:func:`_signed`) and its negation (:func:`_negated`): of each
+    value's text, with ":" but in the last place, and of v*(2*top + 1)^(3 - k).
     """
     # imported here: only dumps need it, and import time counts for every command
     from array import array
@@ -668,8 +659,14 @@ def _rep_walk(rep, fiber_bound: int):
         pattern = tuple((0, 1, -1)[code // 3 ** (3 - k) % 3] for k in range(4))
         cols = [col[cut] if sign else None for sign, col in zip(pattern, columns)]
         groups.append((pattern, cols, keys[cut]))
+    hx3 = max(rep) ** 3
+    heights = [f"|{hx3 * h}|" for h in range(top + 1)]
     text = list(map(str, _signed(top)))
-    return top, groups, ([v + ":" for v in text], text)
+    inner = [v + ":" for v in text]
+    texts = [(inner, _negated(inner))] * 3 + [(text, _negated(text))]
+    width = 2 * top + 1
+    places = [[width ** (3 - k) * v for v in _signed(top)] for k in range(4)]
+    return groups, heights, texts, [(p, _negated(p)) for p in places]
 
 
 def _fiber_rows(args) -> str:
@@ -680,8 +677,8 @@ def _fiber_rows(args) -> str:
     args is (x, height_bound, as_text).  x is sent from its orbit's
     representative rep = sorted |x_k| by x_k = signs[k] * rep[perm[k]]
     (:func:`_orbit_map`), checked also under python -O.  The
-    representative's fiber is walked and checked once per process and
-    stream (:func:`_rep_walk`).
+    representative's fiber and its tables are built once per process and
+    stream (:func:`_rep_walk`); here only x's own parts.
 
     The signed permutation sends each point y of that fiber to the
     canonical form of z, z_k = signs[k] * y[perm[k]], of the same height;
@@ -691,10 +688,10 @@ def _fiber_rows(args) -> str:
     flag fields, from x's own fiber profile (its liftability and rank
     cross-check runs for every base point), remaps rep's keys.  A row is
     five lookups in column order, fewer where the pattern is 0: the texts
-    of the signed values, the first with the head x|, and the tail
-    |height|flags plus newline of rep's key.
-    Either order takes one sort: the rows as strings, or the rows by the
-    int sum of z_k * (2*top + 1)^(3 - k), which orders as the tuples z do.
+    of the signed values and the tail |height|flags plus newline of rep's
+    key.  Either order takes one sort: the rows as strings, or the rows by
+    the int sum of the places of z, which orders as the tuples z do.  The
+    head x|, common to every row, is joined in after the sort.
     """
     x, height_bound, as_text = args
     rep, perm, signs = _orbit_map(x)
@@ -702,19 +699,9 @@ def _fiber_rows(args) -> str:
         raise RuntimeError(f"the signed permutation {perm}, {signs} does not send {rep} to {x}")
     lifts, singular, _ = _fiber_profile(x)
     fields = _flag_fields(tuple(lifts.values()), singular)
-    hx3 = max(rep) ** 3
-    top, groups, (inner, last) = _rep_walk(rep, height_bound // hx3)
+    groups, heights, texts, places = _rep_walk(rep, height_bound // max(rep) ** 3)
     remapped = [fields[k] for k in _pair_locus_map(perm)]
-    tails = [f"|{hx3 * h}|{field}" for h in range(top + 1) for field in remapped]
-    head = ":".join(map(str, x)) + "|"
-    firsts = [head + v for v in inner]
-    # each coordinate's signed text tables, for y[perm[k]] and for its negative
-    texts = [(t, _negated(t)) for t in (firsts, inner, inner, last)]
-    if not as_text:
-        # z_k * width^(3 - k) for each coordinate k, for y[perm[k]] and for its negative
-        width = 2 * top + 1
-        places = [[width ** (3 - k) * v for v in _signed(top)] for k in range(4)]
-        places = [(p, _negated(p)) for p in places]
+    tails = [h + field for h in heights for field in remapped]
     rows, codes = [], []
     for pattern, columns, keys in groups:
         # the sign that makes the image canonical: that of its first nonzero entry
@@ -734,7 +721,10 @@ def _fiber_rows(args) -> str:
         rows.sort()
     else:
         _sort_by(rows, itertools.chain.from_iterable(codes))
-    return "".join(rows)
+    head = ":".join(map(str, x)) + "|"
+    if rows:
+        rows[0] = head + rows[0]  # the join puts the head before every other row
+    return head.join(rows)
 
 
 def _pool_map(fn, tasks: list, workers: int):

@@ -14,7 +14,6 @@ from cubicbundle.enumeration import (
     _checked_points,
     _fiber_coords,
     _fiber_walk,
-    _flag_field,
     _half_box,
     _signed,
     base_points,
@@ -55,6 +54,20 @@ def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
     return ys
 
 
+def flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:
+    """The class-flags field of a dump row, from the definition of the
+    format: Z, the pair loci V and the liftable pairings L in pairing
+    order, SING, or - when none hold.  in_v and lifts map each pairing to
+    a bool.  The flag tables of enumeration._flag_fields are compared
+    against it."""
+    flags = ["Z"] if in_z else []
+    flags.extend(f"V{p}" for p in sorted(in_v) if in_v[p])
+    flags.extend(f"L{p}" for p in sorted(lifts) if lifts[p])
+    if singular:
+        flags.append("SING")
+    return ",".join(flags) or "-"
+
+
 def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
     """The dump rows of the fiber above the canonical x, each ending in a
     newline, as one str, in numeric order of y or sorted as strings: the
@@ -68,8 +81,8 @@ def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
     head = f"{ProjectivePoint(x_coords)}|"
     # the flag field of each pair-locus pattern k = key & 7, V_p in bit p - 1
     fields = [
-        _flag_field(any(lifts.values()) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
-                    lifts, singular)
+        flag_field(any(lifts.values()) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
+                   lifts, singular)
         for k in range(8)
     ]
     ys = (_fiber_walk if as_text else _fiber_coords)(x_coords, height_bound // hx3)

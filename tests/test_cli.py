@@ -602,3 +602,38 @@ def test_csv_into_a_closed_pipe_exits_2_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--bound", "2"], ["fiber-rank", "1", "1", "1", "1"]]
+)
+def test_full_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # buffered, the output waits for the final flush; unbuffered, the first
+    # write meets the full device
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "cubicbundle", *argv], env=env, stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_dump_bytes_pinned_under_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    out = tmp_path / "counts.csv"
+    for argv, stdout in (
+        (["enumerate", "--bound", "8"], tmp_path / "points.txt"),
+        (["count", "--bounds", "1,2,4,8", "--emit-points", "--out", str(out)], tmp_path / "table"),
+    ):
+        with open(stdout, "w") as handle:
+            subprocess.run([sys.executable, "-O", "-m", "cubicbundle", *argv], env=env,
+                           stdout=handle, check=True, timeout=60)
+    assert sha256(tmp_path / "points.txt") == ENUMERATE_8_SHA256
+    assert sha256(out) == COUNT_8_CSV_SHA256
+    assert sha256(tmp_path / "counts.csv.points") == COUNT_8_POINTS_SHA256

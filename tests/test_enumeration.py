@@ -37,7 +37,6 @@ from cubicbundle.enumeration import (
     _fiber_locus,
     _fiber_rows,
     _fiber_walk,
-    _flag_field,
     _flag_fields,
     _half_box,
     _linear_locus,
@@ -56,7 +55,7 @@ from cubicbundle.enumeration import (
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
-from oracles import box_coords, enumerate_bundle, fiber_rows, orbit_members
+from oracles import box_coords, enumerate_bundle, fiber_rows, flag_field, orbit_members
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -748,6 +747,24 @@ class TestFiberRows:
         assert rows and all(row.split("|")[3].startswith("Z,") for row in rows)
         assert all(row.endswith("SING") for row in rows)
 
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_fiber_without_points_gives_no_text(self, monkeypatch, as_text):
+        # no rows, so no head either
+        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [])
+        assert member_rows((1, 1, 1, 2), 16, as_text) == ""
+
+    def test_point_row_writes_the_flag_format(self):
+        # point_row reads the flag tables of the dumps; flag_field is written
+        # from the format's definition alone
+        points = 0
+        for p in enumerate_bundle(8):
+            record = classify_point(p)
+            height = naive_height(p.x) ** 3 * naive_height(p.y)
+            flags = flag_field(record.in_Z, record.in_V, record.liftable, record.singular_fiber)
+            assert point_row(record, height) == f"{p.x}|{p.y}|{height}|{flags}"
+            points += 1
+        assert points > 10_000
+
 
 class TestOrbitRows:
     """Each base point's rows, built from its orbit representative's walk,
@@ -832,8 +849,8 @@ class TestOrbitRows:
         for lifts, singular in profiles:
             lift_of = dict(zip(PAIRINGS, lifts))
             assert _flag_fields(lifts, singular) == tuple(
-                _flag_field(any(lifts) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
-                            lift_of, singular) + "\n"
+                flag_field(any(lifts) or k > 0, {p: k >> p - 1 & 1 == 1 for p in PAIRINGS},
+                           lift_of, singular) + "\n"
                 for k in range(8)
             )
 
