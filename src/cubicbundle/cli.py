@@ -161,9 +161,10 @@ _IDENTITY_LABELS = (
 )
 
 
-def _identity_checks(rng: random.Random):
+def _identity_checks(rng):
     """The three symbolic identities, each evaluated at one random integer
-    parameter point: (computed, expected) per identity."""
+    parameter point drawn from rng, a random.Random: (computed, expected)
+    per identity."""
     from .intersection import H1, H2, DivisorClass, intersect_on_bundle
 
     a, b, c = (rng.randint(-50, 50) for _ in range(3))
@@ -200,7 +201,8 @@ def cmd_verify_intersections(args) -> int:
 SURVEY_COEFFICIENTS = tuple(v for v in range(-20, 21) if v)
 
 
-def random_surface(rng: random.Random) -> DiagonalCubic:
+def random_surface(rng) -> DiagonalCubic:
+    """A diagonal cubic with coefficients drawn from rng, a random.Random."""
     return DiagonalCubic(tuple(rng.choice(SURVEY_COEFFICIENTS) for _ in range(4)))
 
 

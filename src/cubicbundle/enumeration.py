@@ -6,31 +6,30 @@ the cubic-surface fiber above x up to the shrunken bound floor(B/H(x)^3).
 
 Each fiber is described once, up to a height bound, as boxes plus a few
 points (:func:`_fiber_locus`); the walk enumerates that description and the
-count reads it in closed form.  A box is a parametrized line or plane: each
-y_k is a fixed multiple of one parameter t_p, or 0, and the height bound
-caps each |t_p| by its box side.  Its points are the primitive t up to sign,
-so a Moebius sum counts them (:func:`primitive_count`), and the walk visits
-the half of the box whose first nonzero entry is positive
+count reads it in closed form.  A box is a parametrized point, line or
+plane: each y_k is a fixed multiple of one parameter t_p, or 0, and the
+height bound caps each |t_p| by its box side.  Its points are the primitive
+t up to sign, so a Moebius sum counts them (:func:`primitive_count`), and
+the walk visits the half of the box whose first nonzero entry is positive
 (:func:`_half_box`), its parameters renumbered and signed so that every
 image is canonical, a row of the last parameter at a time
-(:func:`_box_coords`).  The description is case-split on the number of
-nonzero coordinates of x:
+(:func:`_box_coords`).  The description is split in two kinds of fiber:
 
-* one or two: a linear fiber, one box, a plane or a line
-  (:func:`_linear_locus`), every point on the pair locus of the pairing
-  that groups the nonzero indices;
-* three: a cone over a plane cubic curve, the vertex plus one line through
-  it for each curve point, found with O(bound) memory
-  (:func:`_cone_locus`);
-* four: a smooth cubic surface, the rational lines of its pair loci
-  (none, one or three; lines meet pairwise in one point) and the points off
-  them, found by a meet-in-the-middle scan of the quadruple box that drops
-  each hit on a line before building it (:func:`_smooth_locus`,
+* x with a zero coordinate: a cone, the join of its vertex, spanned by
+  the free y_k with x_k = 0, with each point of the curve sum x_k*y_k^3 = 0
+  in the nonzero coordinates, one box per curve point or the vertex alone
+  when the curve has none; a plane cubic's points are found with O(bound)
+  memory (:func:`_cone_locus`);
+* no zero coordinate: a smooth cubic surface, the rational lines of its
+  pair loci (none, one or three; lines meet pairwise in one point) and the
+  points off them, found by a meet-in-the-middle scan of the quadruple box
+  that drops each hit on a line before building it (:func:`_smooth_locus`,
   :func:`_surface_scan`), in the style of Bernstein, Enumerating solutions
   to p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
 
-Every box is checked against the fiber equation once, every remaining
-point one by one, also under python -O.
+Every box is checked against the fiber equation once, which also tells
+whether it lies in a pair locus, every remaining point one by one, also
+under python -O.
 
 Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
 into point objects.  Output is always sorted lexicographically, so runs are
@@ -135,38 +134,6 @@ def _cube_pair(alpha: int, beta: int):
     return None if d is None else (c, d)
 
 
-def _linear_locus(xs):
-    """The rational locus of a linear fiber as a parametrized box, or None
-    for a cone or smooth fiber.
-
-    Returns (params, sides): y_k = m_k * t[p_k] for params[k] = (p_k, m_k),
-    where m_k = 0 pins y_k to 0, and H(y) <= bound exactly when
-    |t_p| <= floor(bound/sides[p]).  Primitive t up to sign map one to one
-    onto the fiber's points.  Every y_k with x_k = 0 is a free parameter of
-    side 1; besides those, two nonzero coordinates x_i, x_j whose ratio
-    -x_j/x_i is the cube of the reduced c/d give (y_i, y_j) = (c*t, d*t)
-    with side max(|c|, |d|), and otherwise y_i = y_j = 0.  So x = e_i gives
-    the plane y_i = 0, and two nonzero coordinates a plane or a line.
-    """
-    nz = [k for k, xk in enumerate(xs) if xk]
-    if len(nz) > 2:
-        return None
-    params = [(0, 0)] * 4
-    sides = []
-    if len(nz) == 2:
-        i, j = nz
-        pair = _cube_pair(xs[i], xs[j])
-        if pair is not None:
-            c, d = pair
-            params[i], params[j] = (0, c), (0, d)
-            sides.append(max(abs(c), abs(d)))
-    for k, xk in enumerate(xs):
-        if not xk:
-            params[k] = (len(sides), 1)
-            sides.append(1)
-    return tuple(params), tuple(sides)
-
-
 def _plane_cubic_points(a: int, b: int, c: int, bound: int) -> list[tuple[int, int, int]]:
     """The primitive (u, v, w) with a*u^3 + b*v^3 + c*w^3 = 0 and
     max(|u|, |v|, |w|) <= bound, for nonzero a, b, c, one of each pair p, -p:
@@ -188,37 +155,56 @@ def _plane_cubic_points(a: int, b: int, c: int, bound: int) -> list[tuple[int, i
     return points
 
 
-def _cone_locus(xs, bound: int):
-    """The fiber over a cone x (one zero coordinate x_i) as boxes and points,
-    see :func:`_fiber_locus`.
+def _join(*pieces):
+    """The box (params, sides) of the join of points in disjoint coordinates
+    (:func:`_fiber_locus`): each piece (indices, point) is one parameter t_p
+    of side max|point|, y_k = point[n] * t_p for k = indices[n]; every other
+    y_k is pinned to 0."""
+    params = [(0, 0)] * 4
+    sides = []
+    for indices, point in pieces:
+        for k, m in zip(indices, point):
+            params[k] = (len(sides), m)
+        sides.append(max(map(abs, point)))
+    return tuple(params), tuple(sides)
 
-    With p = (y_j, y_k, y_l) for the other indices, x_i*y_i^3 = 0 leaves
-    a*y_j^3 + b*y_k^3 + c*y_l^3 = 0, a smooth plane cubic.  The fiber is the
-    vertex e_i (p = 0) and, for each primitive curve point p up to sign, the
-    line (s, lambda*p): the box t = (s, lambda) of sides (1, H(p)), whose
-    point t = (1, 0) is the vertex.  A point is on a pair locus exactly when
-    its pairing's pair sum x_m*y_m^3 vanishes for the partner m of i, that is
-    when p has a zero coordinate; the vertex is on all three.
+
+def _cone_locus(xs, bound: int):
+    """The fiber over an x with a zero coordinate as boxes (params, sides,
+    shared) and points, see :func:`_fiber_locus`.
+
+    The fiber is a cone: its vertex V is spanned by the e_k with x_k = 0,
+    each y_k free, and its base is the curve sum x_k*y_k^3 = 0 in the
+    nonzero coordinates.  With one of them the curve has no point, with two
+    it has at most one (:func:`_cube_pair`), with three it is a smooth plane
+    cubic (:func:`_plane_cubic_points`, the points of height <= bound).  The
+    fiber is V joined with each curve point p, the box of the free y_k and
+    lambda*p, or V alone when the curve has no point.  The joins meet only
+    in V, which matters only when V is the single point e_i: then e_i is
+    left to the points and shared by every box.
     """
-    i = xs.index(0)
-    others = [m for m in range(4) if m != i]
-    vertex = tuple(int(m == i) for m in range(4))
-    boxes = []
-    for p in _plane_cubic_points(*(xs[m] for m in others), bound):
-        params = [(0, 1)] * 4
-        for m, pm in zip(others, p):
-            params[m] = (1, pm)
-        boxes.append((tuple(params), (1, max(map(abs, p))), (vertex,), 0 in p))
-    return boxes, [vertex]
+    nonzero = [k for k in range(4) if xs[k]]
+    coeffs = [xs[k] for k in nonzero]
+    if len(nonzero) == 1:
+        curve = []
+    elif len(nonzero) == 2:
+        pair = _cube_pair(*coeffs)
+        curve = [pair] if pair else []
+    else:
+        curve = _plane_cubic_points(*coeffs, bound)
+    free = [((k,), (1,)) for k in range(4) if not xs[k]]
+    boxes = [_join(*free, (nonzero, p)) for p in curve] or [_join(*free)]
+    shared = (tuple(int(not xk) for xk in xs),) if len(free) == 1 and curve else ()
+    return [(*box, shared) for box in boxes], list(shared)
 
 
 def _smooth_locus(xs, bound: int):
-    """The fiber over a smooth x (no zero coordinate) as boxes and points,
-    see :func:`_fiber_locus`.
+    """The fiber over a smooth x (no zero coordinate) as boxes (params,
+    sides, shared) and points, see :func:`_fiber_locus`.
 
     A pairing {i, j}|{k, l} has a rational line in its pair locus exactly
     when -x_j/x_i and -x_l/x_k are both cubes, of c/d and c'/d': the box
-    (c*t, d*t, c'*s, d'*s) of sides (max(|c|, |d|), max(|c'|, |d'|)).  Two
+    (c*t, d*t, c'*s, d'*s), the join of two pair points (:func:`_join`).  Two
     such lines meet in one rational point, where every y_k is nonzero, and
     no point is on all three; each line leaves its meets to the points.
     The other points come from the scan (:func:`_surface_scan`).
@@ -228,10 +214,7 @@ def _smooth_locus(xs, bound: int):
         first = _cube_pair(xs[i], xs[j])
         second = first and _cube_pair(xs[k], xs[l])
         if second:
-            params = [None] * 4
-            params[i], params[j] = (0, first[0]), (0, first[1])
-            params[k], params[l] = (1, second[0]), (1, second[1])
-            lines[pairing] = tuple(params), (max(map(abs, first)), max(map(abs, second)))
+            lines[pairing] = _join(((i, j), first), ((k, l), second))
     meets = {pairing: () for pairing in lines}
     for a, b in itertools.combinations(lines, 2):
         # on line a, the pair sum of b holding index 0 (with index b) vanishes
@@ -246,7 +229,7 @@ def _smooth_locus(xs, bound: int):
             meets[b] += (meet,)
     points = _surface_scan(xs, bound, lines)
     points += set(itertools.chain(*meets.values()))
-    return [(params, sides, meets[p], True) for p, (params, sides) in lines.items()], points
+    return [(*line, meets[p]) for p, line in lines.items()], points
 
 
 def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
@@ -303,38 +286,48 @@ def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
     return list(filter(is_canonical, hits))
 
 
-def _check_box(xs, params) -> None:
-    """Raise NotOnVariety, also under python -O, unless every point of the
-    box lies on the fiber over xs.  The sum of x_k*(m_k*t[p_k])^3 vanishes
-    for all t exactly when, for each parameter p, the x_k*m_k^3 with p_k = p
-    sum to 0: for a cone that is the curve point, for a line its direction."""
-    sums = Counter()
-    for xk, (p, m) in zip(xs, params):
-        sums[p] += xk * m ** 3
-    if any(sums.values()):
+def _check_box(xs, params) -> bool:
+    """Whether the box lies in a pair locus; raise NotOnVariety, also under
+    python -O, unless every point of the box lies on the fiber over xs.
+
+    A sum of x_k*(m_k*t[p_k])^3 vanishes for all t exactly when, for each
+    parameter p, its terms x_k*m_k^3 with p_k = p sum to 0.  For the sum
+    over all k, the fiber equation, that is the curve point of a cone join
+    or the direction of a line.  For the pair sum x_0*y_0^3 + x_b*y_b^3 of
+    pairing b, which groups index 0 with b, it puts every point of the box
+    on that pair locus: on the fiber the other pair sum vanishes too.
+    """
+    def vanishes(indices) -> bool:
+        sums = [0] * len(params)  # parameters are numbered 0, 1, ..., at most one per y_k
+        for k in indices:
+            p, m = params[k]
+            sums[p] += xs[k] * m ** 3
+        return not any(sums)
+
+    if not vanishes(range(4)):
         raise NotOnVariety(f"the box {params} is not on the fiber over {':'.join(map(str, xs))}")
+    return any(vanishes((0, b)) for b in PAIRINGS)
 
 
 def _fiber_locus(xs, bound: int):
     """The canonical fiber over the canonical x, up to height bound, as
-    (boxes, points), each point of the fiber exactly once.
+    (boxes, points), each point of the fiber exactly once: a cone when x
+    has a zero coordinate (:func:`_cone_locus`), else a smooth surface
+    (:func:`_smooth_locus`).
 
-    Each box is (params, sides, shared, on): the points of the box
-    (:func:`_linear_locus`) other than those in shared, all on a pair locus
-    when on holds and all off every pair locus otherwise.  The points are
-    the rest, with H(y) <= bound, each to be tested one by one: the cone
-    vertex, the meets of smooth lines, and the smooth scan hits off the
-    lines.  Every box is checked against the fiber equation once.
+    Each box is (params, sides, shared, on), a parametrized point, line or
+    plane: y_k = m_k * t[p_k] for params[k] = (p_k, m_k), where m_k = 0
+    pins y_k to 0, and H(y) <= bound exactly when |t_p| <= floor(bound /
+    sides[p]); primitive t up to sign map one to one onto its points.  Its
+    points other than those in shared are all on a pair locus when on holds
+    and all off every pair locus otherwise; on comes from the check of the
+    box against the fiber equation, once per box (:func:`_check_box`).  The
+    points are the rest, with H(y) <= bound, each to be tested one by one:
+    the cone vertex, the meets of smooth lines, and the smooth scan hits
+    off the lines.
     """
-    locus = _linear_locus(xs)
-    if locus is not None:
-        boxes, points = [(*locus, (), True)], []
-    elif 0 in xs:
-        boxes, points = _cone_locus(xs, bound)
-    else:
-        boxes, points = _smooth_locus(xs, bound)
-    for params, *_ in boxes:
-        _check_box(xs, params)
+    boxes, points = (_cone_locus if 0 in xs else _smooth_locus)(xs, bound)
+    boxes = [(params, sides, shared, _check_box(xs, params)) for params, sides, shared in boxes]
     return boxes, points
 
 

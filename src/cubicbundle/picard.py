@@ -71,8 +71,9 @@ class DiagonalCubic(_checked_tuple("DiagonalCubic", "coefficients")):
             raise InvalidArgument("zero coefficient: the surface is singular")
         return tuple.__new__(cls, (ints,))
 
-    def pairing_ratio(self, pairing: int) -> Fraction:
-        """(a_i*a_j)/(a_k*a_l) for the pairing's two index pairs."""
+    def pairing_ratio(self, pairing: int):
+        """(a_i*a_j)/(a_k*a_l) for the pairing's two index pairs, as a
+        fractions.Fraction."""
         from fractions import Fraction
 
         (i, j), (k, l) = pairing_pairs(pairing)

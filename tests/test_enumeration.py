@@ -39,7 +39,6 @@ from cubicbundle.enumeration import (
     _fiber_walk,
     _flag_fields,
     _half_box,
-    _linear_locus,
     _orbit_map,
     _pair_locus_map,
     _rep_walk,
@@ -324,6 +323,25 @@ class TestBoxWalk:
                     assert all(max(map(abs, y)) <= bound for y in ys), (xs, params, bound)
                     walked += len(ys)
         assert walked > 0
+
+    def test_pair_locus_flag_matches_the_points(self):
+        # every fiber kind over the 1,120 base points of height <= 3
+        bases = walked = 0
+        for xs in canonical_coords(4, 3):
+            bases += 1
+            boxes, _ = _fiber_locus(xs, 6)
+            for params, sides, shared, on in boxes:
+                for y in box_coords(params, sides, 6):
+                    if y in shared:
+                        continue
+                    terms = [x * c ** 3 for x, c in zip(xs, y)]
+                    on_locus = any(
+                        terms[i] + terms[j] == 0 and terms[k] + terms[l] == 0
+                        for (i, j), (k, l) in PAIRINGS.values()
+                    )
+                    assert on_locus == on, (xs, params, y)
+                    walked += 1
+        assert bases == 1120 and walked > 0
 
     @pytest.mark.parametrize("params, sides", [
         # a negative first multiplier; a parameter first used after the other
@@ -936,7 +954,7 @@ class TestLinearFibers:
     def test_closed_form_matches_enumeration(self, xs):
         x = normalize(xs)
         heights = [naive_height(y) for y in enumerate_fiber(x, 20)]
-        _, sides = _linear_locus(x.coords)
+        [(_, sides, _, _)], _ = _fiber_locus(x.coords, 20)
         for bound in range(21):
             assert primitive_count(sides, bound) == sum(h <= bound for h in heights)
 
@@ -952,10 +970,10 @@ class TestLinearFibers:
         checked = counted = 0
         for xs in canonical_coords(4, 3):
             x = normalize(xs)
-            locus = _linear_locus(x.coords)
-            if locus is None:
+            if x.coords.count(0) < 2:
                 continue
-            counted += primitive_count(locus[1], 3)
+            [(_, sides, _, _)], _ = _fiber_locus(x.coords, 3)
+            counted += primitive_count(sides, 3)
             for y in enumerate_fiber(x, 3):
                 record = classify_point(BundlePoint(x, y))
                 assert record.in_Z and record.singular_fiber
@@ -1068,6 +1086,17 @@ class TestSurfaceFibers:
         tally = _classify_fiber(((0, 1, 1, 1), y_bounds))
         expected = [1 + 3 * (primitive_count((1, 1), b) - 1) for b in y_bounds]
         assert tally["ALL"] == tally["IN_SOME_V"] == expected
+
+    def test_cone_over_a_curve_without_points(self):
+        # Selmer: 3u^3 + 4v^3 + 5w^3 = 0 has no rational point, so the fiber
+        # is its vertex alone, one box on every pair locus
+        xs = (0, 3, 4, 5)
+        assert _fiber_coords(xs, 40) == surface_oracle(xs, 40) == [(1, 0, 0, 0)]
+        y_bounds = tuple(range(1, 41))
+        tally = _classify_fiber((xs, tuple(125 * y for y in y_bounds)))
+        assert tally["ALL"] == tally["IN_SOME_V"] == [1] * 40
+        boxes, points = _fiber_locus(xs, 40)
+        assert [on for _, _, _, on in boxes] == [True] and points == []
 
     def test_cone_line_off_the_pair_loci(self):
         # (1, 1, 1) on y1^3 + y2^3 = 2*y3^3 has no zero coordinate
