@@ -86,7 +86,7 @@ def cmd_count(args) -> int:
     # the summary table, laid out as the CSV, must not trail a CSV on stdout
     table = sys.stdout if args.out else sys.stderr
     lines = [line.split(",") for line in series.csv_text().splitlines()]
-    widths = [max(len(h), 10) for h in lines[0]]
+    widths = [max(10, *map(len, column)) for column in zip(*lines)]
     for cells in lines:
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)), file=table)
     return EXIT_OK
@@ -105,12 +105,7 @@ def cmd_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     x = _parse_point(args.x)
     y = _parse_point(args.y)
-    try:
-        point = BundlePoint(x, y)
-    except NotOnVariety:
-        print(f"point ({x}, {y}) is not on the bundle", file=sys.stderr)
-        return EXIT_DOMAIN
-    record = classify_point(point)
+    record = classify_point(BundlePoint(x, y))
     print(f"x: {record.point.x}")
     print(f"y: {record.point.y}")
     for pairing in sorted(record.in_V):

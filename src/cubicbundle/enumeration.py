@@ -20,10 +20,11 @@ image is canonical, a row of the last parameter at a time
   in the nonzero coordinates, one box per curve point or the vertex alone
   when the curve has none; a plane cubic's points are found with O(bound)
   memory (:func:`_cone_locus`);
-* no zero coordinate: a smooth cubic surface, the rational lines of its
-  pair loci (none, one or three; lines meet pairwise in one point) and the
-  points off them, found by a meet-in-the-middle scan of the quadruple box
-  that drops each hit on a line before building it (:func:`_smooth_locus`,
+* no zero coordinate: a smooth cubic surface, each pair locus the join of
+  its two pair points (a line, one point or nothing; lines meet pairwise
+  in one point), and the points off every pair locus, found by a
+  meet-in-the-middle scan of the quadruple box that drops each hit on a
+  pair locus before building it (:func:`_smooth_locus`,
   :func:`_surface_scan`), in the style of Bernstein, Enumerating solutions
   to p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
 
@@ -202,20 +203,28 @@ def _smooth_locus(xs, bound: int):
     """The fiber over a smooth x (no zero coordinate) as boxes (params,
     sides, shared) and points, see :func:`_fiber_locus`.
 
-    A pairing {i, j}|{k, l} has a rational line in its pair locus exactly
-    when -x_j/x_i and -x_l/x_k are both cubes, of c/d and c'/d': the box
-    (c*t, d*t, c'*s, d'*s), the join of two pair points (:func:`_join`).  Two
-    such lines meet in one rational point, where every y_k is nonzero, and
-    no point is on all three; each line leaves its meets to the points.
-    The other points come from the scan (:func:`_surface_scan`).
+    The pair locus of a pairing {i, j}|{k, l} is the join of its pair
+    points (:func:`_cube_pair`), (c, d) in (y_i, y_j) and (c', d') in
+    (y_k, y_l): with both, the line (c*t, d*t, c'*s, d'*s) (:func:`_join`);
+    with one, that point alone, on no other pair locus; with none, nothing.
+    Two lines meet in one rational point, where every y_k is nonzero, and
+    no point is on all three: the earlier line in pairing order counts the
+    meet, the later one shares it.  The scan finds the points off every
+    pair locus (:func:`_surface_scan`).
     """
-    lines = {}
-    for pairing, ((i, j), (k, l)) in PAIRINGS.items():
-        first = _cube_pair(xs[i], xs[j])
-        second = first and _cube_pair(xs[k], xs[l])
-        if second:
-            lines[pairing] = _join(((i, j), first), ((k, l), second))
-    meets = {pairing: () for pairing in lines}
+    lines, points = {}, []
+    for pairing, pairs in PAIRINGS.items():
+        pieces = [((i, j), _cube_pair(xs[i], xs[j])) for i, j in pairs]
+        pieces = [piece for piece in pieces if piece[1]]
+        if len(pieces) == 2:
+            lines[pairing] = _join(*pieces)
+        elif pieces:
+            [((i, j), (c, d))] = pieces
+            if max(abs(c), d) <= bound:
+                y = [0] * 4
+                y[i], y[j] = (c, d) if c > 0 else (-c, -d)
+                points.append(tuple(y))
+    shared = {pairing: () for pairing in lines}
     for a, b in itertools.combinations(lines, 2):
         # on line a, the pair sum of b holding index 0 (with index b) vanishes
         params = lines[a][0]
@@ -223,30 +232,24 @@ def _smooth_locus(xs, bound: int):
         t = [0, 0]
         t[p0], t[pb] = _cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)
         meet = tuple(m * t[p] for p, m in params)
-        if max(map(abs, meet)) <= bound:
-            meet = meet if meet[0] > 0 else tuple(-y for y in meet)
-            meets[a] += (meet,)
-            meets[b] += (meet,)
-    points = _surface_scan(xs, bound, lines)
-    points += set(itertools.chain(*meets.values()))
-    return [(*line, meets[p]) for p, line in lines.items()], points
+        shared[b] += (meet if meet[0] > 0 else tuple(-y for y in meet),)
+    return [(*line, shared[p]) for p, line in lines.items()], points + _surface_scan(xs, bound)
 
 
-def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
-    """Canonical y with H(y) <= bound on the smooth fiber over xs, off the
-    rational lines of the pairings in lines, in no particular order.
+def _surface_scan(xs, bound: int) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the smooth fiber over xs, off
+    every pair locus, in no particular order.
 
     Meet in the middle over the box, one of each solution pair y, -y: hash
     x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) and scan
     (yc, yd) over the whole square, a row at a time.  The table maps a key
     to the code ya*width + yb + bound of one pair, and keys of several pairs
     also to the list of their codes; plain ints keep it small.  Hits on a
-    line are dropped before a tuple is built: the key 0 for pairing 1 (then
-    every hit with ya = yb = 0 is on that line too), t0 + t2 == 0 for
-    pairing 2 and t0 + t3 == 0 for pairing 3.  Without a line, a pairing's
-    pair locus holds at most one point, (c, d, 0, 0) or (0, 0, c, d) up to
-    order, and that point stays a hit.  is_canonical keeps the primitive
-    hits.
+    pair locus are dropped before a tuple is built: the key 0 for pairing
+    1, t0 + t2 == 0 for pairing 2 and t0 + t3 == 0 for pairing 3 (on the
+    fiber the other pair sum vanishes too).  Every point with ya = yb = 0
+    lies on pairing 1's locus, so the half plane misses none off the loci.
+    is_canonical keeps the primitive hits.
     """
     x0, x1, x2, x3 = xs
     rng = range(-bound, bound + 1)
@@ -263,10 +266,7 @@ def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
         for key in row.keys() & table.keys():
             collided.setdefault(key, [table[key]]).append(row[key])
         table.update(row)
-    if 1 in lines:
-        table.pop(0, None)
-        collided.pop(0, None)
-    on2, on3 = 2 in lines, 3 in lines
+    table.pop(0, None)
     x3_cubes = [x3 * c for c in cubes]
     hits = []
     for yc in rng:
@@ -276,13 +276,9 @@ def _surface_scan(xs, bound: int, lines) -> list[tuple[int, ...]]:
             key, t3 = keys[idx], x3_cubes[idx]
             for code in collided.get(key) or (table[key],):
                 t0 = x0_cubes[code // width]
-                if not (on2 and t0 + t2 == 0 or on3 and t0 + t3 == 0):
+                if t0 + t2 and t0 + t3:
                     ya, yb = divmod(code, width)
                     hits.append((ya, yb - bound, yc, idx - bound))
-    pair = None if 1 in lines else _cube_pair(x2, x3)
-    if pair is not None and max(map(abs, pair)) <= bound:
-        c, d = pair
-        hits.append((0, 0, c, d) if c > 0 else (0, 0, -c, -d))
     return list(filter(is_canonical, hits))
 
 
@@ -318,13 +314,14 @@ def _fiber_locus(xs, bound: int):
     Each box is (params, sides, shared, on), a parametrized point, line or
     plane: y_k = m_k * t[p_k] for params[k] = (p_k, m_k), where m_k = 0
     pins y_k to 0, and H(y) <= bound exactly when |t_p| <= floor(bound /
-    sides[p]); primitive t up to sign map one to one onto its points.  Its
-    points other than those in shared are all on a pair locus when on holds
-    and all off every pair locus otherwise; on comes from the check of the
-    box against the fiber equation, once per box (:func:`_check_box`).  The
-    points are the rest, with H(y) <= bound, each to be tested one by one:
-    the cone vertex, the meets of smooth lines, and the smooth scan hits
-    off the lines.
+    sides[p]); primitive t up to sign map one to one onto its points.  Those
+    in shared another part of the description counts: the cone vertex, or a
+    meet with an earlier smooth line.  The others are all on a pair locus
+    when on holds and all off every pair locus otherwise; on comes from the
+    check of the box against the fiber equation, once per box
+    (:func:`_check_box`).  The points are the rest, with H(y) <= bound, each
+    to be tested one by one: the cone vertex, the single pair points of
+    smooth pairings, and the smooth scan hits off every pair locus.
     """
     boxes, points = (_cone_locus if 0 in xs else _smooth_locus)(xs, bound)
     boxes = [(params, sides, shared, _check_box(xs, params)) for params, sides, shared in boxes]
@@ -771,14 +768,15 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     One fiber per signed-permutation orbit of base points is counted, for
     the largest bound, thresholded into each bound and added with the
     orbit's size as weight: the boxes of each fiber's description in closed
-    form, the few other points (a cone's vertex, the meets of smooth lines
-    and the smooth points off the lines) one by one.  IN_SOME_V and
-    LIFTABLE_ONLY partition IN_Z: points on some pair locus versus points
-    swept in only through liftability of their base point.  Orbit tasks run
-    largest fiber bound bounds[-1] // H(x)^3 first, so the few huge fibers
-    over height-1 base points start at once; the merge is a weighted sum,
-    so any worker count produces identical output.  workers is a maximum:
-    below a top bound of POOL_MIN_BOUND the count runs in this process.
+    form, the few other points (a cone's vertex, the single pair points of
+    smooth pairings and the smooth points off every pair locus) one by
+    one.  IN_SOME_V and LIFTABLE_ONLY partition IN_Z: points on some pair
+    locus versus points swept in only through liftability of their base
+    point.  Orbit tasks run largest fiber bound bounds[-1] // H(x)^3 first,
+    so the few huge fibers over height-1 base points start at once; the
+    merge is a weighted sum, so any worker count produces identical output.
+    workers is a maximum: below a top bound of POOL_MIN_BOUND the count
+    runs in this process.
     """
     workers = _integer(workers, "workers", 1)
     bounds = tuple(_integer(b, "bound") for b in height_bounds)

@@ -16,6 +16,7 @@ import pytest
 import cubicbundle
 from cubicbundle import cli
 from cubicbundle.cli import main
+from cubicbundle.enumeration import CLASS_LABELS, CountSeries
 
 # a prime above 10^15, too large to factor by trial division within a test's time
 BIG_PRIME = 1000000000000037
@@ -129,6 +130,22 @@ class TestCount:
         code, _, _ = run(capsys, "plot", str(piped), str(tmp_path / "piped.svg"))
         assert code == 0
 
+    def test_summary_table_lines_up_wide_counts(self, monkeypatch, capsys):
+        # the rows of B = 512, 1024 and 2048, whose counts reach 12 digits
+        rows = [
+            (512, 7190321080, 7190266904, 54176, 7189804376, 462528, 7182145904),
+            (1024, 57338870112, 57338733344, 136768, 57337068512, 1664832, 57306521192),
+            (2048, 458058235776, 458057911520, 324256, 458051782688, 6128832, 457929741032),
+        ]
+        bounds, *columns = map(list, zip(*rows))
+        series = CountSeries(tuple(bounds), dict(zip(CLASS_LABELS, columns)))
+        monkeypatch.setattr(cli, "count_series", lambda bounds, workers: series)
+        code, stdout, err = run(capsys, "count", "--bounds", "512,1024,2048")
+        assert code == 0
+        assert stdout == series.csv_text()
+        table = err.splitlines()
+        assert len(table) == 4 and len(set(map(len, table))) == 1
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "count", "--bounds", "1", "--out", "/nonexistent-dir/x.csv")
         assert code == 2
@@ -234,6 +251,7 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "1:1:1:1", "1:1:1:1")
         assert code == 65
         assert "not on the bundle" in err
+        assert err == "error: (1:1:1:1, 1:1:1:1) is not on the bundle\n"
 
     def test_singular_fiber(self, capsys):
         code, stdout, _ = run(capsys, "classify", "0:1:1:1", "9:1:-1:0")

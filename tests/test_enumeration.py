@@ -1016,23 +1016,29 @@ class TestSurfaceFibers:
             assert _fiber_coords(xs, y_bounds[-1]) == expected, xs
             heights = Counter()
             on_locus = Counter()
+            off_loci = []
             x0, x1, x2, x3 = xs
             for y0, y1, y2, y3 in expected:
                 t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
                 height = max(abs(y0), abs(y1), abs(y2), abs(y3))
                 heights[height] += 1
                 # both pair sums of each pairing, as classify_point tests them
-                on_locus[height] += (
+                on = (
                     t0 + t1 == 0 and t2 + t3 == 0
                     or t0 + t2 == 0 and t1 + t3 == 0
                     or t0 + t3 == 0 and t1 + t2 == 0
                 )
+                on_locus[height] += on
+                if not on:
+                    off_loci.append((y0, y1, y2, y3))
             hx3 = max(map(abs, xs)) ** 3
             tally = _classify_fiber((xs, tuple(hx3 * y for y in y_bounds)))
             assert tally["ALL"] == list(itertools.accumulate(heights[b] for b in y_bounds)), xs
             assert tally["IN_SOME_V"] == list(
                 itertools.accumulate(on_locus[b] for b in y_bounds)
             ), xs
+            if 0 not in xs:
+                assert sorted(_surface_scan(xs, y_bounds[-1])) == off_loci, xs
             checked += 1
         assert checked == 1032
 
@@ -1054,15 +1060,19 @@ class TestSurfaceFibers:
     def test_fermat_fiber_has_three_lines(self):
         boxes, points = _fiber_locus((1, 1, 1, 1), 40)
         assert [sides for _, sides, _, _ in boxes] == [(1, 1)] * 3
-        # the lines meet pairwise, at height 1
-        assert {(1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1)} <= set(points)
+        # the lines meet pairwise, at height 1; the earlier line counts each meet
+        meets = {(1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1)}
+        assert meets.isdisjoint(points)
+        shared = [set(shared) for _, _, shared, _ in boxes]
+        assert shared[0] == set() and len(shared[1]) == 1 and len(shared[2]) == 2
+        assert shared[1] | shared[2] == meets
         y_bounds = tuple(range(1, 41))
         on_lines = [3 * primitive_count((1, 1), b) - 3 for b in y_bounds]
         assert _classify_fiber(((1, 1, 1, 1), y_bounds))["IN_SOME_V"] == on_lines
 
     def test_isolated_pair_locus_points(self):
         # -x1/x0, -x2/x0 and -x2/x1 are cubes, -2 is not: no line, but one
-        # pair-locus point for each pairing, found by the scan
+        # pair-locus point for each pairing, its one pair point
         boxes, points = _fiber_locus((1, 1, 1, 2), 10)
         assert boxes == []
         assert {(1, -1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0)} <= set(points)
@@ -1107,14 +1117,14 @@ class TestSurfaceFibers:
         }
 
     @pytest.mark.parametrize("xs", [(1, 1, 1, 1), (1, -1, 2, -2), (1, -8, 1, -1)])
-    def test_scan_leaves_the_lines_out(self, xs):
-        lines = {1, 2, 3} if xs != (1, -1, 2, -2) else {1}
-        hits = _surface_scan(xs, 20, lines)
+    def test_scan_leaves_every_pair_locus_out(self, xs):
+        hits = _surface_scan(xs, 20)
         assert hits and all(map(is_canonical, hits))
         for y in hits:
-            terms = [x * c ** 3 for x, c in zip(xs, y)]
-            assert sum(terms) == 0
-            assert all(terms[0] + terms[p] for p in lines)
+            t0, t1, t2, t3 = (x * c ** 3 for x, c in zip(xs, y))
+            assert t0 + t1 + t2 + t3 == 0
+            # both pair sums of all three pairings
+            assert all((t0 + t1, t2 + t3, t0 + t2, t1 + t3, t0 + t3, t1 + t2))
 
     def test_box_off_the_fiber_raises(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))
