@@ -3,7 +3,7 @@
 Subcommands: count, enumerate, classify, fiber-rank, lines,
 verify-intersections, rank-survey, plot.  Exit codes: 0 success, 2 I/O
 error (a closed or full stdout included), 64 usage error, 65 domain error
-(bad point or surface), 66 missing input file.
+(bad point or surface), 66 missing input file, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_NOINPUT = 66
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 def _parse_point(text: str):
@@ -372,8 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="most processes to use; the count uses one when the largest bound "
-        f"is below {POOL_MIN_BOUND}",
+        help="most processes to use; the count and its points use one when the "
+        f"largest bound is below {POOL_MIN_BOUND}",
     )
     p.add_argument(
         "--emit-points",
@@ -436,6 +437,9 @@ def _run(argv) -> int:
             print(f"error: {exc}", file=sys.stderr)
             status = EXIT_DOMAIN
         sys.stdout.flush()  # so that a full or closed stdout raises here, not at exit
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe needs no message
             print(f"error: {exc}", file=sys.stderr)

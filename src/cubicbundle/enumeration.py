@@ -50,12 +50,15 @@ representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
 Dumps still write every fiber, one base point at a time
-(:func:`point_rows`), but walk and check only the fiber of its orbit's
-representative, kept for the rest of the stream with every table that
-depends on the walk alone, in each process that meets the orbit
-(:func:`_rep_walk`).  A base point builds only its own parts, its flag
-fields, pair-locus remap and coordinate signs; its sorted rows go out as
-one str, the head x| written by the one join (:func:`_fiber_rows`).
+(:func:`point_rows`).  A fiber that is one box, among them the planes
+that hold nearly every row, is written from its own box in dump order,
+with no walk, no per-point check and no sort (:mod:`.boxrows`).  The
+others walk and check only the fiber of their orbit's representative,
+kept for the rest of the stream with every table that depends on the
+walk alone, in each process that meets the orbit (:func:`_rep_walk`).  A
+base point builds only its own parts, its flag fields, pair-locus remap
+and coordinate signs; its sorted rows go out as one str, the head x|
+written by the one join (:func:`_fiber_rows`).
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -328,34 +331,39 @@ def _fiber_locus(xs, bound: int):
     return boxes, points
 
 
-def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
-    """The canonical points of a box with H(y) <= bound, in no particular
-    order.
-
-    The parameters are renumbered in the order of their first use, by the
-    first y_k with a nonzero multiplier, and a parameter whose first
-    multiplier is negative is negated.  Then the first nonzero coordinate
-    of the image of t is the first multiplier of t's first nonzero entry
-    times that entry, so every t of the half box (:func:`_half_box`) maps
-    to a canonical y, and y is primitive with t.  The walk fixes every
-    parameter but the last and takes the row of the last at once: one zip
-    of constant columns and arithmetic progressions, filtered by gcd only
-    when the fixed entries are not coprime.
-    """
+def _first_use(params, sides):
+    """The box (params, sides) with its parameters renumbered in the order
+    of their first use, by the first y_k with a nonzero multiplier, each
+    negated where that multiplier is negative: the first nonzero coordinate
+    of the image of t is then a positive multiple of t's first nonzero entry
+    (:func:`_box_coords`, :func:`.boxrows._box_rows`)."""
     signs = {}
     for p, m in params:
         if m and p not in signs:
             signs[p] = 1 if m > 0 else -1
     order = {p: i for i, p in enumerate(signs)}
-    *caps, n = (bound // sides[p] for p in signs)
+    params = [(order[p], m * signs[p]) if m else (0, 0) for p, m in params]
+    return params, [sides[p] for p in signs]
+
+
+def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
+    """The canonical points of a box with H(y) <= bound, in no particular
+    order.
+
+    With the parameters renumbered by first use (:func:`_first_use`), every
+    t of the half box (:func:`_half_box`) maps to a canonical y, and y is
+    primitive with t.  The walk fixes every parameter but the last and
+    takes the row of the last at once: one zip of constant columns and
+    arithmetic progressions, filtered by gcd only when the fixed entries are
+    not coprime.
+    """
+    params, sides = _first_use(params, sides)
+    *caps, n = (bound // side for side in sides)
     last = len(caps)
     row = range(-n, n + 1)
     # per coordinate: (parameter, multiplier, None) for a column that is
     # constant along a row, or the column itself (the same in every row)
-    cols = []
-    for p, m in params:
-        p, m = (order[p], m * signs[p]) if m else (0, 0)
-        cols.append((p, m, range(-n * m, (n + 1) * m, m) if p == last and m else None))
+    cols = [(p, m, range(-n * m, (n + 1) * m, m) if p == last and m else None) for p, m in params]
     # the row whose fixed entries are all 0: only t_last = 1 is primitive
     ys = [tuple(m if p == last else 0 for p, m, _ in cols)] if n else []
     masks = {}  # gcd of the fixed entries -> which entries of the row are coprime to it
@@ -583,15 +591,17 @@ def _orbit_map(x):
     return tuple(abs(x[k]) for k in order), perm, tuple(-1 if v < 0 else 1 for v in x)
 
 
-def _pair_locus_map(perm) -> list[int]:
+@lru_cache(maxsize=None)
+def _pair_locus_map(perm) -> tuple[int, ...]:
     """The pair-locus patterns (V_p in bit p - 1) over a member of rep's
     orbit, x_k = +-rep[perm[k]], by those over rep: entry k is the pattern
     of x's point that comes from a point of rep's fiber with pattern k.
     x's V_q is rep's V for the pairing that groups perm[0] with perm[q]:
-    0 with the other index, or else the index of 1, 2, 3 in neither."""
+    0 with the other index, or else the index of 1, 2, 3 in neither.  Built
+    once per permutation, of which there are 24."""
     a = perm[0]
     pairings = [a + b if not a * b else 6 - a - b for b in perm[1:]]
-    return [sum((k >> p - 1 & 1) << q for q, p in enumerate(pairings)) for k in range(8)]
+    return tuple(sum((k >> p - 1 & 1) << q for q, p in enumerate(pairings)) for k in range(8))
 
 
 def _negated(table: list) -> list:
@@ -662,7 +672,9 @@ def _rep_walk(rep, fiber_bound: int):
 def _fiber_rows(args) -> str:
     """Worker task: the dump rows of the fiber above the base point x, each
     ending in a newline, as one str; in numeric order of y, or sorted as
-    strings when as_text holds.
+    strings when as_text holds.  The dumps take it for every fiber that is
+    not one box (:func:`point_rows`; :func:`.boxrows._box_rows` writes the
+    others with no walk and no sort).
 
     args is (x, height_bound, as_text).  x is sent from its orbit's
     representative rep = sorted |x_k| by x_k = signs[k] * rep[perm[k]]
@@ -734,31 +746,55 @@ def _pool_map(fn, tasks: list, workers: int):
 
 
 def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
-    """Stream the dump of all points of anticanonical height <= height_bound,
-    one str per fiber: its rows, each ending in a newline, in lexicographic
+    """Stream the dump of all points of anticanonical height <= height_bound
+    in strs of whole rows, each row ending in a newline, in lexicographic
     order of the normalized x, then y.  A row is the line
     point_row(classify_point(p), height) would give, built from each
-    fiber's profile (:func:`_fiber_rows`).
+    fiber's profile.
 
     as_text sorts the rows as strings instead: base points by str(x) + "|",
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
 
-    Each process walks the representative fiber of every orbit it meets
-    once (:func:`_rep_walk`) and keeps the walk for the rest of the stream;
-    with workers > 1 the tasks are dealt out one at a time, so each process
-    walks most orbits.
+    A fiber that is one box, as the fiber over its orbit's representative
+    shows, comes from its box in this process, one str per value of the
+    box's first parameter (:mod:`.boxrows`); the planes that hold nearly
+    every row are such fibers.  Every other fiber is one str, built from
+    its orbit representative's walk (:func:`_fiber_rows`): by a pool when
+    workers > 1 and height_bound >= POOL_MIN_BOUND, one task at a time, so
+    that each pool process walks most orbits.
     """
+    # imported here: only dumps need it, and import time counts for every command
+    from .boxrows import _box_rows, _one_box, _run_segments
+
     height_bound = _integer(height_bound, "height bound", 1)
     workers = _integer(workers, "workers", 1)
-    xs = canonical_coords(4, _base_height(height_bound))
+    if height_bound < POOL_MIN_BOUND:
+        workers = 1
+    x_max = _base_height(height_bound)
+    one_box = {
+        rep for rep, _ in _base_orbits(x_max) if _one_box(rep, height_bound // max(rep) ** 3)
+    }
+    xs = list(canonical_coords(4, x_max))
     if as_text:
-        xs = sorted(xs, key=lambda x: ":".join(map(str, x)) + "|")
-    _rep_walk.cache_clear()  # before a pool forks, so its workers start empty
+        xs.sort(key=lambda x: ":".join(map(str, x)) + "|")
+    boxed = [tuple(sorted(map(abs, x))) in one_box for x in xs]
+    # emptied before a pool forks, so that its workers start empty
+    _rep_walk.cache_clear()
+    _run_segments.cache_clear()
+    others = _pool_map(
+        _fiber_rows, [(x, height_bound, as_text) for x, box in zip(xs, boxed) if not box], workers
+    )
     try:
-        yield from _pool_map(_fiber_rows, [(x, height_bound, as_text) for x in xs], workers)
+        for x, box in zip(xs, boxed):
+            if box:
+                yield from _box_rows(x, height_bound, as_text)
+            else:
+                yield next(others)
     finally:
+        others.close()
         _rep_walk.cache_clear()
+        _run_segments.cache_clear()
 
 
 def count_series(height_bounds, workers: int = 1) -> CountSeries:

@@ -16,7 +16,7 @@ import pytest
 import cubicbundle
 from cubicbundle import cli
 from cubicbundle.cli import main
-from cubicbundle.enumeration import CLASS_LABELS, CountSeries
+from cubicbundle.enumeration import CLASS_LABELS, CountSeries, point_rows
 
 # a prime above 10^15, too large to factor by trial division within a test's time
 BIG_PRIME = 1000000000000037
@@ -223,6 +223,13 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "--bound", "27", "--out", str(out))
         assert code == 0
         assert sha256(out) == ENUMERATE_27_SHA256
+
+    def test_one_box_fiber_comes_in_blocks_that_join_to_the_pinned_bytes(self):
+        units = list(point_rows(27))
+        # the plane over 0:0:0:1, one str per value 0..27 of its first parameter
+        assert sum(unit.startswith("0:0:0:1|") for unit in units) == 28
+        assert all(unit.endswith("\n") for unit in units)
+        assert hashlib.sha256("".join(units).encode()).hexdigest() == ENUMERATE_27_SHA256
 
     def test_stdout_matches_out_file(self, tmp_path, capsys):
         out = tmp_path / "points.txt"
@@ -526,13 +533,13 @@ def test_count_below_the_pool_cut_loads_no_pool(tmp_path):
     assert "concurrent.futures" not in modules_loaded_by(code, tmp_path)
 
 
-def test_dump_on_two_workers_loads_the_pool(tmp_path):
-    # the dumps keep their pool at every bound; enumerate runs on one worker
+def test_dump_below_the_pool_cut_loads_no_pool(tmp_path):
+    # the dump of --emit-points shares the count's cut; enumerate runs on one worker
     code = (
         "from cubicbundle.cli import main\n"
         "main(['count', '--bounds', '4', '--emit-points', '--workers', '2', '--out', 'c.csv'])"
     )
-    assert "concurrent.futures" in modules_loaded_by(code, tmp_path)
+    assert "concurrent.futures" not in modules_loaded_by(code, tmp_path)
 
 
 def _defined_names(statement):
@@ -676,6 +683,22 @@ def test_full_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--bound", "8"], ["count", "--bounds", "8", "--emit-points"]]
+)
+def test_interrupt_exits_130_with_one_error_line(monkeypatch, tmp_path, capsys, argv):
+    def interrupted(*args, **kwargs):
+        stream = point_rows(*args, **kwargs)
+        yield next(stream)
+        stream.close()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "point_rows", interrupted)
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 130
+    assert (stdout, err) == ("", "error: interrupted\n")
 
 
 def test_dump_bytes_pinned_under_optimize(tmp_path):

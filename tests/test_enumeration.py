@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicbundle
-from cubicbundle import classify, enumeration
+from cubicbundle import boxrows, classify, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
     InvalidPoint,
@@ -23,6 +23,7 @@ from cubicbundle.arith import (
     naive_height,
     normalize,
 )
+from cubicbundle.boxrows import _box_rows, _one_box, _run_segments
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import (
     CLASS_LABELS,
@@ -549,19 +550,17 @@ class TestPointRows:
 
     def test_first_row_comes_before_the_second_fiber_task(self, monkeypatch):
         calls = []
-        real = enumeration._fiber_rows
-
-        def counted(args):
-            calls.append(args)
-            return real(args)
-
-        monkeypatch.setattr(enumeration, "_fiber_rows", counted)
+        for module, name in ((enumeration, "_fiber_rows"), (boxrows, "_box_rows")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real, name=name: calls.append((name, args))
+                                or real(*args))
         stream = point_rows(8, as_text=True)
         first = next(stream)
         assert first.startswith("0:0:0:1|")
-        # one fiber task, the stream's first: the base point 0:0:0:1
-        assert calls == [((0, 0, 0, 1), 8, True)]
-        # one unit holds the whole fiber, every row newline-terminated
+        # one fiber built, the stream's first: the plane over 0:0:0:1, from its box
+        assert calls == [("_box_rows", ((0, 0, 0, 1), 8, True))]
+        # the unit holds whole rows of that fiber, each newline-terminated
         rows = first.splitlines(keepends=True)
         assert len(rows) > 1
         assert all(row.startswith("0:0:0:1|") and row.endswith("\n") for row in rows)
@@ -569,40 +568,61 @@ class TestPointRows:
         assert len(calls) == 1
 
     def test_pool_takes_one_fiber_at_a_time(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         assert list(point_rows(1, workers=2)) == list(point_rows(1))
         assert recording_pool["sizes"] == [2]
         [(tasks, chunksize)] = recording_pool["maps"]
         assert chunksize == 1
-        # one task per base point, in stream order: the point, the bound and the order
-        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1)]
+        # one task per base point that is not one box, in stream order: the
+        # point, the bound and the order; at B = 1 those with at most one
+        # zero coordinate, smooth fibers and cones over curve points
+        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1) if xs.count(0) < 2]
+
+    @pytest.mark.parametrize("cut, sizes", [(9, []), (8, [2])])
+    def test_pool_from_the_cut_on(self, monkeypatch, recording_pool, cut, sizes):
+        # the dumps share the count's cut: a pool from a bound of POOL_MIN_BOUND on
+        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", cut)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        assert list(point_rows(8, workers=2)) == list(point_rows(8))
+        assert recording_pool["sizes"] == sizes
 
     def test_orbits_split_over_two_workers(self, monkeypatch):
         # B = 8: 272 fibers of 10 orbits, whose members interleave in the
-        # stream, so both workers walk most representatives
+        # stream, so both workers walk most representatives; the one-box
+        # fibers come from this process between theirs
+        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         one = list(point_rows(8, as_text=True))
         assert list(point_rows(8, workers=2, as_text=True)) == one
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_walk_cache_is_empty_when_a_stream_ends(self, as_text):
+        caches = (_rep_walk, _run_segments)
         stream = point_rows(12, as_text=as_text)
+        # the first fiber, over 0:0:0:1, is one box: no walk, one box shape
         next(stream)
+        assert [cache.cache_info().currsize for cache in caches] == [0, 1]
+        # the first fiber that is not one box walks its representative
+        next(unit for unit in stream if _rep_walk.cache_info().currsize)
         assert _rep_walk.cache_info().currsize == 1
         stream.close()
-        assert _rep_walk.cache_info().currsize == 0
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
         units = list(point_rows(12, as_text=as_text))
-        assert len(units) == 272
-        assert _rep_walk.cache_info().currsize == 0
+        assert sum(unit.count("\n") for unit in units) == 116_360
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_each_pool_task_alone_gives_the_one_process_unit(self, monkeypatch, recording_pool,
                                                              as_text):
         # a task gives the same rows whichever walks its process has cached
+        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         list(point_rows(8, workers=2, as_text=as_text))
         [(tasks, _)] = recording_pool["maps"]
-        assert [member_rows(*task) for task in tasks] == list(point_rows(8, as_text=as_text))
+        heads = {":".join(map(str, task[0])) for task in tasks}
+        units = [unit for unit in point_rows(8, as_text=as_text) if unit.split("|")[0] in heads]
+        assert [member_rows(*task) for task in tasks] == units
 
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
@@ -623,19 +643,20 @@ class TestPointRows:
             next(point_rows(2, workers=workers))
 
     def test_off_bundle_point_raises(self, monkeypatch):
-        # (0:0:0:1) is not on the fiber over the first base point (0:0:0:1),
-        # its own orbit's representative, whose walk both orders check
+        # (0:0:0:1) is not on the fiber over 0:1:1:1, the representative of
+        # 0:1:-1:-1, the first base point in both orders whose fiber is not
+        # one box, and whose walk both orders check
         monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [(0, 0, 0, 1)])
         for as_text in (False, True):
-            with pytest.raises(NotOnVariety, match=r"\(0:0:0:1, 0:0:0:1\) is not on the bundle"):
-                next(point_rows(1, as_text=as_text))
+            with pytest.raises(NotOnVariety, match=r"\(0:1:1:1, 0:0:0:1\) is not on the bundle"):
+                list(point_rows(1, as_text=as_text))
 
     def test_off_bundle_check_survives_optimize(self):
         code = textwrap.dedent("""
             from cubicbundle import enumeration
             assert False, "asserts must be off"
             enumeration._fiber_walk = lambda xs, bound: [(0, 0, 0, 1)]
-            next(enumeration.point_rows(1))
+            list(enumeration.point_rows(1))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
@@ -644,7 +665,7 @@ class TestPointRows:
         )
         assert result.returncode != 0
         last = result.stderr.strip().splitlines()[-1]
-        assert last == "cubicbundle.geometry.NotOnVariety: (0:0:0:1, 0:0:0:1) is not on the bundle"
+        assert last == "cubicbundle.geometry.NotOnVariety: (0:1:1:1, 0:0:0:1) is not on the bundle"
 
     def test_inconsistent_rank_still_raises(self, monkeypatch):
         real = classify.picard_rank
@@ -660,6 +681,78 @@ class TestPointRows:
                 list(point_rows(1))
         finally:
             classify._fiber_profile.cache_clear()
+
+
+class TestBoxRows:
+    """The rows of a fiber that is one box, straight from the box, equal
+    those of the representative walk and of the per-base-point walk."""
+
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_match_both_walks_on_every_small_one_box_fiber(self, as_text):
+        fibers = 0
+        for xs in canonical_coords(4, 4):
+            hx3 = max(map(abs, xs)) ** 3
+            for y_bound in (1, 7, 13):
+                if _one_box(xs, y_bound) is None:
+                    continue
+                rows = "".join(_box_rows(xs, hx3 * y_bound, as_text))
+                assert rows == member_rows(xs, hx3 * y_bound, as_text), (xs, y_bound)
+                assert rows == fiber_rows(xs, hx3 * y_bound, as_text), (xs, y_bound)
+                fibers += 1
+        # planes over x with one or two nonzero coordinates, lines and points
+        assert fibers > 900
+
+    def test_smooth_and_curve_cones_are_not_one_box(self):
+        assert _one_box((1, 1, 1, 1), 5) is None  # its scan is not run
+        assert _one_box((0, 1, 1, 1), 5) is None  # the vertex and a join per curve point
+        assert _one_box((0, 0, 1, 2), 5) == (((0, 1), (1, 1), (0, 0), (0, 0)), (1, 1))
+        with pytest.raises(RuntimeError, match=r"the fiber over \(1, 1, 1, 1\) is not one box"):
+            next(_box_rows((1, 1, 1, 1), 5, False))
+
+    def test_no_scan_beyond_one_per_smooth_representative(self, monkeypatch):
+        scanned = []
+        real = enumeration._surface_scan
+        monkeypatch.setattr(enumeration, "_surface_scan",
+                            lambda xs, bound: scanned.append(xs) or real(xs, bound))
+        for as_text in (False, True):
+            scanned.clear()
+            "".join(point_rows(12, as_text=as_text))
+            smooth = [rep for rep, _ in _base_orbits(_base_height(12)) if 0 not in rep]
+            assert sorted(scanned) == smooth
+
+    @staticmethod
+    def off_fiber_cone_locus(real):
+        """The cone locus with the box over 0:0:1:1 given to 0:0:1:-1, where
+        y_2 = t, y_3 = -t gives x_2*y_2^3 + x_3*y_3^3 = 2*t^3."""
+        return lambda xs, bound: real((0, 0, 1, 1) if xs == (0, 0, 1, -1) else xs, bound)
+
+    def test_off_fiber_box_raises(self, monkeypatch):
+        # 0:0:1:-1 is not its orbit's representative, so only its own box check sees it
+        monkeypatch.setattr(enumeration, "_cone_locus",
+                            self.off_fiber_cone_locus(enumeration._cone_locus))
+        for as_text in (False, True):
+            with pytest.raises(NotOnVariety, match=r"is not on the fiber over 0:0:1:-1"):
+                list(point_rows(1, as_text=as_text))
+
+    def test_off_fiber_box_raises_under_optimize(self):
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, {tests!r})
+            from test_enumeration import TestBoxRows
+            from cubicbundle import enumeration
+            assert False, "asserts must be off"
+            enumeration._cone_locus = TestBoxRows.off_fiber_cone_locus(enumeration._cone_locus)
+            list(enumeration.point_rows(1))
+        """).format(tests=str(Path(__file__).parent))
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        last = result.stderr.strip().splitlines()[-1]
+        assert last == ("cubicbundle.geometry.NotOnVariety: the box ((0, 1), (1, 1), (2, -1), "
+                        "(2, 1)) is not on the fiber over 0:0:1:-1")
 
 
 class TestFiberRows:
@@ -829,6 +922,8 @@ class TestOrbitRows:
                     assert {p: bits >> p - 1 & 1 == 1 for p in PAIRINGS} == in_v, (xs, z)
                     checked += 1
         assert checked > 10_000
+        # one table per permutation
+        assert _pair_locus_map.cache_info().currsize <= 24
 
     def test_wrong_signed_permutation_raises(self, monkeypatch):
         # the identity sends 0:0:1:1 to itself, not to 0:0:1:-1
