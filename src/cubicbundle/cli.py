@@ -12,6 +12,7 @@ import argparse
 import gc
 import math
 import os
+import stat
 import sys
 
 # every main() builds a parser, and the first parser built imports locale
@@ -52,14 +53,38 @@ def _parse_point(text: str):
 
 
 def _write_text(path: str | None, chunks) -> int:
+    """Write chunks to stdout, or to the file path, which appears only when
+    every chunk is written: they go to a temporary file beside it, which
+    replaces path at the end and is removed on any error or interrupt, so
+    that a file already at path keeps its bytes.  A path that exists and is
+    not a regular file, such as /dev/null, a FIFO or a symbolic link, is
+    written in place."""
     if path is None:
         sys.stdout.writelines(chunks)
         return EXIT_OK
     try:
-        with open(path, "w") as handle:
-            handle.writelines(chunks)
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # nothing there yet, or a path that open fails on too
+        in_place = False
+    head, tail = os.path.split(path)
+    # named by hand: tempfile imports random, which start-up leaves unloaded
+    target = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(target, "w") as handle:
+                handle.writelines(chunks)
+            if not in_place:
+                os.replace(target, path)
+        except BaseException:
+            if not in_place:
+                try:
+                    os.remove(target)
+                except OSError:  # never created, or already gone
+                    pass
+            raise
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        # strerror alone: exc names the temporary file where open failed on it
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -80,7 +105,7 @@ def cmd_count(args) -> int:
         return EXIT_USAGE
     status = _write_text(args.out, [series.csv_text()])
     if status == EXIT_OK and args.emit_points:
-        rows = point_rows(series.bounds[-1], args.workers, as_text=True)
+        rows = point_rows(series.bounds[-1], as_text=True)
         status = _write_text((args.out or "points") + ".points", rows)
     if status != EXIT_OK:
         return status
@@ -373,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="most processes to use; the count and its points use one when the "
-        f"largest bound is below {POOL_MIN_BOUND}",
+        help="most processes for the count, which uses one when the largest bound "
+        f"is below {POOL_MIN_BOUND}; the points are dumped in one process",
     )
     p.add_argument(
         "--emit-points",

@@ -49,16 +49,16 @@ and singularity, so a fiber's tally depends only on the sorted |x_i|: the
 representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
-Dumps still write every fiber, one base point at a time
+Dumps still write every fiber, one base point at a time, in one process
 (:func:`point_rows`).  A fiber that is one box, among them the planes
 that hold nearly every row, is written from its own box in dump order,
 with no walk, no per-point check and no sort (:mod:`.boxrows`).  The
 others walk and check only the fiber of their orbit's representative,
-kept for the rest of the stream with every table that depends on the
-walk alone, in each process that meets the orbit (:func:`_rep_walk`).  A
-base point builds only its own parts, its flag fields, pair-locus remap
-and coordinate signs; its sorted rows go out as one str, the head x|
-written by the one join (:func:`_fiber_rows`).
+once per stream, kept to the stream's end with every table that depends
+on the walk alone (:func:`_rep_walk`).  A base point builds only its own
+parts, its flag fields, pair-locus remap and coordinate signs; its sorted
+rows go out as one str, the head x| written by the one join
+(:func:`_fiber_rows`).
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -623,10 +623,9 @@ def _sort_by(items: list, keys) -> None:
 @lru_cache(maxsize=None)
 def _rep_walk(rep, fiber_bound: int):
     """The fiber over an orbit representative, walked and checked once per
-    process and dump stream for every member of the orbit that the process
-    meets (:func:`_fiber_rows`; :func:`point_rows` empties the cache as a
-    stream starts and ends), with the tables that the members' rows read:
-    (groups, heights, texts, places).
+    dump stream for every member of the orbit (:func:`_fiber_rows`;
+    :func:`point_rows` empties the cache when a stream ends), with the
+    tables that the members' rows read: (groups, heights, texts, places).
 
     The points are grouped by sign pattern, at most 81 of them: each group
     is (pattern, columns, keys), the pattern as four signs -1, 0 or 1, the
@@ -669,18 +668,17 @@ def _rep_walk(rep, fiber_bound: int):
     return groups, heights, texts, [(p, _negated(p)) for p in places]
 
 
-def _fiber_rows(args) -> str:
-    """Worker task: the dump rows of the fiber above the base point x, each
-    ending in a newline, as one str; in numeric order of y, or sorted as
-    strings when as_text holds.  The dumps take it for every fiber that is
-    not one box (:func:`point_rows`; :func:`.boxrows._box_rows` writes the
-    others with no walk and no sort).
+def _fiber_rows(x, height_bound: int, as_text: bool) -> str:
+    """The dump rows of the fiber above the base point x, each ending in a
+    newline, as one str; in numeric order of y, or sorted as strings when
+    as_text holds.  The dumps take it for every fiber that is not one box
+    (:func:`point_rows`; :func:`.boxrows._box_rows` writes the others with
+    no walk and no sort).
 
-    args is (x, height_bound, as_text).  x is sent from its orbit's
-    representative rep = sorted |x_k| by x_k = signs[k] * rep[perm[k]]
-    (:func:`_orbit_map`), checked also under python -O.  The
-    representative's fiber and its tables are built once per process and
-    stream (:func:`_rep_walk`); here only x's own parts.
+    x is sent from its orbit's representative rep = sorted |x_k| by
+    x_k = signs[k] * rep[perm[k]] (:func:`_orbit_map`), checked also under
+    python -O.  The representative's fiber and its tables are built once
+    per stream (:func:`_rep_walk`); here only x's own parts.
 
     The signed permutation sends each point y of that fiber to the
     canonical form of z, z_k = signs[k] * y[perm[k]], of the same height;
@@ -695,7 +693,6 @@ def _fiber_rows(args) -> str:
     the int sum of the places of z, which orders as the tuples z do.  The
     head x|, common to every row, is joined in after the sort.
     """
-    x, height_bound, as_text = args
     rep, perm, signs = _orbit_map(x)
     if tuple(s * rep[p] for s, p in zip(signs, perm)) != x:
         raise RuntimeError(f"the signed permutation {perm}, {signs} does not send {rep} to {x}")
@@ -745,7 +742,7 @@ def _pool_map(fn, tasks: list, workers: int):
         yield from pool.map(fn, tasks, chunksize=1)
 
 
-def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
+def point_rows(height_bound: int, as_text: bool = False):
     """Stream the dump of all points of anticanonical height <= height_bound
     in strs of whole rows, each row ending in a newline, in lexicographic
     order of the normalized x, then y.  A row is the line
@@ -757,20 +754,16 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
 
     A fiber that is one box, as the fiber over its orbit's representative
-    shows, comes from its box in this process, one str per value of the
-    box's first parameter (:mod:`.boxrows`); the planes that hold nearly
-    every row are such fibers.  Every other fiber is one str, built from
-    its orbit representative's walk (:func:`_fiber_rows`): by a pool when
-    workers > 1 and height_bound >= POOL_MIN_BOUND, one task at a time, so
-    that each pool process walks most orbits.
+    shows, comes from its box, one str per value of the box's first
+    parameter (:mod:`.boxrows`); the planes that hold nearly every row are
+    such fibers.  Every other fiber is one str, built from its orbit
+    representative's walk, made once per orbit and stream
+    (:func:`_fiber_rows`).
     """
     # imported here: only dumps need it, and import time counts for every command
     from .boxrows import _box_rows, _one_box, _run_segments
 
     height_bound = _integer(height_bound, "height bound", 1)
-    workers = _integer(workers, "workers", 1)
-    if height_bound < POOL_MIN_BOUND:
-        workers = 1
     x_max = _base_height(height_bound)
     one_box = {
         rep for rep, _ in _base_orbits(x_max) if _one_box(rep, height_bound // max(rep) ** 3)
@@ -778,21 +771,13 @@ def point_rows(height_bound: int, workers: int = 1, as_text: bool = False):
     xs = list(canonical_coords(4, x_max))
     if as_text:
         xs.sort(key=lambda x: ":".join(map(str, x)) + "|")
-    boxed = [tuple(sorted(map(abs, x))) in one_box for x in xs]
-    # emptied before a pool forks, so that its workers start empty
-    _rep_walk.cache_clear()
-    _run_segments.cache_clear()
-    others = _pool_map(
-        _fiber_rows, [(x, height_bound, as_text) for x, box in zip(xs, boxed) if not box], workers
-    )
     try:
-        for x, box in zip(xs, boxed):
-            if box:
+        for x in xs:
+            if tuple(sorted(map(abs, x))) in one_box:
                 yield from _box_rows(x, height_bound, as_text)
             else:
-                yield next(others)
+                yield _fiber_rows(x, height_bound, as_text)
     finally:
-        others.close()
         _rep_walk.cache_clear()
         _run_segments.cache_clear()
 

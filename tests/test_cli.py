@@ -243,7 +243,8 @@ class TestEnumerate:
         code, stdout, err = run(capsys, "enumerate", "--bound", "1", "--out", "/nonexistent-dir/x")
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error:")
+        # the final path, not the temporary file that open failed on
+        assert err == "error: cannot write /nonexistent-dir/x: No such file or directory\n"
 
 
 class TestClassify:
@@ -534,7 +535,7 @@ def test_count_below_the_pool_cut_loads_no_pool(tmp_path):
 
 
 def test_dump_below_the_pool_cut_loads_no_pool(tmp_path):
-    # the dump of --emit-points shares the count's cut; enumerate runs on one worker
+    # below the cut the count runs in one process, and a dump always does
     code = (
         "from cubicbundle.cli import main\n"
         "main(['count', '--bounds', '4', '--emit-points', '--workers', '2', '--out', 'c.csv'])"
@@ -685,20 +686,53 @@ def test_full_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
-@pytest.mark.parametrize(
-    "argv", [["enumerate", "--bound", "8"], ["count", "--bounds", "8", "--emit-points"]]
-)
-def test_interrupt_exits_130_with_one_error_line(monkeypatch, tmp_path, capsys, argv):
-    def interrupted(*args, **kwargs):
+#: the commands that dump points to a file, run with --out out
+DUMPS = [["enumerate", "--bound", "8"], ["count", "--bounds", "8", "--emit-points"]]
+
+
+def failed_dump(monkeypatch, tmp_path, capsys, argv, exc):
+    """Run argv with --out out and point_rows raising exc after its first
+    str, once into an empty tmp_path and once over an earlier dump file:
+    (exit status, stdout, stderr) of each, and the dump file's path.  The
+    dump leaves nothing at its final name, or the earlier file's bytes, and
+    no other file but a count's CSV, which is whole before its dump starts."""
+    def rows(*args, **kwargs):
         stream = point_rows(*args, **kwargs)
         yield next(stream)
         stream.close()
-        raise KeyboardInterrupt
+        raise exc
 
-    monkeypatch.setattr(cli, "point_rows", interrupted)
-    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
-    assert code == 130
-    assert (stdout, err) == ("", "error: interrupted\n")
+    monkeypatch.setattr(cli, "point_rows", rows)
+    dump = tmp_path / ("out" if argv[0] == "enumerate" else "out.points")
+    results = []
+    for before in (None, b"an earlier dump\n"):
+        if before is not None:
+            dump.write_bytes(before)
+        results.append(run(capsys, *argv, "--out", str(tmp_path / "out")))
+        left = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        if argv[0] == "count":
+            assert left.pop("out").startswith(b"B,ALL,")
+        assert left == ({} if before is None else {dump.name: before})
+    return results, dump
+
+
+@pytest.mark.parametrize("argv", DUMPS)
+def test_interrupt_exits_130_with_one_error_line(monkeypatch, tmp_path, capsys, argv):
+    results, _ = failed_dump(monkeypatch, tmp_path, capsys, argv, KeyboardInterrupt)
+    assert results == [(130, "", "error: interrupted\n")] * 2
+
+
+@pytest.mark.parametrize("argv", DUMPS)
+def test_failed_dump_exits_2_and_leaves_no_file(monkeypatch, tmp_path, capsys, argv):
+    results, dump = failed_dump(monkeypatch, tmp_path, capsys, argv, OSError("device gone"))
+    # the error names the final path, not the temporary file
+    assert results == [(2, "", f"error: cannot write {dump}: device gone\n")] * 2
+
+
+def test_dump_into_a_device_is_written_in_place(capsys):
+    # no temporary file beside /dev/null, which is not replaced
+    code, stdout, err = run(capsys, "enumerate", "--bound", "2", "--out", os.devnull)
+    assert (code, stdout, err) == (0, "", "")
 
 
 def test_dump_bytes_pinned_under_optimize(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicbundle
-from cubicbundle import boxrows, classify, enumeration
+from cubicbundle import boxrows, classify, cli, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
     InvalidPoint,
@@ -170,7 +170,7 @@ def member_rows(xs, height_bound, as_text):
     walk, with the walk cache empty before and after."""
     _rep_walk.cache_clear()
     try:
-        return _fiber_rows((xs, height_bound, as_text))
+        return _fiber_rows(xs, height_bound, as_text)
     finally:
         _rep_walk.cache_clear()
 
@@ -545,8 +545,15 @@ class TestPointRows:
         assert "".join(point_rows(10)) == dump_text(oracle_rows)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_text_order_is_the_sorted_dump(self, oracle_rows, workers):
-        assert "".join(point_rows(10, workers, as_text=True)) == dump_text(sorted(oracle_rows))
+    def test_text_order_is_the_sorted_dump(self, oracle_rows, tmp_path, workers):
+        # the stream, and the count's .points file whatever its --workers
+        expected = dump_text(sorted(oracle_rows))
+        assert "".join(point_rows(10, as_text=True)) == expected
+        out = tmp_path / "counts.csv"
+        argv = ["count", "--bounds", "10", "--emit-points", "--workers", str(workers),
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "counts.csv.points").read_text() == expected
 
     def test_first_row_comes_before_the_second_fiber_task(self, monkeypatch):
         calls = []
@@ -567,38 +574,41 @@ class TestPointRows:
         stream.close()
         assert len(calls) == 1
 
-    def test_pool_takes_one_fiber_at_a_time(self, monkeypatch, recording_pool):
+    def test_no_dump_starts_a_pool(self, monkeypatch, recording_pool, tmp_path, capsys):
+        # with the cut lowered the count of B = 8 takes a pool, its dump none
         monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        assert list(point_rows(1, workers=2)) == list(point_rows(1))
+        dumps = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"counts_{workers}.csv"
+            argv = ["count", "--bounds", "8", "--emit-points", "--workers", workers, "--out", str(out)]
+            assert cli.main(argv) == 0
+            dumps.append((tmp_path / f"counts_{workers}.csv.points").read_bytes())
         assert recording_pool["sizes"] == [2]
-        [(tasks, chunksize)] = recording_pool["maps"]
-        assert chunksize == 1
-        # one task per base point that is not one box, in stream order: the
-        # point, the bound and the order; at B = 1 those with at most one
-        # zero coordinate, smooth fibers and cones over curve points
-        assert tasks == [(xs, 1, False) for xs in canonical_coords(4, 1) if xs.count(0) < 2]
+        [(tasks, _)] = recording_pool["maps"]
+        orbits = sorted(_base_orbits(_base_height(8)), key=lambda xw: max(xw[0]))
+        assert tasks == [(xs, (8,)) for xs, _ in orbits]
+        assert dumps[0] == dumps[1]
 
-    @pytest.mark.parametrize("cut, sizes", [(9, []), (8, [2])])
-    def test_pool_from_the_cut_on(self, monkeypatch, recording_pool, cut, sizes):
-        # the dumps share the count's cut: a pool from a bound of POOL_MIN_BOUND on
-        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", cut)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        assert list(point_rows(8, workers=2)) == list(point_rows(8))
-        assert recording_pool["sizes"] == sizes
-
-    def test_orbits_split_over_two_workers(self, monkeypatch):
-        # B = 8: 272 fibers of 10 orbits, whose members interleave in the
-        # stream, so both workers walk most representatives; the one-box
-        # fibers come from this process between theirs
-        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        one = list(point_rows(8, as_text=True))
-        assert list(point_rows(8, workers=2, as_text=True)) == one
+    @pytest.mark.parametrize("as_text", [False, True])
+    def test_one_walk_per_orbit_per_stream(self, monkeypatch, as_text):
+        # _rep_walk is _fiber_walk's only caller, so each call is one cache miss
+        _rep_walk.cache_clear()
+        walked = []
+        real = enumeration._fiber_walk
+        monkeypatch.setattr(enumeration, "_fiber_walk",
+                            lambda xs, bound: walked.append(xs) or real(xs, bound))
+        "".join(point_rows(12, as_text=as_text))
+        orbits = [rep for rep, _ in _base_orbits(_base_height(12))
+                  if _one_box(rep, 12 // max(rep) ** 3) is None]
+        assert sorted(walked) == sorted(orbits)
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_walk_cache_is_empty_when_a_stream_ends(self, as_text):
         caches = (_rep_walk, _run_segments)
+        # a stream empties them only when it ends; calls outside one may fill them
+        for cache in caches:
+            cache.cache_clear()
         stream = point_rows(12, as_text=as_text)
         # the first fiber, over 0:0:0:1, is one box: no walk, one box shape
         next(stream)
@@ -612,35 +622,14 @@ class TestPointRows:
         assert sum(unit.count("\n") for unit in units) == 116_360
         assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
-    @pytest.mark.parametrize("as_text", [False, True])
-    def test_each_pool_task_alone_gives_the_one_process_unit(self, monkeypatch, recording_pool,
-                                                             as_text):
-        # a task gives the same rows whichever walks its process has cached
-        monkeypatch.setattr(enumeration, "POOL_MIN_BOUND", 1)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-        list(point_rows(8, workers=2, as_text=as_text))
-        [(tasks, _)] = recording_pool["maps"]
-        heads = {":".join(map(str, task[0])) for task in tasks}
-        units = [unit for unit in point_rows(8, as_text=as_text) if unit.split("|")[0] in heads]
-        assert [member_rows(*task) for task in tasks] == units
-
     def test_rejects_zero_bound(self):
         with pytest.raises(InvalidArgument):
             next(point_rows(0))
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(InvalidArgument):
-            next(point_rows(2, workers=0))
 
     @pytest.mark.parametrize("bound", [2.5, 2.0, "2", None])
     def test_rejects_non_integer_bound(self, bound):
         with pytest.raises(InvalidArgument, match="must be an integer"):
             next(point_rows(bound))
-
-    @pytest.mark.parametrize("workers", [1.5, "2", None])
-    def test_rejects_non_integer_workers(self, workers):
-        with pytest.raises(InvalidArgument, match="workers must be an integer"):
-            next(point_rows(2, workers=workers))
 
     def test_off_bundle_point_raises(self, monkeypatch):
         # (0:0:0:1) is not on the fiber over 0:1:1:1, the representative of
@@ -899,7 +888,7 @@ class TestOrbitRows:
         _rep_walk.cache_clear()
         try:
             for task in tasks:
-                assert _fiber_rows(task) == fiber_rows(*task), task[0]
+                assert _fiber_rows(*task) == fiber_rows(*task), task[0]
             # one walk per orbit
             assert _rep_walk.cache_info().misses == len(_base_orbits(3))
         finally:
@@ -930,14 +919,14 @@ class TestOrbitRows:
         monkeypatch.setattr(enumeration, "_orbit_map",
                             lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1)))
         with pytest.raises(RuntimeError, match=r"does not send \(0, 0, 1, 1\) to \(0, 0, 1, -1\)"):
-            _fiber_rows(((0, 0, 1, -1), 1, False))
+            _fiber_rows((0, 0, 1, -1), 1, False)
 
     def test_wrong_signed_permutation_raises_under_optimize(self):
         code = textwrap.dedent("""
             from cubicbundle import enumeration
             assert False, "asserts must be off"
             enumeration._orbit_map = lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1))
-            enumeration._fiber_rows(((0, 0, 1, -1), 1, False))
+            enumeration._fiber_rows((0, 0, 1, -1), 1, False)
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
