@@ -23,7 +23,7 @@ import shutil  # noqa: F401
 
 from .arith import InvalidArgument, InvalidPoint, normalize
 from .classify import classify_point
-from .enumeration import POOL_MIN_BOUND, count_series, point_rows
+from .enumeration import POOL_MIN_BOUND, count_series
 from .geometry import NotOnVariety, BundlePoint
 from .picard import (
     ALL_LINE_LABELS,
@@ -105,6 +105,9 @@ def cmd_count(args) -> int:
         return EXIT_USAGE
     status = _write_text(args.out, [series.csv_text()])
     if status == EXIT_OK and args.emit_points:
+        # imported here: only dumps compile it, and start-up counts for every command
+        from .dump import point_rows
+
         rows = point_rows(series.bounds[-1], as_text=True)
         status = _write_text((args.out or "points") + ".points", rows)
     if status != EXIT_OK:
@@ -122,6 +125,9 @@ def cmd_enumerate(args) -> int:
     if args.bound < 1:
         print("error: bound must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    # imported here: only dumps compile it, and start-up counts for every command
+    from .dump import point_rows
+
     return _write_text(args.out, point_rows(args.bound))
 
 

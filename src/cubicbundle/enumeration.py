@@ -49,16 +49,8 @@ and singularity, so a fiber's tally depends only on the sorted |x_i|: the
 representative 0 <= a <= b <= c <= d is counted once and weighted by the
 number of canonical base points in its orbit (:func:`_base_orbits`).  It
 counts the boxes in closed form and checks only the remaining points.
-Dumps still write every fiber, one base point at a time, in one process
-(:func:`point_rows`).  A fiber that is one box, among them the planes
-that hold nearly every row, is written from its own box in dump order,
-with no walk, no per-point check and no sort (:mod:`.boxrows`).  The
-others walk and check only the fiber of their orbit's representative,
-once per stream, kept to the stream's end with every table that depends
-on the walk alone (:func:`_rep_walk`).  A base point builds only its own
-parts, its flag fields, pair-locus remap and coordinate signs; its sorted
-rows go out as one str, the head x| written by the one join
-(:func:`_fiber_rows`).
+The dumps live in :mod:`.dump`, which reads the description, the walk and
+the checks from here; this module never imports it.
 The oracle for the orbit weights, the closed form and the dumps is
 enumerate_bundle in tests/oracles.py: enumerate_fiber over every base
 point, each point through classify_point and point_row.
@@ -71,8 +63,7 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from functools import lru_cache, partial
-from operator import add, itemgetter
+from functools import lru_cache
 
 from .arith import (
     InvalidArgument,
@@ -336,7 +327,7 @@ def _first_use(params, sides):
     of their first use, by the first y_k with a nonzero multiplier, each
     negated where that multiplier is negative: the first nonzero coordinate
     of the image of t is then a positive multiple of t's first nonzero entry
-    (:func:`_box_coords`, :func:`.boxrows._box_rows`)."""
+    (:func:`_box_coords`, :func:`.dump._box_rows`)."""
     signs = {}
     for p, m in params:
         if m and p not in signs:
@@ -581,151 +572,6 @@ def _flag_fields(lifts: tuple[bool, ...], singular: bool) -> tuple[str, ...]:
     return tuple(fields)
 
 
-def _orbit_map(x):
-    """(rep, perm, signs) for the canonical base point x: its orbit's
-    representative rep = sorted |x_k| (:func:`_base_orbits`) and a signed
-    permutation that sends rep to x, x_k = signs[k] * rep[perm[k]], by a
-    stable argsort of |x|; signs[k] = 1 where x_k = 0."""
-    order = sorted(range(4), key=lambda k: abs(x[k]))
-    perm = tuple(map(order.index, range(4)))  # perm[order[i]] = i
-    return tuple(abs(x[k]) for k in order), perm, tuple(-1 if v < 0 else 1 for v in x)
-
-
-@lru_cache(maxsize=None)
-def _pair_locus_map(perm) -> tuple[int, ...]:
-    """The pair-locus patterns (V_p in bit p - 1) over a member of rep's
-    orbit, x_k = +-rep[perm[k]], by those over rep: entry k is the pattern
-    of x's point that comes from a point of rep's fiber with pattern k.
-    x's V_q is rep's V for the pairing that groups perm[0] with perm[q]:
-    0 with the other index, or else the index of 1, 2, 3 in neither.  Built
-    once per permutation, of which there are 24."""
-    a = perm[0]
-    pairings = [a + b if not a * b else 6 - a - b for b in perm[1:]]
-    return tuple(sum((k >> p - 1 & 1) << q for q, p in enumerate(pairings)) for k in range(8))
-
-
-def _negated(table: list) -> list:
-    """The signed table (:func:`_signed`) whose entry for v is table's entry
-    for -v."""
-    return table[:1] + table[:0:-1]
-
-
-def _sort_by(items: list, keys) -> None:
-    """Sort items in place, stably, by the keys given in their order.
-
-    list.sort computes every key once, in list order, before it sorts, so
-    the key function can hand out the keys one after another: they are
-    never held in a list of their own, nor is a list of indices.
-    """
-    items.sort(key=partial(next, iter(keys)))
-
-
-@lru_cache(maxsize=None)
-def _rep_walk(rep, fiber_bound: int):
-    """The fiber over an orbit representative, walked and checked once per
-    dump stream for every member of the orbit (:func:`_fiber_rows`;
-    :func:`point_rows` empties the cache when a stream ends), with the
-    tables that the members' rows read: (groups, heights, texts, places).
-
-    The points are grouped by sign pattern, at most 81 of them: each group
-    is (pattern, columns, keys), the pattern as four signs -1, 0 or 1, the
-    four coordinate columns (None where the pattern is 0) and the keys of
-    :func:`_checked_points`, as views of one array of machine ints per
-    column.  heights are the texts |H(x)^3 * h| for h up to the largest
-    H(y), top.  For each place k of a row, texts and places hold a signed
-    table (:func:`_signed`) and its negation (:func:`_negated`): of each
-    value's text, with ":" but in the last place, and of v*(2*top + 1)^(3 - k).
-    """
-    # imported here: only dumps need it, and import time counts for every command
-    from array import array
-
-    ys = _fiber_walk(rep, fiber_bound)
-    keys = _checked_points(rep, ys)
-    top = max(keys, default=0) >> 3
-    # the sign pattern as a base-3 code: digit 1 for a positive entry, 2 for a negative one
-    digits = [int(v > 0) + 2 * (v < 0) for v in _signed(top)]
-    d0, d1, d2, d3 = ([d * 3 ** (3 - k) for d in digits] for k in range(4))
-    patterns = bytes(d0[y0] + d1[y1] + d2[y2] + d3[y3] for y0, y1, y2, y3 in ys)
-    _sort_by(ys, patterns)
-    _sort_by(keys, patterns)  # stable with the same keys: the same order
-    patterns = sorted(patterns)
-    typecode = "h" if top < 4096 else "q"  # a key is top << 3 | 7 at most
-    columns = [memoryview(array(typecode, list(map(itemgetter(k), ys)))) for k in range(4)]
-    keys = memoryview(array(typecode, keys))
-    groups = []
-    for code in sorted(set(patterns)):
-        cut = slice(bisect_left(patterns, code), bisect_left(patterns, code + 1))
-        pattern = tuple((0, 1, -1)[code // 3 ** (3 - k) % 3] for k in range(4))
-        cols = [col[cut] if sign else None for sign, col in zip(pattern, columns)]
-        groups.append((pattern, cols, keys[cut]))
-    hx3 = max(rep) ** 3
-    heights = [f"|{hx3 * h}|" for h in range(top + 1)]
-    text = list(map(str, _signed(top)))
-    inner = [v + ":" for v in text]
-    texts = [(inner, _negated(inner))] * 3 + [(text, _negated(text))]
-    width = 2 * top + 1
-    places = [[width ** (3 - k) * v for v in _signed(top)] for k in range(4)]
-    return groups, heights, texts, [(p, _negated(p)) for p in places]
-
-
-def _fiber_rows(x, height_bound: int, as_text: bool) -> str:
-    """The dump rows of the fiber above the base point x, each ending in a
-    newline, as one str; in numeric order of y, or sorted as strings when
-    as_text holds.  The dumps take it for every fiber that is not one box
-    (:func:`point_rows`; :func:`.boxrows._box_rows` writes the others with
-    no walk and no sort).
-
-    x is sent from its orbit's representative rep = sorted |x_k| by
-    x_k = signs[k] * rep[perm[k]] (:func:`_orbit_map`), checked also under
-    python -O.  The representative's fiber and its tables are built once
-    per stream (:func:`_rep_walk`); here only x's own parts.
-
-    The signed permutation sends each point y of that fiber to the
-    canonical form of z, z_k = signs[k] * y[perm[k]], of the same height;
-    within a sign pattern of y the sign that makes z canonical is one
-    constant.  x's pair-locus bit q is rep's bit for the pairing that groups
-    perm[0] with perm[q] (:func:`_pair_locus_map`), so one table of eight
-    flag fields, from x's own fiber profile (its liftability and rank
-    cross-check runs for every base point), remaps rep's keys.  A row is
-    five lookups in column order, fewer where the pattern is 0: the texts
-    of the signed values and the tail |height|flags plus newline of rep's
-    key.  Either order takes one sort: the rows as strings, or the rows by
-    the int sum of the places of z, which orders as the tuples z do.  The
-    head x|, common to every row, is joined in after the sort.
-    """
-    rep, perm, signs = _orbit_map(x)
-    if tuple(s * rep[p] for s, p in zip(signs, perm)) != x:
-        raise RuntimeError(f"the signed permutation {perm}, {signs} does not send {rep} to {x}")
-    lifts, singular, _ = _fiber_profile(x)
-    fields = _flag_fields(tuple(lifts.values()), singular)
-    groups, heights, texts, places = _rep_walk(rep, height_bound // max(rep) ** 3)
-    remapped = [fields[k] for k in _pair_locus_map(perm)]
-    tails = [h + field for h in heights for field in remapped]
-    rows, codes = [], []
-    for pattern, columns, keys in groups:
-        # the sign that makes the image canonical: that of its first nonzero entry
-        flip = next(signs[k] * pattern[p] for k, p in enumerate(perm) if pattern[p])
-        row_parts, code = [], itertools.repeat(0)
-        for k, p in enumerate(perm):
-            negate = flip * signs[k] < 0
-            if not pattern[p]:
-                row_parts.append(itertools.repeat(texts[k][0][0]))
-                continue
-            row_parts.append(map(texts[k][negate].__getitem__, columns[p]))
-            if not as_text:
-                code = map(add, code, map(places[k][negate].__getitem__, columns[p]))
-        rows += map("".join, zip(*row_parts, map(tails.__getitem__, keys)))
-        codes.append(code)
-    if as_text:
-        rows.sort()
-    else:
-        _sort_by(rows, itertools.chain.from_iterable(codes))
-    head = ":".join(map(str, x)) + "|"
-    if rows:
-        rows[0] = head + rows[0]  # the join puts the head before every other row
-    return head.join(rows)
-
-
 def _pool_map(fn, tasks: list, workers: int):
     """Stream fn over tasks in order, one task at a time on each of min(workers,
     number of tasks, CPU count) processes, or in this process when that is 1;
@@ -742,49 +588,9 @@ def _pool_map(fn, tasks: list, workers: int):
         yield from pool.map(fn, tasks, chunksize=1)
 
 
-def point_rows(height_bound: int, as_text: bool = False):
-    """Stream the dump of all points of anticanonical height <= height_bound
-    in strs of whole rows, each row ending in a newline, in lexicographic
-    order of the normalized x, then y.  A row is the line
-    point_row(classify_point(p), height) would give, built from each
-    fiber's profile.
-
-    as_text sorts the rows as strings instead: base points by str(x) + "|",
-    then each fiber's rows.  Every row starts with str(x) + "|", and "|"
-    sorts after the digits, ":" and "-", so that is the whole dump sorted.
-
-    A fiber that is one box, as the fiber over its orbit's representative
-    shows, comes from its box, one str per value of the box's first
-    parameter (:mod:`.boxrows`); the planes that hold nearly every row are
-    such fibers.  Every other fiber is one str, built from its orbit
-    representative's walk, made once per orbit and stream
-    (:func:`_fiber_rows`).
-    """
-    # imported here: only dumps need it, and import time counts for every command
-    from .boxrows import _box_rows, _one_box, _run_segments
-
-    height_bound = _integer(height_bound, "height bound", 1)
-    x_max = _base_height(height_bound)
-    one_box = {
-        rep for rep, _ in _base_orbits(x_max) if _one_box(rep, height_bound // max(rep) ** 3)
-    }
-    xs = list(canonical_coords(4, x_max))
-    if as_text:
-        xs.sort(key=lambda x: ":".join(map(str, x)) + "|")
-    try:
-        for x in xs:
-            if tuple(sorted(map(abs, x))) in one_box:
-                yield from _box_rows(x, height_bound, as_text)
-            else:
-                yield _fiber_rows(x, height_bound, as_text)
-    finally:
-        _rep_walk.cache_clear()
-        _run_segments.cache_clear()
-
-
 def count_series(height_bounds, workers: int = 1) -> CountSeries:
     """Classified counting functions on an ascending grid of bounds: the
-    series only, as :func:`point_rows` dumps the points.
+    series only, as :func:`.dump.point_rows` dumps the points.
 
     One fiber per signed-permutation orbit of base points is counted, for
     the largest bound, thresholded into each bound and added with the

@@ -72,8 +72,8 @@ def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
     """The dump rows of the fiber above the canonical x, each ending in a
     newline, as one str, in numeric order of y or sorted as strings: the
     walk and the per-point checks of x's own fiber, which the rows that
-    enumeration._fiber_rows builds from the orbit representative's walk
-    are compared against.  A row is four texts from signed tables of the
+    dump._fiber_rows builds from the orbit representative's walk are
+    compared against.  A row is four texts from signed tables of the
     coordinate values, the first with the head x|, and the tail
     |height|flags plus newline of the point's key."""
     lifts, singular, _ = _fiber_profile(x_coords)
@@ -104,7 +104,7 @@ def orbit_members(rep) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int
     (enumeration._base_orbits), each with one signed permutation
     (perm, signs) that sends rep to it: x_k = signs[k] * rep[perm[k]], and
     signs[k] = 1 where x_k = 0.  Every permutation and sign is tried: the
-    orbit weights and enumeration._orbit_map are compared against it."""
+    orbit weights and dump._orbit_map are compared against it."""
     members = {}
     for perm in itertools.permutations(range(4)):
         values = [rep[p] for p in perm]

@@ -17,7 +17,7 @@ from cubicbundle.arith import (
     rational_matrix_rank,
 )
 from cubicbundle.classify import classify_point
-from cubicbundle.enumeration import point_rows
+from cubicbundle.dump import point_rows
 from cubicbundle.geometry import BundlePoint
 
 coord_lists = st.lists(st.integers(-1000, 1000), min_size=2, max_size=4).filter(any)

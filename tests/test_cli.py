@@ -14,9 +14,10 @@ from xml.dom import minidom
 import pytest
 
 import cubicbundle
-from cubicbundle import cli
+from cubicbundle import cli, dump
 from cubicbundle.cli import main
-from cubicbundle.enumeration import CLASS_LABELS, CountSeries, point_rows
+from cubicbundle.dump import point_rows
+from cubicbundle.enumeration import CLASS_LABELS, CountSeries
 
 # a prime above 10^15, too large to factor by trial division within a test's time
 BIG_PRIME = 1000000000000037
@@ -500,8 +501,9 @@ def test_main_freezes_start_up_objects_while_the_command_runs(monkeypatch, capsy
     assert gc.get_freeze_count() == 0
 
 
-#: what cli loads only on demand: the process pool's modules, and random
-LAZY_MODULES = ("concurrent.futures", "multiprocessing", "logging", "random")
+#: what cli loads only on demand: the process pool's modules, random, and
+#: the dump module, which only dumps compile
+LAZY_MODULES = ("concurrent.futures", "multiprocessing", "logging", "random", "cubicbundle.dump")
 
 
 def modules_loaded_by(code, tmp_path):
@@ -524,6 +526,8 @@ def modules_loaded_by(code, tmp_path):
 
 def test_cli_import_loads_no_pool_and_no_random(tmp_path):
     assert modules_loaded_by("import cubicbundle.cli", tmp_path) == []
+    # the dump imports enumeration, never the other way round
+    assert modules_loaded_by("import cubicbundle.enumeration", tmp_path) == []
 
 
 def test_count_below_the_pool_cut_loads_no_pool(tmp_path):
@@ -531,7 +535,12 @@ def test_count_below_the_pool_cut_loads_no_pool(tmp_path):
         "from cubicbundle.cli import main\n"
         "main(['count', '--bounds', '1,2,4,8,16', '--workers', '2', '--out', 'c.csv'])"
     )
-    assert "concurrent.futures" not in modules_loaded_by(code, tmp_path)
+    loaded = modules_loaded_by(code, tmp_path)
+    assert "concurrent.futures" not in loaded
+    # a command that dumps nothing leaves the dump module unloaded
+    assert "cubicbundle.dump" not in loaded
+    survey = "from cubicbundle.cli import main\nmain(['rank-survey', '--samples', '5'])"
+    assert "cubicbundle.dump" not in modules_loaded_by(survey, tmp_path)
 
 
 def test_dump_below_the_pool_cut_loads_no_pool(tmp_path):
@@ -540,7 +549,12 @@ def test_dump_below_the_pool_cut_loads_no_pool(tmp_path):
         "from cubicbundle.cli import main\n"
         "main(['count', '--bounds', '4', '--emit-points', '--workers', '2', '--out', 'c.csv'])"
     )
-    assert "concurrent.futures" not in modules_loaded_by(code, tmp_path)
+    loaded = modules_loaded_by(code, tmp_path)
+    assert "concurrent.futures" not in loaded
+    # each dump loads the dump module
+    assert "cubicbundle.dump" in loaded
+    enumerate_ = "from cubicbundle.cli import main\nmain(['enumerate', '--bound', '2', '--out', 'p'])"
+    assert "cubicbundle.dump" in modules_loaded_by(enumerate_, tmp_path)
 
 
 def _defined_names(statement):
@@ -702,18 +716,18 @@ def failed_dump(monkeypatch, tmp_path, capsys, argv, exc):
         stream.close()
         raise exc
 
-    monkeypatch.setattr(cli, "point_rows", rows)
-    dump = tmp_path / ("out" if argv[0] == "enumerate" else "out.points")
+    monkeypatch.setattr(dump, "point_rows", rows)
+    dump_file = tmp_path / ("out" if argv[0] == "enumerate" else "out.points")
     results = []
     for before in (None, b"an earlier dump\n"):
         if before is not None:
-            dump.write_bytes(before)
+            dump_file.write_bytes(before)
         results.append(run(capsys, *argv, "--out", str(tmp_path / "out")))
         left = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         if argv[0] == "count":
             assert left.pop("out").startswith(b"B,ALL,")
-        assert left == ({} if before is None else {dump.name: before})
-    return results, dump
+        assert left == ({} if before is None else {dump_file.name: before})
+    return results, dump_file
 
 
 @pytest.mark.parametrize("argv", DUMPS)
@@ -724,9 +738,9 @@ def test_interrupt_exits_130_with_one_error_line(monkeypatch, tmp_path, capsys, 
 
 @pytest.mark.parametrize("argv", DUMPS)
 def test_failed_dump_exits_2_and_leaves_no_file(monkeypatch, tmp_path, capsys, argv):
-    results, dump = failed_dump(monkeypatch, tmp_path, capsys, argv, OSError("device gone"))
+    results, dump_file = failed_dump(monkeypatch, tmp_path, capsys, argv, OSError("device gone"))
     # the error names the final path, not the temporary file
-    assert results == [(2, "", f"error: cannot write {dump}: device gone\n")] * 2
+    assert results == [(2, "", f"error: cannot write {dump_file}: device gone\n")] * 2
 
 
 def test_dump_into_a_device_is_written_in_place(capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicbundle
-from cubicbundle import boxrows, classify, cli, enumeration
+from cubicbundle import classify, cli, dump, enumeration
 from cubicbundle.arith import (
     InvalidArgument,
     InvalidPoint,
@@ -23,8 +23,18 @@ from cubicbundle.arith import (
     naive_height,
     normalize,
 )
-from cubicbundle.boxrows import _box_rows, _one_box, _run_segments
 from cubicbundle.classify import classify_point
+from cubicbundle.dump import (
+    _box_rows,
+    _fiber_rows,
+    _one_box,
+    _orbit_map,
+    _pair_locus_map,
+    _rep_walk,
+    _run_segments,
+    _sort_by,
+    point_rows,
+)
 from cubicbundle.enumeration import (
     CLASS_LABELS,
     POOL_MIN_BOUND,
@@ -36,22 +46,16 @@ from cubicbundle.enumeration import (
     _classify_fiber,
     _fiber_coords,
     _fiber_locus,
-    _fiber_rows,
     _fiber_walk,
     _flag_fields,
     _half_box,
-    _orbit_map,
-    _pair_locus_map,
-    _rep_walk,
     _signed,
-    _sort_by,
     _surface_scan,
     base_points,
     canonical_coords,
     count_series,
     enumerate_fiber,
     point_row,
-    point_rows,
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
@@ -557,7 +561,7 @@ class TestPointRows:
 
     def test_first_row_comes_before_the_second_fiber_task(self, monkeypatch):
         calls = []
-        for module, name in ((enumeration, "_fiber_rows"), (boxrows, "_box_rows")):
+        for module, name in ((dump, "_fiber_rows"), (dump, "_box_rows")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name: calls.append((name, args))
@@ -595,8 +599,8 @@ class TestPointRows:
         # _rep_walk is _fiber_walk's only caller, so each call is one cache miss
         _rep_walk.cache_clear()
         walked = []
-        real = enumeration._fiber_walk
-        monkeypatch.setattr(enumeration, "_fiber_walk",
+        real = dump._fiber_walk
+        monkeypatch.setattr(dump, "_fiber_walk",
                             lambda xs, bound: walked.append(xs) or real(xs, bound))
         "".join(point_rows(12, as_text=as_text))
         orbits = [rep for rep, _ in _base_orbits(_base_height(12))
@@ -635,17 +639,17 @@ class TestPointRows:
         # (0:0:0:1) is not on the fiber over 0:1:1:1, the representative of
         # 0:1:-1:-1, the first base point in both orders whose fiber is not
         # one box, and whose walk both orders check
-        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [(0, 0, 0, 1)])
+        monkeypatch.setattr(dump, "_fiber_walk", lambda xs, bound: [(0, 0, 0, 1)])
         for as_text in (False, True):
             with pytest.raises(NotOnVariety, match=r"\(0:1:1:1, 0:0:0:1\) is not on the bundle"):
                 list(point_rows(1, as_text=as_text))
 
     def test_off_bundle_check_survives_optimize(self):
         code = textwrap.dedent("""
-            from cubicbundle import enumeration
+            from cubicbundle import dump
             assert False, "asserts must be off"
-            enumeration._fiber_walk = lambda xs, bound: [(0, 0, 0, 1)]
-            list(enumeration.point_rows(1))
+            dump._fiber_walk = lambda xs, bound: [(0, 0, 0, 1)]
+            list(dump.point_rows(1))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
@@ -728,10 +732,10 @@ class TestBoxRows:
             import sys
             sys.path.insert(0, {tests!r})
             from test_enumeration import TestBoxRows
-            from cubicbundle import enumeration
+            from cubicbundle import dump, enumeration
             assert False, "asserts must be off"
             enumeration._cone_locus = TestBoxRows.off_fiber_cone_locus(enumeration._cone_locus)
-            list(enumeration.point_rows(1))
+            list(dump.point_rows(1))
         """).format(tests=str(Path(__file__).parent))
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
@@ -779,7 +783,7 @@ class TestFiberRows:
         # H(y) = 18 and 37 above the fiber bound 2 over 1:1:1:2: coordinate
         # texts and heights beyond those of the points within the bound
         ys = [(1, -1, 0, 0), (6, -37, -35, 36), (1, -18, 7, 14)]
-        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
+        monkeypatch.setattr(dump, "_fiber_walk", lambda xs, bound: list(ys))
         x = ProjectivePoint((1, 1, 1, 2))
         expected = [
             point_row(classify_point(BundlePoint(x, y)), naive_height(x) ** 3 * naive_height(y))
@@ -820,7 +824,7 @@ class TestFiberRows:
         # fiber bound 3 over 1:1:1:1: coordinates +-3 at the bound, and a
         # point of height 12 beyond it whose -12 and -1 must not share a text
         ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -3, 3, -1), (12, -12, 1, -1), (1, -1, 12, -12)]
-        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: list(ys))
+        monkeypatch.setattr(dump, "_fiber_walk", lambda xs, bound: list(ys))
         x = ProjectivePoint((1, 1, 1, 1))
         # numeric order sorts the walk, text order the rows
         expected = [
@@ -850,7 +854,7 @@ class TestFiberRows:
     @pytest.mark.parametrize("as_text", [False, True])
     def test_fiber_without_points_gives_no_text(self, monkeypatch, as_text):
         # no rows, so no head either
-        monkeypatch.setattr(enumeration, "_fiber_walk", lambda xs, bound: [])
+        monkeypatch.setattr(dump, "_fiber_walk", lambda xs, bound: [])
         assert member_rows((1, 1, 1, 2), 16, as_text) == ""
 
     def test_point_row_writes_the_flag_format(self):
@@ -916,17 +920,17 @@ class TestOrbitRows:
 
     def test_wrong_signed_permutation_raises(self, monkeypatch):
         # the identity sends 0:0:1:1 to itself, not to 0:0:1:-1
-        monkeypatch.setattr(enumeration, "_orbit_map",
+        monkeypatch.setattr(dump, "_orbit_map",
                             lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1)))
         with pytest.raises(RuntimeError, match=r"does not send \(0, 0, 1, 1\) to \(0, 0, 1, -1\)"):
             _fiber_rows((0, 0, 1, -1), 1, False)
 
     def test_wrong_signed_permutation_raises_under_optimize(self):
         code = textwrap.dedent("""
-            from cubicbundle import enumeration
+            from cubicbundle import dump
             assert False, "asserts must be off"
-            enumeration._orbit_map = lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1))
-            enumeration._fiber_rows((0, 0, 1, -1), 1, False)
+            dump._orbit_map = lambda xs: ((0, 0, 1, 1), (0, 1, 2, 3), (1, 1, 1, 1))
+            dump._fiber_rows((0, 0, 1, -1), 1, False)
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
         result = subprocess.run(
