@@ -45,7 +45,6 @@ from .enumeration import (
     _fiber_walk,
     _first_use,
     _flag_fields,
-    _signed,
     canonical_coords,
 )
 from .geometry import PAIRINGS
@@ -74,9 +73,17 @@ def _pair_locus_map(perm) -> tuple[int, ...]:
     return tuple(sum((k >> p - 1 & 1) << q for q, p in enumerate(pairings)) for k in range(8))
 
 
+def _signed(top: int):
+    """-top..top in the order of a signed table: 0..top, then -top..-1, so
+    that the entry of v, read as table[v], sits at index v for v >= 0 and
+    counts from the end for v < 0.  A table built over it serves exactly
+    the v with |v| <= top."""
+    return itertools.chain(range(top + 1), range(-top, 0))
+
+
 def _negated(table: list) -> list:
-    """The signed table (:func:`.enumeration._signed`) whose entry for v is
-    table's entry for -v."""
+    """The signed table (:func:`_signed`) whose entry for v is table's entry
+    for -v."""
     return table[:1] + table[:0:-1]
 
 
@@ -100,11 +107,12 @@ def _rep_walk(rep, fiber_bound: int):
     The points are grouped by sign pattern, at most 81 of them: each group
     is (pattern, columns, keys), the pattern as four signs -1, 0 or 1, the
     four coordinate columns (None where the pattern is 0) and the keys of
-    :func:`.enumeration._checked_points`, as views of one array of machine ints per
-    column.  heights are the texts |H(x)^3 * h| for h up to the largest
-    H(y), top.  For each place k of a row, texts and places hold a signed
-    table (:func:`.enumeration._signed`) and its negation (:func:`_negated`): of each
-    value's text, with ":" but in the last place, and of v*(2*top + 1)^(3 - k).
+    :func:`.enumeration._checked_points`, as views of one array of machine
+    ints per column.  heights are the texts |H(x)^3 * h| for h up to the
+    largest H(y), top.  For each place k of a row, texts and places hold a
+    signed table (:func:`_signed`) and its negation (:func:`_negated`): of
+    each value's text, with ":" but in the last place, and of
+    v*(2*top + 1)^(3 - k).
     """
     ys = _fiber_walk(rep, fiber_bound)
     keys = _checked_points(rep, ys)

@@ -12,8 +12,8 @@ height bound caps each |t_p| by its box side.  Its points are the primitive
 t up to sign, so a Moebius sum counts them (:func:`primitive_count`), and
 the walk visits the half of the box whose first nonzero entry is positive
 (:func:`_half_box`), its parameters renumbered and signed so that every
-image is canonical, a row of the last parameter at a time
-(:func:`_box_coords`).  The description is split in two kinds of fiber:
+image is canonical (:func:`_box_coords`).  The description is split in two
+kinds of fiber:
 
 * x with a zero coordinate: a cone, the join of its vertex, spanned by
   the free y_k with x_k = 0, with each point of the curve sum x_k*y_k^3 = 0
@@ -38,10 +38,9 @@ reproducible byte for byte and the outer loop parallelizes freely.
 
 Counting and the dumps read the fiber profile (liftability, singularity,
 rank) once per fiber; per walked point only the bundle check, the height
-and the pair-locus test remain, one walk that reads the terms x_k*y_k^3
-from per-fiber signed tables, lists that y_k indexes directly
-(:func:`_signed`), and gives each point one int key, its height H(y) and
-its pair-locus pattern (:func:`_checked_points`).  Counting takes
+and the pair-locus test remain, one pass over the terms x_k*y_k^3 that
+gives each point one int key, its height H(y) and its pair-locus pattern
+(:func:`_checked_points`).  Counting takes
 one fiber per orbit of base points under the signed permutations
 (x_i, y_i) -> (e_i*x_s(i), e_i*y_s(i)), e_i = +-1.  They preserve the
 equation, the heights, the set of pair loci, liftability (-1 is a cube)
@@ -326,8 +325,10 @@ def _first_use(params, sides):
     """The box (params, sides) with its parameters renumbered in the order
     of their first use, by the first y_k with a nonzero multiplier, each
     negated where that multiplier is negative: the first nonzero coordinate
-    of the image of t is then a positive multiple of t's first nonzero entry
-    (:func:`_box_coords`, :func:`.dump._box_rows`)."""
+    of the image of t is then a positive multiple of t's first nonzero entry,
+    so the image of every t of the half box is canonical with no sign test
+    (:func:`_box_coords`) and the parameters run in dump order
+    (:func:`.dump._box_rows`)."""
     signs = {}
     for p, m in params:
         if m and p not in signs:
@@ -339,34 +340,19 @@ def _first_use(params, sides):
 
 def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
     """The canonical points of a box with H(y) <= bound, in no particular
-    order.
+    order: the image of each primitive t of the half box (:func:`_half_box`),
+    its parameters renumbered by first use (:func:`_first_use`), so that
+    every image is canonical.
 
-    With the parameters renumbered by first use (:func:`_first_use`), every
-    t of the half box (:func:`_half_box`) maps to a canonical y, and y is
-    primitive with t.  The walk fixes every parameter but the last and
-    takes the row of the last at once: one zip of constant columns and
-    arithmetic progressions, filtered by gcd only when the fixed entries are
-    not coprime.
+    A box of three parameters, a plane, lies only over an x with at most
+    two nonzero coordinates, whose fiber is that one box: the count reads it
+    in closed form and the dumps write it from its parameters
+    (:func:`.dump._box_rows`), so only :func:`enumerate_fiber` walks a plane.
     """
     params, sides = _first_use(params, sides)
-    *caps, n = (bound // side for side in sides)
-    last = len(caps)
-    row = range(-n, n + 1)
-    # per coordinate: (parameter, multiplier, None) for a column that is
-    # constant along a row, or the column itself (the same in every row)
-    cols = [(p, m, range(-n * m, (n + 1) * m, m) if p == last and m else None) for p, m in params]
-    # the row whose fixed entries are all 0: only t_last = 1 is primitive
-    ys = [tuple(m if p == last else 0 for p, m, _ in cols)] if n else []
-    masks = {}  # gcd of the fixed entries -> which entries of the row are coprime to it
-    for fixed in _half_box(caps):
-        points = zip(*[itertools.repeat(m * fixed[p]) if col is None else col for p, m, col in cols])
-        g = math.gcd(*fixed)
-        if g > 1:
-            if g not in masks:
-                masks[g] = [math.gcd(g, t) == 1 for t in row]
-            points = itertools.compress(points, masks[g])
-        ys += points
-    return ys
+    (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
+    return [(m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
+            for t in _half_box([bound // side for side in sides]) if math.gcd(*t) == 1]
 
 
 def _fiber_walk(xs, bound: int) -> list[tuple[int, ...]]:
@@ -514,46 +500,26 @@ def point_row(record, height: int) -> str:
     return f"{record.point.x}|{record.point.y}|{height}|{fields[bits][:-1]}"
 
 
-def _signed(top: int):
-    """-top..top in the order of a signed table: 0..top, then -top..-1, so
-    that the entry of v, read as table[v], sits at index v for v >= 0 and
-    counts from the end for v < 0.  A table built over it serves exactly
-    the v with |v| <= top."""
-    return itertools.chain(range(top + 1), range(-top, 0))
-
-
 def _checked_points(x_coords, ys) -> list[int]:
     """One key per canonical y of ys over the canonical x, in order:
     H(y) << 3 | V1 | V2 << 1 | V3 << 2, where Vp is 1 when y is on the pair
     locus of pairing p.
 
-    Raises NotOnVariety for a y off the bundle, also under python -O.  The
-    terms x_k*y_k^3 come from one signed table per k (:func:`_signed`),
-    built when the first point comes and built again, at least twice as
-    large, whenever a point's height H(y) outgrows it; so no entry is read
-    for another value, and the tables grow with the points' heights, not
-    with the fiber bound.  On the bundle the four terms sum to 0, so both
-    pair sums of a pairing vanish as soon as the one holding index 0 does.
+    Raises NotOnVariety for a y off the bundle, also under python -O.  On
+    the bundle the four terms x_k*y_k^3 sum to 0, so both pair sums of a
+    pairing vanish as soon as the one holding index 0 does.
     """
+    x0, x1, x2, x3 = x_coords
     keys = []
-    append = keys.append
-    top = -1
-    for y0, y1, y2, y3 in ys:
-        # H(y) by comparisons, which cost less than calls of max and abs
-        h = y0 if y0 > 0 else -y0
-        h = y1 if y1 > h else -y1 if -y1 > h else h
-        h = y2 if y2 > h else -y2 if -y2 > h else h
-        h = y3 if y3 > h else -y3 if -y3 > h else h
-        if h > top:
-            top = max(h, 2 * top)
-            cubes = [v ** 3 for v in _signed(top)]
-            c0, c1, c2, c3 = ([x * c for c in cubes] for x in x_coords)
-        t0, t1, t2, t3 = c0[y0], c1[y1], c2[y2], c3[y3]
+    for y in ys:
+        y0, y1, y2, y3 = y
+        t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
         if t0 + t1 + t2 + t3:
-            x, y = (":".join(map(str, c)) for c in (x_coords, (y0, y1, y2, y3)))
+            x, y = (":".join(map(str, c)) for c in (x_coords, y))
             raise NotOnVariety(f"({x}, {y}) is not on the bundle")
         # pairings 1, 2, 3 pair index 0 with 1, 2, 3 (geometry.PAIRINGS)
-        append(h << 3 | (t0 + t1 == 0) | (t0 + t2 == 0) << 1 | (t0 + t3 == 0) << 2)
+        keys.append(max(map(abs, y)) << 3
+                    | (t0 + t1 == 0) | (t0 + t2 == 0) << 1 | (t0 + t3 == 0) << 2)
     return keys
 
 

@@ -7,15 +7,15 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-from cubicbundle.arith import ProjectivePoint, _integer, exact_cube_root, naive_height
+from cubicbundle.arith import ProjectivePoint, _integer, exact_cube_root, naive_height, normalize
 from cubicbundle.classify import _fiber_profile
 from cubicbundle.cli import random_surface
+from cubicbundle.dump import _signed
 from cubicbundle.enumeration import (
     _checked_points,
     _fiber_coords,
     _fiber_walk,
     _half_box,
-    _signed,
     base_points,
     enumerate_fiber,
 )
@@ -41,8 +41,9 @@ def enumerate_bundle(height_bound: int):
 
 def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
     """The canonical points of a box of enumeration._fiber_locus with
-    H(y) <= bound, one parameter vector at a time: the row walk of
-    enumeration._box_coords is compared against it."""
+    H(y) <= bound, one parameter vector at a time, each image negated when
+    it is not canonical: enumeration._box_coords, which renumbers the
+    parameters so that no image needs it, is compared against it."""
     (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
     ys = []
     # primitive t up to sign: y is primitive with t, and is negated when
@@ -52,6 +53,28 @@ def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
             y = (m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
             ys.append(y if y > (0, 0, 0, 0) else (-y[0], -y[1], -y[2], -y[3]))
     return ys
+
+
+def brute_force_bundle(height_bound):
+    """Every bundle point (x, y) with anticanonical height <= height_bound
+    as a set of normalized coordinate pairs: a quadruple-nested scan of the
+    integer height box, then normalize."""
+    found = set()
+    x_max = 1
+    while (x_max + 1) ** 3 <= height_bound:
+        x_max += 1
+    for xs in itertools.product(range(-x_max, x_max + 1), repeat=4):
+        if not any(xs):
+            continue
+        hx = max(abs(c) for c in xs)
+        y_cap = height_bound // hx ** 3
+        for ys in itertools.product(range(-y_cap, y_cap + 1), repeat=4):
+            if not any(ys):
+                continue
+            if sum(a * b ** 3 for a, b in zip(xs, ys)) != 0:
+                continue
+            found.add((normalize(xs).coords, normalize(ys).coords))
+    return found
 
 
 def flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:

@@ -24,7 +24,13 @@ from cubicbundle.picard import (
     incidence_gram,
     picard_rank,
 )
-from oracles import enumerate_bundle, incidence_numeric, random_surfaces, search_lift
+from oracles import (
+    brute_force_bundle,
+    enumerate_bundle,
+    incidence_numeric,
+    random_surfaces,
+    search_lift,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -99,25 +105,6 @@ def test_criterion_4_fermat_fiber(capsys):
             code == 0 and "rank_over_Q: 4" in stdout,
             "fiber-rank 1 1 1 1 reports rank 4",
         )
-
-
-def brute_force_bundle(height_bound):
-    found = set()
-    x_max = 1
-    while (x_max + 1) ** 3 <= height_bound:
-        x_max += 1
-    for xs in itertools.product(range(-x_max, x_max + 1), repeat=4):
-        if not any(xs):
-            continue
-        hx = max(abs(c) for c in xs)
-        y_cap = height_bound // hx ** 3
-        for ys in itertools.product(range(-y_cap, y_cap + 1), repeat=4):
-            if not any(ys):
-                continue
-            if sum(a * b ** 3 for a, b in zip(xs, ys)) != 0:
-                continue
-            found.add((normalize(xs).coords, normalize(ys).coords))
-    return found
 
 
 def test_criterion_5_enumeration_oracle():

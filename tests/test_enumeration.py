@@ -32,6 +32,7 @@ from cubicbundle.dump import (
     _pair_locus_map,
     _rep_walk,
     _run_segments,
+    _signed,
     _sort_by,
     point_rows,
 )
@@ -49,7 +50,6 @@ from cubicbundle.enumeration import (
     _fiber_walk,
     _flag_fields,
     _half_box,
-    _signed,
     _surface_scan,
     base_points,
     canonical_coords,
@@ -59,7 +59,14 @@ from cubicbundle.enumeration import (
     primitive_count,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
-from oracles import box_coords, enumerate_bundle, fiber_rows, flag_field, orbit_members
+from oracles import (
+    box_coords,
+    brute_force_bundle,
+    enumerate_bundle,
+    fiber_rows,
+    flag_field,
+    orbit_members,
+)
 
 #: planes x = e_i, cube-ratio planes with t-side 1 and 2, and non-cube lines
 LINEAR_SHAPES = [
@@ -113,26 +120,6 @@ def surface_oracle(xs, bound):
     ]
     hits += [(0, 0, yc, yd) for yc, yd in half_plane if x2 * cubes[yc] + x3 * cubes[yd] == 0]
     return sorted(filter(is_canonical, hits))
-
-
-def brute_force_bundle(height_bound):
-    """Quadruple-nested scan of the integer height box, then normalize."""
-    found = set()
-    x_max = 1
-    while (x_max + 1) ** 3 <= height_bound:
-        x_max += 1
-    for xs in itertools.product(range(-x_max, x_max + 1), repeat=4):
-        if not any(xs):
-            continue
-        hx = max(abs(c) for c in xs)
-        y_cap = height_bound // hx ** 3
-        for ys in itertools.product(range(-y_cap, y_cap + 1), repeat=4):
-            if not any(ys):
-                continue
-            if sum(a * b ** 3 for a, b in zip(xs, ys)) != 0:
-                continue
-            found.add((normalize(xs).coords, normalize(ys).coords))
-    return found
 
 
 def classified_tally(points, grid):
@@ -313,7 +300,7 @@ class TestFiber:
 
 
 class TestBoxWalk:
-    """The row walk of each box against the per-vector walk in tests/oracles.py."""
+    """The walk of each box against the per-vector walk in tests/oracles.py."""
 
     def test_matches_the_per_vector_walk_on_every_small_fiber(self):
         walked = 0
@@ -601,11 +588,15 @@ class TestPointRows:
         walked = []
         real = dump._fiber_walk
         monkeypatch.setattr(dump, "_fiber_walk",
-                            lambda xs, bound: walked.append(xs) or real(xs, bound))
+                            lambda xs, bound: walked.append((xs, bound)) or real(xs, bound))
         "".join(point_rows(12, as_text=as_text))
         orbits = [rep for rep, _ in _base_orbits(_base_height(12))
                   if _one_box(rep, 12 // max(rep) ** 3) is None]
-        assert sorted(walked) == sorted(orbits)
+        assert sorted(xs for xs, _ in walked) == sorted(orbits)
+        # no dump walks a plane: every walked box has at most two parameters
+        for xs, bound in walked:
+            boxes, _ = _fiber_locus(xs, bound)
+            assert all(len(sides) <= 2 for _, sides, _, _ in boxes), (xs, bound)
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_walk_cache_is_empty_when_a_stream_ends(self, as_text):
@@ -807,9 +798,8 @@ class TestFiberRows:
         assert [table[v] for v in range(-top, top + 1)] == list(range(-top, top + 1))
 
     def test_signed_tables_give_exact_keys_at_and_beyond_the_bound(self):
-        # over 1:1:1:1 at the fiber bound 3: coordinates +-3, then heights
-        # that outgrow each table built so far (5, then 12); a table sized to
-        # a smaller height would read -5 at the index of another value
+        # over 1:1:1:1 at the fiber bound 3: coordinates +-3 at the bound,
+        # then heights beyond it (5, then 12), each key exact
         ys = [(1, -1, 0, 0), (3, -3, 1, -1), (1, -1, 3, -3), (5, -5, -3, 3),
               (12, -12, 1, -1), (2, 1, -1, -2), (0, 1, -1, 0)]
         xs = (1, 1, 1, 1)
