@@ -10,7 +10,8 @@ the other x with two, and the vertex of a cone over a curve without
 points.  The planes hold nearly every row of a dump.  Their rows come from
 the box's parameters in dump order, with no walk, no per-point check and
 no sort (:func:`_box_rows`), built from segments shared by the runs and
-fibers of one box shape (:func:`_run_segments`).
+fibers of one box shape (:func:`_run_segments`); a pair sum rides on one
+box parameter at most, so each pair locus is read off the box.
 
 The other fibers walk and check only the fiber of their orbit's
 representative (:func:`.enumeration._base_orbits`), once per stream, kept
@@ -35,7 +36,7 @@ from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import add, itemgetter, mul, or_
 
-from .arith import _integer, exact_cube_root
+from .arith import _integer
 from .classify import _fiber_profile
 from .enumeration import (
     _base_height,
@@ -45,6 +46,7 @@ from .enumeration import (
     _fiber_walk,
     _first_use,
     _flag_fields,
+    _param_sums,
     canonical_coords,
 )
 from .geometry import PAIRINGS
@@ -219,24 +221,10 @@ def _values(m: int, cap: int, as_text: bool):
     return sorted(values, key=lambda t: f"{m * t}:") if as_text else values
 
 
-def _pair_loci(levels, slopes, bits: int = 0, roots: tuple = ()):
-    """(bits, roots) with those of the pair sums levels[b] + slopes[b]*t^3
-    along a run added: pairing b's bit when its sum vanishes for every t,
-    else (t, bit) for its one root t, an exact cube root, if it has one."""
-    for b, level in levels.items():
-        if not slopes[b]:
-            bits |= (not level) << b - 1
-        elif not level % slopes[b]:
-            root = exact_cube_root(-level // slopes[b])
-            if root is not None:
-                roots += ((root, 1 << b - 1),)
-    return bits, roots
-
-
 @lru_cache(maxsize=None)
 def _run_segments(steps, trailing, side: int, bound: int, hx3: int, fields, as_text: bool):
-    """A memoized function of a run's (g, fixed height, bits, roots) to its
-    segments, shared by the fibers of a stream with this box shape
+    """A memoized function of a run's (g, fixed height, bits, zero bits) to
+    its segments, shared by the fibers of a stream with this box shape
     (:func:`_box_rows`; :func:`point_rows` empties the cache as a stream
     starts and ends): the last parameter's multipliers steps
     and side, the fixed coordinates after its first (trailing), the fiber
@@ -246,7 +234,7 @@ def _run_segments(steps, trailing, side: int, bound: int, hx3: int, fields, as_t
     of the fixed entries, or t = 1 alone when they are all 0.  A segment is
     the texts of the coordinates from t's first on, in pieces split at the
     trailing ones, the last ending in |height|flags plus newline for the key
-    max(fixed height, side*|t|) << 3 | bits, or'd with a root's bit at t.
+    max(fixed height, side*|t|) << 3 | bits, or'd with the zero bits at t = 0.
     """
     n = bound // side
     first = next(m for m in steps if m)
@@ -268,13 +256,12 @@ def _run_segments(steps, trailing, side: int, bound: int, hx3: int, fields, as_t
         return ts, [side * abs(t) << 3 for t in ts], pieces
 
     @lru_cache(maxsize=None)
-    def segments(g, fixed_height, bits, roots):
+    def segments(g, fixed_height, bits, zero_bits):
         ts, heights, pieces = run(g)
         keys = list(map(or_, map(max, itertools.repeat(fixed_height << 3), heights),
                         itertools.repeat(bits)))
-        for t, bit in roots:
-            if t in ts:
-                keys[ts.index(t)] |= bit
+        if zero_bits and 0 in ts:
+            keys[ts.index(0)] |= zero_bits
         return [*pieces[:-1], list(map(add, pieces[-1], map(tails.__getitem__, keys)))]
 
     return segments
@@ -293,9 +280,11 @@ def _box_rows(x, height_bound: int, as_text: bool):
     prefix-free.  So the fixed parameters, all but the last, loop in dump
     order, and the last makes one run of rows, prefix + segment
     (:func:`_run_segments`).  A point's height is the fixed part's or
-    side*|t|, and its pair sums x_0*y_0^3 + x_b*y_b^3 are A_b + C_b*t^3
-    (:func:`_pair_loci`), with A_b = 0 in every run unless y_0 or y_b is
-    fixed and x_0 or x_b nonzero.
+    side*|t|.  A cone box (:func:`.enumeration._cone_locus`) puts each y_k
+    with x_k nonzero at 0 or on its one curve parameter, so pairing b's pair
+    sum x_0*y_0^3 + x_b*y_b^3 is c*t_p^3 for at most one parameter p: V_b
+    holds on the whole box without one, else exactly where t_p = 0, one test
+    per run for a fixed p and the run's point t = 0 for the last.
     """
     lifts, singular, _ = _fiber_profile(x)
     hx3 = max(map(abs, x)) ** 3
@@ -304,22 +293,25 @@ def _box_rows(x, height_bound: int, as_text: bool):
     if box is None:
         raise RuntimeError(f"the fiber over {x} is not one box")
     params, sides = _first_use(*box)
-    *caps, n = (bound // side for side in sides)
+    caps = [bound // side for side in sides[:-1]]
     last = len(caps)
     firsts = dict(reversed([(p, m) for p, m in params if m]))  # each parameter's first multiplier
     steps = tuple(m if p == last else 0 for p, m in params)
     start = next(k for k, m in enumerate(steps) if m)
-    # y_k = mults[k] * fixed[places[k]] for the fixed coordinates, 0 (the
-    # padding at -1) for the others
+    # y_k = mults[k] * (*fixed, 0)[places[k]]: the padding 0 at -1 where y_k is not fixed
     places = [p if m and p != last else -1 for p, m in params]
     mults = [m for _, m in params]
     trailing = tuple(k for k in range(start + 1, 4) if places[k] >= 0)
     fields = _flag_fields(tuple(lifts.values()), singular)
     segments = _run_segments(steps, trailing, sides[-1], bound, hx3, fields, as_text)
-    # C_b of each pairing b, and the pair loci of those whose A_b is 0 in every run
-    slopes = {b: x[0] * steps[0] ** 3 + x[b] * steps[b] ** 3 for b in PAIRINGS}
-    varying = [b for b in PAIRINGS if any(x[k] and places[k] >= 0 for k in (0, b))]
-    loci = _pair_loci({b: 0 for b in PAIRINGS if b not in varying}, slopes)
+    # the bits of the pairings whose pair sum c*t_p^3 rides on each parameter
+    # p, and under None those whose pair sum vanishes on the whole box
+    pair_bits = dict.fromkeys([None, *range(len(sides))], 0)
+    for b in PAIRINGS:
+        sums = _param_sums(x, params, (0, b))
+        [p] = [p for p, c in enumerate(sums) if c] or [None]  # raises for two, also under -O
+        pair_bits[p] |= 1 << b - 1
+    bits, zero_bits = pair_bits.pop(None), pair_bits.pop(last)
     texts = [f"{v}:" for v in _signed(bound)]
     head = ":".join(map(str, x)) + "|"
     # the fixed parameters in dump order: the product of their orders, kept
@@ -330,11 +322,8 @@ def _box_rows(x, height_bound: int, as_text: bool):
         block = []
         for fixed in fixed_runs:
             y = list(map(mul, mults, map((*fixed, 0).__getitem__, places)))
-            run_loci = loci
-            if varying:
-                run_loci = _pair_loci({b: x[0] * y[0] ** 3 + x[b] * y[b] ** 3 for b in varying},
-                                      slopes, *loci)
-            pieces = segments(math.gcd(*fixed), max(map(abs, y)), *run_loci)
+            run_bits = bits + sum(bit for p, bit in pair_bits.items() if not fixed[p])
+            pieces = segments(math.gcd(*fixed), max(map(abs, y)), run_bits, zero_bits)
             if pieces[0]:
                 # the segments: the pieces with the trailing coordinates' texts between
                 cols = [pieces[0]]

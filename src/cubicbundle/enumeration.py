@@ -32,9 +32,8 @@ Every box is checked against the fiber equation once, which also tells
 whether it lies in a pair locus, every remaining point one by one, also
 under python -O.
 
-Points are canonical int tuples inside; :func:`enumerate_fiber` wraps them
-into point objects.  Output is always sorted lexicographically, so runs are
-reproducible byte for byte and the outer loop parallelizes freely.
+Points are canonical int tuples inside, walked in no particular order;
+:func:`enumerate_fiber` sorts them and wraps them into point objects.
 
 Counting and the dumps read the fiber profile (liftability, singularity,
 rank) once per fiber; per walked point only the bundle check, the height
@@ -275,6 +274,16 @@ def _surface_scan(xs, bound: int) -> list[tuple[int, ...]]:
     return list(filter(is_canonical, hits))
 
 
+def _param_sums(xs, params, indices) -> list[int]:
+    """The coefficient of each t_p^3 in the sum of x_k*y_k^3 over the k in
+    indices on the box params: the sum of p's terms x_k*m_k^3."""
+    sums = [0] * len(params)  # parameters are numbered 0, 1, ..., at most one per y_k
+    for k in indices:
+        p, m = params[k]
+        sums[p] += xs[k] * m ** 3
+    return sums
+
+
 def _check_box(xs, params) -> bool:
     """Whether the box lies in a pair locus; raise NotOnVariety, also under
     python -O, unless every point of the box lies on the fiber over xs.
@@ -286,16 +295,9 @@ def _check_box(xs, params) -> bool:
     pairing b, which groups index 0 with b, it puts every point of the box
     on that pair locus: on the fiber the other pair sum vanishes too.
     """
-    def vanishes(indices) -> bool:
-        sums = [0] * len(params)  # parameters are numbered 0, 1, ..., at most one per y_k
-        for k in indices:
-            p, m = params[k]
-            sums[p] += xs[k] * m ** 3
-        return not any(sums)
-
-    if not vanishes(range(4)):
+    if any(_param_sums(xs, params, range(4))):
         raise NotOnVariety(f"the box {params} is not on the fiber over {':'.join(map(str, xs))}")
-    return any(vanishes((0, b)) for b in PAIRINGS)
+    return any(not any(_param_sums(xs, params, (0, b))) for b in PAIRINGS)
 
 
 def _fiber_locus(xs, bound: int):
@@ -538,22 +540,6 @@ def _flag_fields(lifts: tuple[bool, ...], singular: bool) -> tuple[str, ...]:
     return tuple(fields)
 
 
-def _pool_map(fn, tasks: list, workers: int):
-    """Stream fn over tasks in order, one task at a time on each of min(workers,
-    number of tasks, CPU count) processes, or in this process when that is 1;
-    workers is a checked int."""
-    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
-    if pool_size <= 1:
-        yield from map(fn, tasks)
-        return
-    # imported here: it loads multiprocessing and logging, over a third of
-    # the package's import time, and only a pool needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        yield from pool.map(fn, tasks, chunksize=1)
-
-
 def count_series(height_bounds, workers: int = 1) -> CountSeries:
     """Classified counting functions on an ascending grid of bounds: the
     series only, as :func:`.dump.point_rows` dumps the points.
@@ -568,8 +554,8 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
     point.  Orbit tasks run largest fiber bound bounds[-1] // H(x)^3 first,
     so the few huge fibers over height-1 base points start at once; the
     merge is a weighted sum, so any worker count produces identical output.
-    workers is a maximum: below a top bound of POOL_MIN_BOUND the count
-    runs in this process.
+    workers is a maximum: the count runs in this process below a top bound
+    of POOL_MIN_BOUND, else on min(workers, tasks, CPU count) processes.
     """
     workers = _integer(workers, "workers", 1)
     bounds = tuple(_integer(b, "bound") for b in height_bounds)
@@ -577,10 +563,18 @@ def count_series(height_bounds, workers: int = 1) -> CountSeries:
         raise InvalidArgument("empty bounds grid")
     if any(b < 1 for b in bounds) or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise InvalidArgument("bounds must be positive and strictly ascending")
-    if bounds[-1] < POOL_MIN_BOUND:
-        workers = 1
     weighted = sorted(_base_orbits(_base_height(bounds[-1])), key=lambda xw: max(xw[0]))
-    tallies = _pool_map(_classify_fiber, [(xs, bounds) for xs, _ in weighted], workers)
+    tasks = [(xs, bounds) for xs, _ in weighted]
+    pool_size = 1 if bounds[-1] < POOL_MIN_BOUND else min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size > 1:
+        # imported here: it loads multiprocessing and logging, over a third of
+        # the package's import time, and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            tallies = list(pool.map(_classify_fiber, tasks, chunksize=1))
+    else:
+        tallies = map(_classify_fiber, tasks)
     totals = {label: [0] * len(bounds) for label in CLASS_LABELS}
     for (_, weight), tally in zip(weighted, tallies):
         for label, counts in tally.items():

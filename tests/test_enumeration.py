@@ -674,7 +674,10 @@ class TestBoxRows:
     @pytest.mark.parametrize("as_text", [False, True])
     def test_match_both_walks_on_every_small_one_box_fiber(self, as_text):
         fibers = 0
-        for xs in canonical_coords(4, 4):
+        # and planes whose curve point is not +-1: a fixed lambda, a last one, trailing coordinates
+        cubes = [(1, -8, 0, 0), (8, -1, 0, 0), (1, 0, 0, -27), (0, 8, 0, 1), (27, 0, 0, 1),
+                 (0, 0, 27, -8)]
+        for xs in itertools.chain(canonical_coords(4, 4), cubes):
             hx3 = max(map(abs, xs)) ** 3
             for y_bound in (1, 7, 13):
                 if _one_box(xs, y_bound) is None:
