@@ -119,9 +119,10 @@ def canonical_coords(dim: int, bound: int):
 
 
 def _cube_pair(alpha: int, beta: int):
-    """The coprime (c, d), d > 0, with alpha*c^3 + beta*d^3 = 0, or None when
-    -beta/alpha is not the cube of a rational; alpha is nonzero."""
-    g = math.gcd(alpha, beta) if alpha > 0 else -math.gcd(alpha, beta)
+    """A coprime (c, d) with alpha*c^3 + beta*d^3 = 0, or None when
+    -beta/alpha is not the cube of a rational; alpha is nonzero.  Either
+    sign may come back: each caller makes its points canonical."""
+    g = math.gcd(alpha, beta)
     c = exact_cube_root(-beta // g)
     d = None if c is None else exact_cube_root(alpha // g)
     return None if d is None else (c, d)
@@ -212,7 +213,7 @@ def _smooth_locus(xs, bound: int):
             lines[pairing] = _join(*pieces)
         elif pieces:
             [((i, j), (c, d))] = pieces
-            if max(abs(c), d) <= bound:
+            if max(abs(c), abs(d)) <= bound:
                 y = [0] * 4
                 y[i], y[j] = (c, d) if c > 0 else (-c, -d)
                 points.append(tuple(y))

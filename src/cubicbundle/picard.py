@@ -18,17 +18,19 @@ Two independent rank computations:
   u_i = (a_i/a_0)^(1/3); its Galois group is cut out of
   Z/2 x (Z/3)^3 by Kummer duality (a twist must kill every multiplicative
   relation among the cube classes of the ratios a_i/a_0).  The rank over Q
-  is the rank of the Gram matrix of the orbit sums of the 27 line classes
-  under the intersection form, computed by exact fraction-free elimination
-  over Z.
+  is the dimension of the span of the orbit sums of the 27 line classes.
+  Seven lines span the Picard lattice and the intersection form is
+  nondegenerate, so D -> (D.l) over those seven lines is injective: the
+  rank is that of the orbit sums' seven intersection numbers, computed by
+  exact fraction-free elimination over Z.
 
 A cube test over Q suffices for Kummer duality over Q(w): a rational is a
 cube in Q(w) iff it is a cube in Q, because [Q(w):Q] = 2 is prime to 3.
 
 The Galois route depends on the coefficients only through the relation
 lattice, one of the 28 subgroups of (Z/3)^3: the twist group, the orbits of
-the 27 lines and the rank of the orbit-sum Gram matrix are all functions of
-it.  They are computed once per lattice and cached (:func:`_lattice_orbits`),
+the 27 lines and the rank of their sums are all functions of it.  They are
+computed once per lattice, on line indices, and cached (:func:`_lattice_orbits`),
 so a rank costs 13 integer cube tests for the lattice, a cache lookup and the
 Segre check (three more cube tests on integer products), which runs on every
 surface so that the two routes stay independent.  Both routes run on plain
@@ -150,36 +152,36 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
 
 
 #: what the Galois route derives from one relation lattice: the group, a tuple
-#: of GaloisElement; the line orbits; the Gram rank; the sorted orbit sizes
+#: of GaloisElement; the line orbits; the rank; the sorted orbit sizes
 LatticeOrbits = namedtuple("LatticeOrbits", "group orbits rank orbit_sizes")
 
 
 @functools.lru_cache(maxsize=28)
 def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbits:
-    """Galois group, line orbits and orbit-sum Gram rank of a relation lattice.
+    """Galois group, line orbits and rank over Q of a relation lattice.
 
     The key is ``tuple(relation_lattice(s))``, a subgroup of (Z/3)^3 in
     lexicographic order; there are 28 such subgroups, so the cache never
     evicts.  Valid twists form the annihilator of the lattice.  The
     invariant part of the Neron-Severi space is spanned by the orbit sums of
-    the 27 line classes; the intersection form is nondegenerate there, so
-    the rank equals the rank of the orbit-sum Gram matrix.
+    the 27 line classes; D -> (D.l) over the seven :data:`_SPANNING_LINES`
+    is injective, as they span and the intersection form is nondegenerate,
+    so the rank is that of the orbit sums' rows of seven incidences.
     """
     twists = [
-        k
-        for k in itertools.product(range(3), repeat=3)
-        if all(sum(ei * ki for ei, ki in zip(e, k)) % 3 == 0 for e in relations)
+        (k1, k2, k3)
+        for k1, k2, k3 in itertools.product(range(3), repeat=3)
+        if not any((e1 * k1 + e2 * k2 + e3 * k3) % 3 for e1, e2, e3 in relations)
     ]
     group = tuple(GaloisElement(c, k) for c in (0, 1) for k in twists)
-    parts = orbits(group)
-    index, table = _incidence_table()
-    members = [[index[label] for label in o] for o in parts]
-    gram = [[sum(table[i][j] for i in o1 for j in o2) for o2 in members] for o1 in members]
+    parts = _line_orbits(group)
+    table = _spanning_incidences()
+    sums = [list(map(sum, zip(*(table[i] for i in o)))) for o in parts]
     return LatticeOrbits(
         group=group,
-        orbits=tuple(parts),
-        rank=rational_matrix_rank(gram),
-        orbit_sizes=tuple(sorted(len(o) for o in parts)),
+        orbits=tuple(tuple(ALL_LINE_LABELS[i] for i in o) for o in parts),
+        rank=rational_matrix_rank(sums),
+        orbit_sizes=tuple(sorted(map(len, parts))),
     )
 
 
@@ -193,11 +195,12 @@ def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
     return list(_lattice_orbits(tuple(relation_lattice(s))).group)
 
 
-def line_action(g: GaloisElement, label: LineLabel) -> LineLabel:
-    """Image of a line under an automorphism.
+def _image(g: GaloisElement, line: int) -> int:
+    """Index of the image of the line ALL_LINE_LABELS[line] under g.
 
-    The pairing is preserved; with eps = (-1)^conj and k0 = 0 the twist
-    exponents transform affinely,
+    A line's index 9*(pairing - 1) + 3*m + n is its place in
+    ALL_LINE_LABELS.  The pairing is preserved; with eps = (-1)^conj and
+    k0 = 0 the twist exponents transform affinely,
 
         m -> eps*m + k_j,   n -> eps*n + (k_l - k_k),
 
@@ -205,14 +208,12 @@ def line_action(g: GaloisElement, label: LineLabel) -> LineLabel:
     the automorphism to the two defining linear forms and read off the new
     w-exponents.
     """
-    (_, j), (k, l) = pairing_pairs(label.pairing)
+    p, mn = divmod(line, 9)
+    m, n = divmod(mn, 3)
+    (_, j), (k, l) = PAIRINGS[p + 1]
+    t = (0, *g.twist)
     eps = -1 if g.conj else 1
-    t = (0,) + tuple(g.twist)
-    return LineLabel(
-        label.pairing,
-        (eps * label.m + t[j]) % 3,
-        (eps * label.n + t[l] - t[k]) % 3,
-    )
+    return 9 * p + 3 * ((eps * m + t[j]) % 3) + (eps * n + t[l] - t[k]) % 3
 
 
 # Cross-pairing meet conditions, derived by eliminating y0..y3 from the four
@@ -239,12 +240,17 @@ def incidence(l1: LineLabel, l2: LineLabel) -> int:
     return 1 if meet else 0
 
 
+#: the first seven independent lines, by index; the 27 classes span a space
+#: of dimension 7, the rank of incidence_gram(), so these seven span it
+_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 10)
+
+
 @functools.lru_cache(maxsize=None)
-def _incidence_table() -> tuple[dict[LineLabel, int], tuple[tuple[int, ...], ...]]:
-    """The index of each line label in ALL_LINE_LABELS and the 27 x 27
-    intersection numbers by index, built on first use, not at import."""
-    index = {label: k for k, label in enumerate(ALL_LINE_LABELS)}
-    return index, tuple(map(tuple, incidence_gram()))
+def _spanning_incidences() -> tuple[tuple[int, ...], ...]:
+    """The intersection numbers of each of the 27 lines, by index, with the
+    seven _SPANNING_LINES, built on first use, not at import."""
+    spanning = [ALL_LINE_LABELS[i] for i in _SPANNING_LINES]
+    return tuple(tuple(incidence(label, line) for line in spanning) for label in ALL_LINE_LABELS)
 
 
 def incidence_gram() -> list[list[int]]:
@@ -252,22 +258,28 @@ def incidence_gram() -> list[list[int]]:
     return [[incidence(l1, l2) for l2 in ALL_LINE_LABELS] for l1 in ALL_LINE_LABELS]
 
 
-def orbits(group) -> list[tuple[LineLabel, ...]]:
-    """Orbit partition of the 27 line labels, each orbit sorted, orbits
+def _line_orbits(group) -> list[tuple[int, ...]]:
+    """Orbit partition of the 27 line indices, each orbit sorted, orbits
     ordered by their least element.
 
     group must be a whole group, as galois_group returns it (the annihilator
-    twists times {1, conj}): then the orbit of a label is its set of images,
+    twists times {1, conj}): then the orbit of a line is its set of images,
     one pass over the group.
     """
-    seen: set[LineLabel] = set()
+    seen: set[int] = set()
     out = []
-    for label in ALL_LINE_LABELS:
-        if label not in seen:
-            orbit = {line_action(g, label) for g in group}
+    for line in range(27):
+        if line not in seen:
+            orbit = {_image(g, line) for g in group}
             seen |= orbit
             out.append(tuple(sorted(orbit)))
     return out
+
+
+def orbits(group) -> list[tuple[LineLabel, ...]]:
+    """Orbit partition of the 27 line labels under a whole group, each orbit
+    sorted, orbits ordered by their least element (:func:`_line_orbits`)."""
+    return [tuple(ALL_LINE_LABELS[i] for i in o) for o in _line_orbits(group)]
 
 
 def picard_rank(s: DiagonalCubic) -> PicardReport:

@@ -1,0 +1,114 @@
+"""Named one-line mutants of the fast paths, each killed by a check that
+runs in well under a second.
+
+A mutant is a (module, old text, new text) edit of the package and the
+name of its check.  Each is applied to a copy of the package under
+tmp_path, and its check runs in a
+subprocess on that copy, so the test process never imports a mutant.  A
+check is a script that asserts; it must pass on an unchanged copy and fail
+with an AssertionError on the mutant, not with some other error.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from test_picard import subgroups_of_z3_cubed
+
+PACKAGE = Path(__file__).parents[1] / "src" / "cubicbundle"
+
+CHECKS = {
+    # the lattice ranks cannot tell a dependent line from a spanning one
+    "seven lines span": """
+        from cubicbundle import picard
+        from cubicbundle.arith import rational_matrix_rank
+        assert rational_matrix_rank(picard._spanning_incidences()) == 7
+    """,
+    # (galois order, rank over Q) of each of the 28 relation lattices
+    "lattice ranks": f"""
+        from cubicbundle import picard
+        lattices = map(picard._lattice_orbits, {subgroups_of_z3_cubed()!r})
+        assert [(len(lattice.group), lattice.rank) for lattice in lattices] == [
+            (54, 1), (18, 1), (6, 1), (2, 4), (6, 1), (6, 2), (6, 3), (18, 1), (6, 1), (6, 2),
+            (6, 3), (18, 1), (6, 2), (6, 2), (6, 2), (18, 1), (6, 3), (6, 2), (6, 1), (18, 1),
+            (18, 1), (18, 1), (18, 1), (18, 1), (18, 2), (18, 1), (18, 2), (18, 2),
+        ]
+    """,
+    # the one pair point (1, 2) of pairing 1 over 1:3:-8:1 has height 2
+    "pair point height": """
+        from cubicbundle.arith import ProjectivePoint
+        from cubicbundle.enumeration import enumerate_fiber
+        x = ProjectivePoint((1, 3, -8, 1))
+        assert [y.coords for y in enumerate_fiber(x, 1)] == [(1, 0, 0, -1)]
+        assert [y.coords for y in enumerate_fiber(x, 2)] == [
+            (0, 0, 1, 2), (1, 0, 0, -1), (2, -2, -1, 2), (2, 0, 1, 0),
+        ]
+    """,
+}
+
+MUTANTS = {
+    "a dependent spanning line": (
+        "picard.py",
+        "_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 10)",
+        "_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 5)",
+        "seven lines span",
+    ),
+    "the line action without conjugation": (
+        "picard.py",
+        "eps = -1 if g.conj else 1",
+        "eps = 1",
+        "lattice ranks",
+    ),
+    "the twist filter testing one relation": (
+        "picard.py",
+        "for e1, e2, e3 in relations)",
+        "for e1, e2, e3 in relations[-1:])",
+        "lattice ranks",
+    ),
+    "a pair point's height from a signed d": (
+        "enumeration.py",
+        "if max(abs(c), abs(d)) <= bound:",
+        "if max(abs(c), d) <= bound:",
+        "pair point height",
+    ),
+}
+
+
+def run_check(root: Path, check: str) -> subprocess.CompletedProcess:
+    """Run the named check against the package copy under root."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(CHECKS[check])],
+        env=dict(os.environ, PYTHONPATH=str(root)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def package_copy(root: Path) -> Path:
+    """A copy of the package, without bytecode, under root."""
+    return Path(shutil.copytree(PACKAGE, root / "cubicbundle",
+                                ignore=shutil.ignore_patterns("__pycache__")))
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_check_passes_on_the_program(tmp_path, check):
+    package_copy(tmp_path)
+    result = run_check(tmp_path, check)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module, old, new, check", MUTANTS.values(), ids=MUTANTS)
+def test_mutant_fails_its_check(tmp_path, module, old, new, check):
+    path = package_copy(tmp_path) / module
+    source = path.read_text()
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new))
+    result = run_check(tmp_path, check)
+    assert result.returncode != 0
+    assert result.stderr.rstrip().splitlines()[-1].startswith("AssertionError"), result.stderr

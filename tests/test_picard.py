@@ -19,7 +19,6 @@ from cubicbundle.picard import (
     galois_group,
     incidence,
     incidence_gram,
-    line_action,
     orbits,
     picard_rank,
     relation_lattice,
@@ -45,6 +44,12 @@ large_coefficient = st.one_of(
         st.sampled_from([1, -1]),
     ),
 )
+
+
+def line_action(g: GaloisElement, label: LineLabel) -> LineLabel:
+    """Image of a line under an automorphism: the index rule picard._image
+    on labels, the form the action tests and searched_orbits use."""
+    return ALL_LINE_LABELS[picard._image(g, ALL_LINE_LABELS.index(label))]
 
 
 def compose(g: GaloisElement, h: GaloisElement) -> GaloisElement:
@@ -246,7 +251,7 @@ class TestLatticeCache:
         assert lattice.orbit_sizes == tuple(sorted(len(o) for o in parts))
 
     def test_incidence_table_is_built_on_first_use(self):
-        code = "import cubicbundle.cli, cubicbundle.picard as p; print(p._incidence_table.cache_info())"
+        code = "import cubicbundle.cli, cubicbundle.picard as p; print(p._spanning_incidences.cache_info())"
         env = dict(os.environ, PYTHONPATH=str(Path(picard.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
@@ -331,6 +336,14 @@ class TestIncidence:
 
     def test_gram_rank_seven(self):
         assert rational_matrix_rank(incidence_gram()) == 7
+
+    def test_seven_lines_span(self):
+        # the lattice ranks cannot catch a wrong basis: with any one of lines
+        # 0, 1, 2, 3, 9 or 10 dropped, all 28 ranks stay the same
+        gram = incidence_gram()
+        table = picard._spanning_incidences()
+        assert table == tuple(tuple(row[i] for i in picard._SPANNING_LINES) for row in gram)
+        assert rational_matrix_rank(table) == rational_matrix_rank(gram) == 7
 
     def test_matches_numeric_oracle(self):
         # a prime above 10^12, coefficients of 10^9 of both signs, all signs mixed
