@@ -387,64 +387,70 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: the subcommands, in the order of the help
+COMMANDS = ("count", "enumerate", "classify", "fiber-rank", "lines", "verify-intersections",
+            "rank-survey", "plot")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command alone, or with all of them
+    when command names none: a run parses one command, and the other seven
+    subparsers took three quarters of the build.  The usage lines list
+    every command either way."""
     parser = _Parser(
         prog="cubicbundle",
         description="Rational points on the Fermat cubic surface bundle: "
         "enumeration, exceptional-set classification, fiber Picard ranks, "
         "and intersection-number checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command in COMMANDS
+    # with every subparser argparse lists them itself, and names the
+    # missing command "command", not the metavar, when argv is empty
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("count", help="classified counting functions on a bounds grid")
-    p.set_defaults(run=cmd_count)
-    p.add_argument("--bounds", required=True, help="comma-separated ascending heights")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="most processes for the count, which uses one when the largest bound "
-        f"is below {POOL_MIN_BOUND}; the points are dumped in one process",
-    )
-    p.add_argument(
-        "--emit-points",
-        action="store_true",
-        help="also dump classified points to <out>.points, or to points.points in "
-        "the working directory when the CSV goes to stdout",
-    )
+    def add(name, run, summary):
+        """The subparser of name, or None when only another one is built."""
+        if not only or name == command:
+            p = sub.add_parser(name, help=summary)
+            p.set_defaults(run=run)
+            return p
 
-    p = sub.add_parser("enumerate", help="dump all points up to a height bound")
-    p.set_defaults(run=cmd_enumerate)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("classify", help="classify one point x0:x1:x2:x3 y0:y1:y2:y3")
-    p.set_defaults(run=cmd_classify)
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = sub.add_parser("fiber-rank", help="Picard rank of a diagonal cubic surface")
-    p.set_defaults(run=cmd_fiber_rank)
-    p.add_argument("coefficients", nargs=4, type=int)
-
-    p = sub.add_parser("lines", help="27 lines, Galois orbits and incidence counts")
-    p.set_defaults(run=cmd_lines)
-    p.add_argument("coefficients", nargs=4, type=int)
-
-    p = sub.add_parser("verify-intersections", help="check the intersection identities")
-    p.set_defaults(run=cmd_verify_intersections)
-    p.add_argument("--seed", type=int, default=20240601)
-
-    p = sub.add_parser("rank-survey", help="rank distribution over random surfaces")
-    p.set_defaults(run=cmd_rank_survey)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=20240601)
-
-    p = sub.add_parser("plot", help="render a count CSV as a log-log SVG chart")
-    p.set_defaults(run=cmd_plot)
-    p.add_argument("csv_path")
-    p.add_argument("svg_path")
+    if p := add("count", cmd_count, "classified counting functions on a bounds grid"):
+        p.add_argument("--bounds", required=True, help="comma-separated ascending heights")
+        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="most processes for the count, which uses one when the largest bound "
+            f"is below {POOL_MIN_BOUND}; the points are dumped in one process",
+        )
+        p.add_argument(
+            "--emit-points",
+            action="store_true",
+            help="also dump classified points to <out>.points, or to points.points in "
+            "the working directory when the CSV goes to stdout",
+        )
+    if p := add("enumerate", cmd_enumerate, "dump all points up to a height bound"):
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--out", default=None)
+    if p := add("classify", cmd_classify, "classify one point x0:x1:x2:x3 y0:y1:y2:y3"):
+        p.add_argument("x")
+        p.add_argument("y")
+    if p := add("fiber-rank", cmd_fiber_rank, "Picard rank of a diagonal cubic surface"):
+        p.add_argument("coefficients", nargs=4, type=int)
+    if p := add("lines", cmd_lines, "27 lines, Galois orbits and incidence counts"):
+        p.add_argument("coefficients", nargs=4, type=int)
+    if p := add("verify-intersections", cmd_verify_intersections,
+                "check the intersection identities"):
+        p.add_argument("--seed", type=int, default=20240601)
+    if p := add("rank-survey", cmd_rank_survey, "rank distribution over random surfaces"):
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--seed", type=int, default=20240601)
+    if p := add("plot", cmd_plot, "render a count CSV as a log-log SVG chart"):
+        p.add_argument("csv_path")
+        p.add_argument("svg_path")
     return parser
 
 
@@ -460,7 +466,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         try:
             status = args.run(args)

@@ -22,11 +22,12 @@ kinds of fiber:
   memory (:func:`_cone_locus`);
 * no zero coordinate: a smooth cubic surface, each pair locus the join of
   its two pair points (a line, one point or nothing; lines meet pairwise
-  in one point), and the points off every pair locus, found by a
-  meet-in-the-middle scan of the quadruple box that drops each hit on a
-  pair locus before building it (:func:`_smooth_locus`,
-  :func:`_surface_scan`), in the style of Bernstein, Enumerating solutions
-  to p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
+  in one point), and the points off every pair locus (:func:`_smooth_locus`):
+  over (1, 1, 1, 1) the collisions of one table of a^3 + b^3
+  (:func:`_fermat_collisions`), else a meet-in-the-middle scan of the
+  quadruple box that drops each hit on a pair locus before building it
+  (:func:`_surface_scan`), both after Bernstein, Enumerating solutions to
+  p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
 
 Every box is checked against the fiber equation once, which also tells
 whether it lies in a pair locus, every remaining point one by one, also
@@ -202,8 +203,9 @@ def _smooth_locus(xs, bound: int):
     with one, that point alone, on no other pair locus; with none, nothing.
     Two lines meet in one rational point, where every y_k is nonzero, and
     no point is on all three: the earlier line in pairing order counts the
-    meet, the later one shares it.  The scan finds the points off every
-    pair locus (:func:`_surface_scan`).
+    meet, the later one shares it.  The points off every pair locus come
+    from :func:`_fermat_collisions` over (1, 1, 1, 1), the one
+    representative with equal entries, else from :func:`_surface_scan`.
     """
     lines, points = {}, []
     for pairing, pairs in PAIRINGS.items():
@@ -226,7 +228,42 @@ def _smooth_locus(xs, bound: int):
         t[p0], t[pb] = _cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)
         meet = tuple(m * t[p] for p, m in params)
         shared[b] += (meet if meet[0] > 0 else tuple(-y for y in meet),)
-    return [(*line, shared[p]) for p, line in lines.items()], points + _surface_scan(xs, bound)
+    off_loci = _fermat_collisions(bound) if xs == (1, 1, 1, 1) else _surface_scan(xs, bound)
+    return [(*line, shared[p]) for p, line in lines.items()], points + off_loci
+
+
+def _fermat_collisions(bound: int) -> list[tuple[int, ...]]:
+    """The points of :func:`_surface_scan` over (1, 1, 1, 1), from the
+    collisions a^3 + b^3 = c^3 + d^3 (Bernstein 2001).
+
+    Off line 1, y or -y has y0^3 + y1^3 = k = -(y2^3 + y3^3) > 0, and
+    (y0, y1) and (-y2, -y3) order representatives a >= 1, -a < b <= a of
+    the key k = a^3 + b^3 (b = -a is key 0, line 1).  A row dict per a maps
+    keys to b, ints of one shared list; keys met in earlier rows collect
+    their representatives.  Two orderings of one representative put y on
+    line 2 or 3, so the points are the orderings of each ordered pair of
+    distinct representatives of a key, kept at gcd 1 and signed; y0 is
+    never 0, as no cube is a sum of two nonzero cubes.
+    """
+    bs = list(range(-bound, bound + 1))
+    cubes = [b ** 3 for b in bs]
+    table: dict[int, int] = {}
+    collided: dict[int, list[tuple[int, int]]] = {}
+    for a in range(1, bound + 1):
+        low, high = bound - a + 1, bound + a + 1
+        row = dict(zip(map(cubes[bound + a].__add__, cubes[low:high]), bs[low:high]))
+        for key in row.keys() & table.keys():
+            b = table[key]  # an earlier representative, whose a^3 is key - b^3
+            collided.setdefault(key, [(exact_cube_root(key - b ** 3), b)]).append((a, row[key]))
+        table.update(row)
+    points = []
+    for reps in collided.values():
+        for (a, b), (c, d) in itertools.permutations(reps, 2):
+            if math.gcd(a, b, c, d) == 1:
+                for y0, y1 in {(a, b), (b, a)}:
+                    for y2, y3 in {(c, d), (d, c)}:
+                        points.append((y0, y1, -y2, -y3) if y0 > 0 else (-y0, -y1, y2, y3))
+    return points
 
 
 def _surface_scan(xs, bound: int) -> list[tuple[int, ...]]:
@@ -421,8 +458,10 @@ def _base_orbits(x_max: int) -> list[tuple[tuple[int, ...], int]]:
     return orbits
 
 
-def _mobius(n: int) -> list[int]:
-    """mu(0..n) by a sieve; mu[0] is unused."""
+@lru_cache(maxsize=None)
+def _mobius(n: int) -> tuple[int, ...]:
+    """mu(0..n) by a sieve, once per n: the boxes of a count sum over the
+    same few bounds; mu[0] is unused."""
     mu = [1] * (n + 1)
     sieved = [False] * (n + 1)
     for p in range(2, n + 1):
@@ -433,7 +472,7 @@ def _mobius(n: int) -> list[int]:
             mu[k] = -mu[k]
         for k in range(p * p, n + 1, p * p):
             mu[k] = 0
-    return mu
+    return tuple(mu)
 
 
 def primitive_count(sides, bound: int) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import hashlib
@@ -417,13 +418,16 @@ class TestPlot:
         assert not (tmp_path / "x.svg").exists()
 
 
-@pytest.mark.parametrize("argv", [
+ARGPARSE_ERRORS = [
     ["count"],
     ["enumerate", "--bound", "abc"],
     ["count", "--bounds", "1", "--workers", "x"],
     ["fiber-rank", "1", "2", "3"],
     ["no-such-command"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ERRORS)
 def test_argparse_errors_exit_64(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -432,6 +436,33 @@ def test_argparse_errors_exit_64(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: cubicbundle")
     assert re.fullmatch(r"cubicbundle( [a-z-]+)?: error: .+", err.splitlines()[-1])
+
+
+def parser_outcome(parse, argv, capsys):
+    """The exit code, stdout and stderr of parse(argv), which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    [],
+    ["count", "--bounds", "1", "--bogus"],
+    *ARGPARSE_ERRORS,
+])
+def test_one_command_parser_answers_as_the_full_one(argv, capsys):
+    # main builds only the subparser that argv names, or all of them
+    full = parser_outcome(cli._build_parser().parse_args, argv, capsys)
+    assert parser_outcome(main, argv, capsys) == full
+    assert full[1] or full[2].startswith("usage: cubicbundle")
+
+
+def test_the_full_parser_has_every_command():
+    [sub] = [action for action in cli._build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == cli.COMMANDS
 
 
 def test_import_loads_neither_sympy_nor_mpmath():

@@ -45,6 +45,7 @@ from cubicbundle.enumeration import (
     _box_coords,
     _checked_points,
     _classify_fiber,
+    _fermat_collisions,
     _fiber_coords,
     _fiber_locus,
     _fiber_walk,
@@ -530,11 +531,13 @@ class TestCountSeries:
         assert sizes == [2]
 
     def test_frontier_rows(self):
-        series = count_series([64, 128, 256])
+        series = count_series([64, 128, 256, 512, 1024])
         assert series.csv_text().splitlines()[1:] == [
             "64,14641288,14638568,2720,14627480,11088,14504192",
             "128,114481432,114473144,8288,114433496,39648,113947472",
             "256,903726136,903706808,19328,903566168,140640,901649936",
+            "512,7190321080,7190266904,54176,7189804376,462528,7182145904",
+            "1024,57338870112,57338733344,136768,57337068512,1664832,57306521192",
         ]
 
 
@@ -711,9 +714,11 @@ class TestBoxRows:
 
     def test_no_scan_beyond_one_per_smooth_representative(self, monkeypatch):
         scanned = []
-        real = enumeration._surface_scan
+        real, real_fermat = enumeration._surface_scan, enumeration._fermat_collisions
         monkeypatch.setattr(enumeration, "_surface_scan",
                             lambda xs, bound: scanned.append(xs) or real(xs, bound))
+        monkeypatch.setattr(enumeration, "_fermat_collisions",
+                            lambda bound: scanned.append((1, 1, 1, 1)) or real_fermat(bound))
         for as_text in (False, True):
             scanned.clear()
             "".join(point_rows(12, as_text=as_text))
@@ -1219,6 +1224,22 @@ class TestSurfaceFibers:
             assert t0 + t1 + t2 + t3 == 0
             # both pair sums of all three pairings
             assert all((t0 + t1, t2 + t3, t0 + t2, t1 + t3, t0 + t3, t1 + t2))
+
+    def test_fermat_collisions_match_the_scan(self):
+        for bound in [*range(41), 64, 128, 256]:
+            assert sorted(_fermat_collisions(bound)) == sorted(_surface_scan((1, 1, 1, 1), bound))
+
+    def test_fermat_collisions_match_the_oracle(self):
+        off_loci = [y for y in surface_oracle((1, 1, 1, 1), 40)
+                    if all(y[0] ** 3 + y[k] ** 3 for k in (1, 2, 3))]
+        for bound in range(41):
+            assert sorted(_fermat_collisions(bound)) == [
+                y for y in off_loci if max(map(abs, y)) <= bound
+            ]
+
+    def test_fermat_collision_counts(self):
+        counts = [len(_fermat_collisions(bound)) for bound in (16, 32, 64, 128, 256)]
+        assert counts == [96, 240, 648, 2064, 5664]
 
     def test_box_off_the_fiber_raises(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))

@@ -49,6 +49,13 @@ CHECKS = {
             (0, 0, 1, 2), (1, 0, 0, -1), (2, -2, -1, 2), (2, 0, 1, 0),
         ]
     """,
+    # the Fermat fiber's points off every pair locus, by its collisions
+    "fermat collisions": """
+        from cubicbundle.enumeration import _fermat_collisions, _surface_scan
+        points = sorted(_fermat_collisions(32))
+        assert len(points) == 240
+        assert points == sorted(_surface_scan((1, 1, 1, 1), 32))
+    """,
 }
 
 MUTANTS = {
@@ -75,6 +82,18 @@ MUTANTS = {
         "if max(abs(c), abs(d)) <= bound:",
         "if max(abs(c), d) <= bound:",
         "pair point height",
+    ),
+    "a Fermat collision without the swapped ordering": (
+        "enumeration.py",
+        "for y0, y1 in {(a, b), (b, a)}:",
+        "for y0, y1 in {(a, b)}:",
+        "fermat collisions",
+    ),
+    "a Fermat representative paired with itself": (
+        "enumeration.py",
+        "itertools.permutations(reps, 2)",
+        "itertools.product(reps, repeat=2)",
+        "fermat collisions",
     ),
 }
 
