@@ -2,20 +2,20 @@
 x|y|height|class-flags (:func:`.enumeration.point_row`), streamed in strs
 of whole rows (:func:`point_rows`).
 
-Dumps write every fiber, one base point at a time, in one process.  A
-fiber over a base point x with a zero coordinate can be one box with no
-points and nothing shared (:func:`_one_box`): the plane over an x with one
-nonzero coordinate, or two whose ratio -x_j/x_i is a cube, the line over
-the other x with two, and the vertex of a cone over a curve without
-points.  The planes hold nearly every row of a dump.  Their rows come from
-the box's parameters in dump order, with no walk, no per-point check and
-no sort (:func:`_box_rows`), built from segments shared by the runs and
+Dumps write every fiber, one base point at a time, in one process, by a
+writer picked from the base point x alone (:func:`point_rows`).  An x with
+at least two zero coordinates lies under one box with no points and
+nothing shared: the plane over an x with one nonzero coordinate, or two
+whose ratio -x_j/x_i is a cube, and the line over the other x with two.
+The planes hold nearly every row of a dump.  Their rows come from the
+box's parameters in dump order, with no walk, no per-point check and no
+sort (:func:`_box_rows`), built from segments shared by the runs and
 fibers of one box shape (:func:`_run_segments`); a pair sum rides on one
 box parameter at most, so each pair locus is read off the box.
 
 The other fibers walk and check only the fiber of their orbit's
-representative (:func:`.enumeration._base_orbits`), once per stream, kept
-to the stream's end with every table that depends on the walk alone
+representative (:func:`_orbit_map`), once per stream, kept to the
+stream's end with every table that depends on the walk alone
 (:func:`_rep_walk`).  A base point builds only its own parts, its flag
 fields (:func:`.enumeration._flag_fields`), pair-locus remap and
 coordinate signs; its sorted rows go out as one str, the head x| written
@@ -40,11 +40,9 @@ from .arith import _integer
 from .classify import _fiber_profile
 from .enumeration import (
     _base_height,
-    _base_orbits,
     _checked_points,
     _fiber_locus,
     _fiber_walk,
-    _first_use,
     _flag_fields,
     _param_sums,
     canonical_coords,
@@ -148,9 +146,9 @@ def _rep_walk(rep, fiber_bound: int):
 def _fiber_rows(x, height_bound: int, as_text: bool) -> str:
     """The dump rows of the fiber above the base point x, each ending in a
     newline, as one str; in numeric order of y, or sorted as strings when
-    as_text holds.  The dumps take it for every fiber that is not one box
-    (:func:`point_rows`; :func:`_box_rows` writes the others with no walk
-    and no sort).
+    as_text holds.  The dumps take it for every x with at most one zero
+    coordinate (:func:`point_rows`; :func:`_box_rows` writes the planes and
+    lines with no walk and no sort).
 
     x is sent from its orbit's representative rep = sorted |x_k| by
     x_k = signs[k] * rep[perm[k]] (:func:`_orbit_map`), checked also under
@@ -201,17 +199,6 @@ def _fiber_rows(x, height_bound: int, as_text: bool) -> str:
     if rows:
         rows[0] = head + rows[0]  # the join puts the head before every other row
     return head.join(rows)
-
-
-def _one_box(xs, bound: int):
-    """The box (params, sides) of the fiber over x up to the height bound
-    when it is one box with no points and nothing shared
-    (:func:`.enumeration._fiber_locus`), else None; None for a smooth x, whose scan is not run."""
-    if 0 in xs:
-        boxes, points = _fiber_locus(xs, bound)
-        if len(boxes) == 1 and not points and not boxes[0][2]:
-            return boxes[0][:2]
-    return None
 
 
 def _values(m: int, cap: int, as_text: bool):
@@ -268,31 +255,31 @@ def _run_segments(steps, trailing, side: int, bound: int, hx3: int, fields, as_t
 
 
 def _box_rows(x, height_bound: int, as_text: bool):
-    """The dump rows of the fiber above the base point x, one box
-    (:func:`_one_box`), in the order of :func:`_fiber_rows`,
-    one str per value of the box's first parameter: from the box, which the
-    box check has put on the fiber, with no walk, no per-point check and no
-    sort.
+    """The dump rows of the fiber above the base point x, a plane or a line,
+    in the order of :func:`_fiber_rows`, one str per value of the box's
+    first parameter: from the one box of its description
+    (:func:`.enumeration._fiber_locus`), which the box check has put on the
+    fiber, with no walk, no per-point check and no sort.  Raises
+    RuntimeError unless x has at least two zero coordinates.
 
-    With the parameters renumbered by first use (:func:`.enumeration._first_use`), the
-    rows go in the order of their parameters t, entry by entry: numeric, or
+    With the parameters numbered by first use (:func:`.enumeration._join`),
+    the rows go in the order of their parameters t, entry by entry: numeric, or
     by the text of each one's first coordinate, as the texts v: are
     prefix-free.  So the fixed parameters, all but the last, loop in dump
     order, and the last makes one run of rows, prefix + segment
     (:func:`_run_segments`).  A point's height is the fixed part's or
-    side*|t|.  A cone box (:func:`.enumeration._cone_locus`) puts each y_k
-    with x_k nonzero at 0 or on its one curve parameter, so pairing b's pair
+    side*|t|.  The box, a cone's (:func:`.enumeration._cone_locus`), puts
+    each y_k with x_k nonzero at 0 or on its one curve parameter, so pairing b's pair
     sum x_0*y_0^3 + x_b*y_b^3 is c*t_p^3 for at most one parameter p: V_b
     holds on the whole box without one, else exactly where t_p = 0, one test
     per run for a fixed p and the run's point t = 0 for the last.
     """
+    if x.count(0) < 2:
+        raise RuntimeError(f"the base point {x} has fewer than two zero coordinates")
     lifts, singular, _ = _fiber_profile(x)
     hx3 = max(map(abs, x)) ** 3
     bound = height_bound // hx3
-    box = _one_box(x, bound)
-    if box is None:
-        raise RuntimeError(f"the fiber over {x} is not one box")
-    params, sides = _first_use(*box)
+    [(params, sides, _, _)], _ = _fiber_locus(x, bound)
     caps = [bound // side for side in sides[:-1]]
     last = len(caps)
     firsts = dict(reversed([(p, m) for p, m in params if m]))  # each parameter's first multiplier
@@ -346,24 +333,20 @@ def point_rows(height_bound: int, as_text: bool = False):
     then each fiber's rows.  Every row starts with str(x) + "|", and "|"
     sorts after the digits, ":" and "-", so that is the whole dump sorted.
 
-    A fiber that is one box, as the fiber over its orbit's representative
-    shows, comes from its box, one str per value of the box's first
-    parameter (:func:`_box_rows`); the planes that hold nearly every row are
-    such fibers.  Every other fiber is one str, built from its orbit
-    representative's walk, made once per orbit and stream
-    (:func:`_fiber_rows`).
+    The writer is picked by x alone.  An x with at least two zero
+    coordinates lies under a plane or a line, one box with no points and
+    nothing shared, whose rows come from the box, one str per value of its
+    first parameter (:func:`_box_rows`); the planes hold nearly every row.
+    Every other fiber is one str, built from its orbit representative's
+    walk, made once per orbit and stream (:func:`_fiber_rows`).
     """
     height_bound = _integer(height_bound, "height bound", 1)
-    x_max = _base_height(height_bound)
-    one_box = {
-        rep for rep, _ in _base_orbits(x_max) if _one_box(rep, height_bound // max(rep) ** 3)
-    }
-    xs = list(canonical_coords(4, x_max))
+    xs = list(canonical_coords(4, _base_height(height_bound)))
     if as_text:
         xs.sort(key=lambda x: ":".join(map(str, x)) + "|")
     try:
         for x in xs:
-            if tuple(sorted(map(abs, x))) in one_box:
+            if x.count(0) >= 2:
                 yield from _box_rows(x, height_bound, as_text)
             else:
                 yield _fiber_rows(x, height_bound, as_text)

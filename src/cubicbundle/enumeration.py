@@ -11,7 +11,8 @@ plane: each y_k is a fixed multiple of one parameter t_p, or 0, and the
 height bound caps each |t_p| by its box side.  Its points are the primitive
 t up to sign, so a Moebius sum counts them (:func:`primitive_count`), and
 the walk visits the half of the box whose first nonzero entry is positive
-(:func:`_half_box`), its parameters renumbered and signed so that every
+(:func:`_half_box`).  Each box is built with its parameters numbered by
+first use and each first multiplier positive (:func:`_join`), so every
 image is canonical (:func:`_box_coords`).  The description is split in two
 kinds of fiber:
 
@@ -152,14 +153,20 @@ def _plane_cubic_points(a: int, b: int, c: int, bound: int) -> list[tuple[int, i
 
 def _join(*pieces):
     """The box (params, sides) of the join of points in disjoint coordinates
-    (:func:`_fiber_locus`): each piece (indices, point) is one parameter t_p
-    of side max|point|, y_k = point[n] * t_p for k = indices[n]; every other
-    y_k is pinned to 0."""
+    (:func:`_fiber_locus`): each piece (indices, point), indices ascending,
+    is one parameter t_p of side max|point|, y_k = point[n] * t_p for k =
+    indices[n], the point negated where its first nonzero entry is negative;
+    every other y_k is pinned to 0.  The pieces are numbered in the order of
+    that entry's coordinate, so each parameter's number follows its first
+    use and its first multiplier is positive.
+    """
     params = [(0, 0)] * 4
     sides = []
-    for indices, point in pieces:
+    firsts = [next((k, m) for k, m in zip(*piece) if m) for piece in pieces]
+    for (_, first), (indices, point) in sorted(zip(firsts, pieces)):
+        sign = 1 if first > 0 else -1
         for k, m in zip(indices, point):
-            params[k] = (len(sides), m)
+            params[k] = (len(sides), sign * m)
         sides.append(max(map(abs, point)))
     return tuple(params), tuple(sides)
 
@@ -347,7 +354,12 @@ def _fiber_locus(xs, bound: int):
     Each box is (params, sides, shared, on), a parametrized point, line or
     plane: y_k = m_k * t[p_k] for params[k] = (p_k, m_k), where m_k = 0
     pins y_k to 0, and H(y) <= bound exactly when |t_p| <= floor(bound /
-    sides[p]); primitive t up to sign map one to one onto its points.  Those
+    sides[p]); primitive t up to sign map one to one onto its points.  The
+    parameters are numbered in the order of their first use, the least k
+    with p_k = p and m_k nonzero, and each first multiplier is positive
+    (:func:`_join`): so every t whose first nonzero entry is positive maps to
+    a canonical point (:func:`_box_coords`), and t in dump order to rows in
+    dump order (:func:`.dump._box_rows`).  Those
     in shared another part of the description counts: the cone vertex, or a
     meet with an earlier smooth line.  The others are all on a pair locus
     when on holds and all off every pair locus otherwise; on comes from the
@@ -361,35 +373,17 @@ def _fiber_locus(xs, bound: int):
     return boxes, points
 
 
-def _first_use(params, sides):
-    """The box (params, sides) with its parameters renumbered in the order
-    of their first use, by the first y_k with a nonzero multiplier, each
-    negated where that multiplier is negative: the first nonzero coordinate
-    of the image of t is then a positive multiple of t's first nonzero entry,
-    so the image of every t of the half box is canonical with no sign test
-    (:func:`_box_coords`) and the parameters run in dump order
-    (:func:`.dump._box_rows`)."""
-    signs = {}
-    for p, m in params:
-        if m and p not in signs:
-            signs[p] = 1 if m > 0 else -1
-    order = {p: i for i, p in enumerate(signs)}
-    params = [(order[p], m * signs[p]) if m else (0, 0) for p, m in params]
-    return params, [sides[p] for p in signs]
-
-
 def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
     """The canonical points of a box with H(y) <= bound, in no particular
-    order: the image of each primitive t of the half box (:func:`_half_box`),
-    its parameters renumbered by first use (:func:`_first_use`), so that
-    every image is canonical.
+    order: the image of each primitive t of the half box (:func:`_half_box`).
+    The box's parameters are numbered by first use, each first multiplier
+    positive (:func:`_join`), so every image is canonical.
 
     A box of three parameters, a plane, lies only over an x with at most
     two nonzero coordinates, whose fiber is that one box: the count reads it
     in closed form and the dumps write it from its parameters
     (:func:`.dump._box_rows`), so only :func:`enumerate_fiber` walks a plane.
     """
-    params, sides = _first_use(params, sides)
     (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
     return [(m0 * t[p0], m1 * t[p1], m2 * t[p2], m3 * t[p3])
             for t in _half_box([bound // side for side in sides]) if math.gcd(*t) == 1]

@@ -152,13 +152,13 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
 
 
 #: what the Galois route derives from one relation lattice: the group, a tuple
-#: of GaloisElement; the line orbits; the rank; the sorted orbit sizes
-LatticeOrbits = namedtuple("LatticeOrbits", "group orbits rank orbit_sizes")
+#: of GaloisElement; the rank; the sorted sizes of the line orbits
+LatticeOrbits = namedtuple("LatticeOrbits", "group rank orbit_sizes")
 
 
 @functools.lru_cache(maxsize=28)
 def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbits:
-    """Galois group, line orbits and rank over Q of a relation lattice.
+    """Galois group, rank over Q and line-orbit sizes of a relation lattice.
 
     The key is ``tuple(relation_lattice(s))``, a subgroup of (Z/3)^3 in
     lexicographic order; there are 28 such subgroups, so the cache never
@@ -179,7 +179,6 @@ def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbit
     sums = [list(map(sum, zip(*(table[i] for i in o)))) for o in parts]
     return LatticeOrbits(
         group=group,
-        orbits=tuple(tuple(ALL_LINE_LABELS[i] for i in o) for o in parts),
         rank=rational_matrix_rank(sums),
         orbit_sizes=tuple(sorted(map(len, parts))),
     )

@@ -42,8 +42,10 @@ def enumerate_bundle(height_bound: int):
 def box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
     """The canonical points of a box of enumeration._fiber_locus with
     H(y) <= bound, one parameter vector at a time, each image negated when
-    it is not canonical: enumeration._box_coords, which renumbers the
-    parameters so that no image needs it, is compared against it."""
+    it is not canonical, for a box in any parameter order and signs:
+    enumeration._box_coords, which relies on the first-use form that
+    enumeration._join gives every box, so that no image needs it, is
+    compared against it."""
     (p0, m0), (p1, m1), (p2, m2), (p3, m3) = params
     ys = []
     # primitive t up to sign: y is primitive with t, and is negated when

@@ -27,7 +27,6 @@ from cubicbundle.classify import classify_point
 from cubicbundle.dump import (
     _box_rows,
     _fiber_rows,
-    _one_box,
     _orbit_map,
     _pair_locus_map,
     _rep_walk,
@@ -51,6 +50,7 @@ from cubicbundle.enumeration import (
     _fiber_walk,
     _flag_fields,
     _half_box,
+    _join,
     _surface_scan,
     base_points,
     canonical_coords,
@@ -357,8 +357,21 @@ class TestBoxWalk:
     ])
     @pytest.mark.parametrize("bound", [0, 1, 2, 5, 9])
     def test_renumbered_and_negated_parameters(self, params, sides, bound):
-        ys = _box_coords(params, sides, bound)
+        # the box joined from its parameters' pieces, in first-use form
+        pieces = []
+        for p in range(len(sides)):
+            indices = [k for k in range(4) if params[k][0] == p]
+            pieces.append((indices, [params[k][1] for k in indices]))
+        joined, joined_sides = _join(*pieces)
+        firsts = {}
+        for p, m in joined:
+            if m:
+                firsts.setdefault(p, m)
+        assert list(firsts) == list(range(len(sides))), joined
+        assert all(m > 0 for m in firsts.values()), joined
+        ys = _box_coords(joined, joined_sides, bound)
         assert len(ys) == len(set(ys))
+        assert set(ys) == set(box_coords(joined, joined_sides, bound))
         assert set(ys) == set(box_coords(params, sides, bound))
         assert all(map(is_canonical, ys))
 
@@ -605,8 +618,7 @@ class TestPointRows:
         monkeypatch.setattr(dump, "_fiber_walk",
                             lambda xs, bound: walked.append((xs, bound)) or real(xs, bound))
         "".join(point_rows(12, as_text=as_text))
-        orbits = [rep for rep, _ in _base_orbits(_base_height(12))
-                  if _one_box(rep, 12 // max(rep) ** 3) is None]
+        orbits = [rep for rep, _ in _base_orbits(_base_height(12)) if rep.count(0) < 2]
         assert sorted(xs for xs, _ in walked) == sorted(orbits)
         # no dump walks a plane: every walked box has at most two parameters
         for xs, bound in walked:
@@ -620,10 +632,10 @@ class TestPointRows:
         for cache in caches:
             cache.cache_clear()
         stream = point_rows(12, as_text=as_text)
-        # the first fiber, over 0:0:0:1, is one box: no walk, one box shape
+        # the first fiber, over 0:0:0:1, is a plane: no walk, one box shape
         next(stream)
         assert [cache.cache_info().currsize for cache in caches] == [0, 1]
-        # the first fiber that is not one box walks its representative
+        # the first x with fewer than two zeros walks its representative
         next(unit for unit in stream if _rep_walk.cache_info().currsize)
         assert _rep_walk.cache_info().currsize == 1
         stream.close()
@@ -643,8 +655,8 @@ class TestPointRows:
 
     def test_off_bundle_point_raises(self, monkeypatch):
         # (0:0:0:1) is not on the fiber over 0:1:1:1, the representative of
-        # 0:1:-1:-1, the first base point in both orders whose fiber is not
-        # one box, and whose walk both orders check
+        # 0:1:-1:-1, the first base point in both orders with fewer than two
+        # zero coordinates, and whose walk both orders check
         monkeypatch.setattr(dump, "_fiber_walk", lambda xs, bound: [(0, 0, 0, 1)])
         for as_text in (False, True):
             with pytest.raises(NotOnVariety, match=r"\(0:1:1:1, 0:0:0:1\) is not on the bundle"):
@@ -683,8 +695,9 @@ class TestPointRows:
 
 
 class TestBoxRows:
-    """The rows of a fiber that is one box, straight from the box, equal
-    those of the representative walk and of the per-base-point walk."""
+    """The rows of a fiber that is one box, from the writer point_rows
+    picks, equal those of the representative walk and of the per-base-point
+    walk; planes and lines come straight from the box."""
 
     @pytest.mark.parametrize("as_text", [False, True])
     def test_match_both_walks_on_every_small_one_box_fiber(self, as_text):
@@ -695,9 +708,13 @@ class TestBoxRows:
         for xs in itertools.chain(canonical_coords(4, 4), cubes):
             hx3 = max(map(abs, xs)) ** 3
             for y_bound in (1, 7, 13):
-                if _one_box(xs, y_bound) is None:
+                # one box, no points, nothing shared; a smooth fiber's scan is not run
+                boxes, points = _fiber_locus(xs, y_bound) if 0 in xs else ([], [])
+                if len(boxes) != 1 or points or boxes[0][2]:
                     continue
-                rows = "".join(_box_rows(xs, hx3 * y_bound, as_text))
+                # the writer point_rows picks: a vertex-only cone goes to _fiber_rows
+                write = _box_rows if xs.count(0) >= 2 else _fiber_rows
+                rows = "".join(write(xs, hx3 * y_bound, as_text))
                 for walk in (member_rows, fiber_rows):
                     difference = first_row_difference(rows, walk(xs, hx3 * y_bound, as_text))
                     assert difference is None, (xs, y_bound, walk.__name__, difference)
@@ -706,11 +723,19 @@ class TestBoxRows:
         assert fibers > 900
 
     def test_smooth_and_curve_cones_are_not_one_box(self):
-        assert _one_box((1, 1, 1, 1), 5) is None  # its scan is not run
-        assert _one_box((0, 1, 1, 1), 5) is None  # the vertex and a join per curve point
-        assert _one_box((0, 0, 1, 2), 5) == (((0, 1), (1, 1), (0, 0), (0, 0)), (1, 1))
-        with pytest.raises(RuntimeError, match=r"the fiber over \(1, 1, 1, 1\) is not one box"):
-            next(_box_rows((1, 1, 1, 1), 5, False))
+        # the writer goes by the zeros of x: smooth, a cone with curve points,
+        # and a cone whose curve has no point of height <= 5, the vertex alone
+        vertex = (((0, 1), (0, 0), (0, 0), (0, 0)), (1,), (), True)
+        assert _fiber_locus((0, 3, 4, 5), 5) == ([vertex], [])
+        for xs in ((1, 1, 1, 1), (0, 1, 1, 1), (0, 3, 4, 5)):
+            with pytest.raises(RuntimeError) as error:
+                next(_box_rows(xs, 5 * max(xs) ** 3, False))
+            assert str(error.value) == f"the base point {xs} has fewer than two zero coordinates"
+        # the line over 0:0:1:2, whose ratio is no cube
+        line = (((0, 1), (1, 1), (0, 0), (0, 0)), (1, 1), (), True)
+        assert _fiber_locus((0, 0, 1, 2), 5) == ([line], [])
+        rows = "".join(_box_rows((0, 0, 1, 2), 8 * 5, False))
+        assert rows.count("\n") == primitive_count((1, 1), 5)
 
     def test_no_scan_beyond_one_per_smooth_representative(self, monkeypatch):
         scanned = []
@@ -756,8 +781,8 @@ class TestBoxRows:
         )
         assert result.returncode != 0
         last = result.stderr.strip().splitlines()[-1]
-        assert last == ("cubicbundle.geometry.NotOnVariety: the box ((0, 1), (1, 1), (2, -1), "
-                        "(2, 1)) is not on the fiber over 0:0:1:-1")
+        assert last == ("cubicbundle.geometry.NotOnVariety: the box ((0, 1), (1, 1), (2, 1), "
+                        "(2, -1)) is not on the fiber over 0:0:1:-1")
 
 
 class TestFiberRows:
@@ -1240,6 +1265,23 @@ class TestSurfaceFibers:
     def test_fermat_collision_counts(self):
         counts = [len(_fermat_collisions(bound)) for bound in (16, 32, 64, 128, 256)]
         assert counts == [96, 240, 648, 2064, 5664]
+
+    def test_scan_over_1_1_2_2_is_the_collisions_of_one_table(self):
+        # pairing 2 has (x1, x3) = (x0, x2), so y is off every pair locus
+        # exactly when (y0, y2) and (-y1, -y3) are distinct pairs of one
+        # nonzero key a^3 + 2*b^3; a future collision path's oracle
+        side = range(-64, 65)
+        pairs_of = {}
+        for a, b in itertools.product(side, side):
+            pairs_of.setdefault(a ** 3 + 2 * b ** 3, []).append((a, b))
+        collisions = {
+            (a, -c, b, -d)
+            for key, pairs in pairs_of.items() if key
+            for (a, b), (c, d) in itertools.permutations(pairs, 2)
+        }
+        off_loci = sorted(filter(is_canonical, collisions))
+        assert len(off_loci) == 370
+        assert sorted(_surface_scan((1, 1, 2, 2), 64)) == off_loci
 
     def test_box_off_the_fiber_raises(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))

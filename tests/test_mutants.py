@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import ENUMERATE_8_SHA256
 from test_picard import subgroups_of_z3_cubed
 
 PACKAGE = Path(__file__).parents[1] / "src" / "cubicbundle"
@@ -55,6 +56,39 @@ CHECKS = {
         points = sorted(_fermat_collisions(32))
         assert len(points) == 240
         assert points == sorted(_surface_scan((1, 1, 1, 1), 32))
+    """,
+    # the plane over 1:1:0:0, whose curve point (-1, 1) has a negative first entry
+    "walk over 1:1:0:0": """
+        from cubicbundle.arith import is_canonical
+        from cubicbundle.enumeration import _fiber_walk
+        assert all(map(is_canonical, _fiber_walk((1, 1, 0, 0), 3)))
+    """,
+    # the plane over 1:0:0:-1, whose curve piece holds the first coordinate
+    "walk over 1:0:0:-1": """
+        from cubicbundle.arith import is_canonical
+        from cubicbundle.enumeration import _fiber_walk
+        assert all(map(is_canonical, _fiber_walk((1, 0, 0, -1), 3)))
+    """,
+    # the dump of `enumerate --bound 8`; a writer that refuses a base point fails it
+    "enumerate 8 bytes": f"""
+        import hashlib
+        from cubicbundle.dump import point_rows
+        try:
+            rows = "".join(point_rows(8))
+        except RuntimeError as error:
+            raise AssertionError(error) from error
+        assert hashlib.sha256(rows.encode()).hexdigest() == {ENUMERATE_8_SHA256!r}
+    """,
+    # the plane over 1:-8:0:0, whose curve point (2, 1) is checked by its cubes
+    "box over 1:-8:0:0": """
+        from cubicbundle.enumeration import _fiber_locus
+        from cubicbundle.geometry import NotOnVariety
+        try:
+            boxes, points = _fiber_locus((1, -8, 0, 0), 1)
+        except NotOnVariety as error:
+            raise AssertionError(error) from error
+        assert boxes == [(((0, 2), (0, 1), (1, 1), (2, 1)), (2, 1, 1), (), True)]
+        assert points == []
     """,
 }
 
@@ -94,6 +128,30 @@ MUTANTS = {
         "itertools.permutations(reps, 2)",
         "itertools.product(reps, repeat=2)",
         "fermat collisions",
+    ),
+    "a join without its sign flip": (
+        "enumeration.py",
+        "sign = 1 if first > 0 else -1",
+        "sign = 1",
+        "walk over 1:1:0:0",
+    ),
+    "a join without its sort": (
+        "enumeration.py",
+        "sorted(zip(firsts, pieces))",
+        "zip(firsts, pieces)",
+        "walk over 1:0:0:-1",
+    ),
+    "the box writer at one zero": (
+        "dump.py",
+        "if x.count(0) >= 2:",
+        "if x.count(0) >= 1:",
+        "enumerate 8 bytes",
+    ),
+    "parameter sums of m for m^3": (
+        "enumeration.py",
+        "sums[p] += xs[k] * m ** 3",
+        "sums[p] += xs[k] * m",
+        "box over 1:-8:0:0",
     ),
 }
 

@@ -246,7 +246,7 @@ class TestLatticeCache:
             [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
             for o1 in parts
         ]
-        assert lattice.orbits == tuple(parts)
+        assert orbits(lattice.group) == parts
         assert lattice.rank == rational_matrix_rank(gram) == fraction_matrix_rank(gram)
         assert lattice.orbit_sizes == tuple(sorted(len(o) for o in parts))
 
