@@ -10,13 +10,14 @@ whose ratio -x_j/x_i is a cube, and the line over the other x with two.
 The planes hold nearly every row of a dump.  Their rows come from the
 box's parameters in dump order, with no walk, no per-point check and no
 sort (:func:`_box_rows`), built from segments shared by the runs and
-fibers of one box shape (:func:`_run_segments`); a pair sum rides on one
-box parameter at most, so each pair locus is read off the box.
+fibers of one box shape (:func:`_run_segments`), with y3, the one fixed
+coordinate that can follow them, between two pieces; a pair sum rides on
+one box parameter at most, so each pair locus is read off the box.
 
 The other fibers walk and check only the fiber of their orbit's
 representative (:func:`_orbit_map`), once per stream, kept to the
-stream's end with every table that depends on the walk alone
-(:func:`_rep_walk`).  A base point builds only its own parts, its flag
+stream's end, grouped by sign pattern, with every table that depends on
+the walk alone (:func:`_rep_walk`).  A base point builds only its own parts, its flag
 fields (:func:`.enumeration._flag_fields`), pair-locus remap and
 coordinate signs; its sorted rows go out as one str, the head x| written
 by the one join (:func:`_fiber_rows`).
@@ -32,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import add, itemgetter, mul, or_
 
@@ -104,11 +104,11 @@ def _rep_walk(rep, fiber_bound: int):
     :func:`point_rows` empties the cache when a stream ends), with the
     tables that the members' rows read: (groups, heights, texts, places).
 
-    The points are grouped by sign pattern, at most 81 of them: each group
-    is (pattern, columns, keys), the pattern as four signs -1, 0 or 1, the
-    four coordinate columns (None where the pattern is 0) and the keys of
-    :func:`.enumeration._checked_points`, as views of one array of machine
-    ints per column.  heights are the texts |H(x)^3 * h| for h up to the
+    The points are grouped by sign pattern, at most 81 of them, in any
+    order: each group is (pattern, columns, keys), the pattern as four
+    signs -1, 0 or 1, the four coordinate columns (None where the pattern
+    is 0) and the keys of :func:`.enumeration._checked_points`, as arrays
+    of machine ints.  heights are the texts |H(x)^3 * h| for h up to the
     largest H(y), top.  For each place k of a row, texts and places hold a
     signed table (:func:`_signed`) and its negation (:func:`_negated`): of
     each value's text, with ":" but in the last place, and of
@@ -117,22 +117,18 @@ def _rep_walk(rep, fiber_bound: int):
     ys = _fiber_walk(rep, fiber_bound)
     keys = _checked_points(rep, ys)
     top = max(keys, default=0) >> 3
-    # the sign pattern as a base-3 code: digit 1 for a positive entry, 2 for a negative one
-    digits = [int(v > 0) + 2 * (v < 0) for v in _signed(top)]
-    d0, d1, d2, d3 = ([d * 3 ** (3 - k) for d in digits] for k in range(4))
-    patterns = bytes(d0[y0] + d1[y1] + d2[y2] + d3[y3] for y0, y1, y2, y3 in ys)
-    _sort_by(ys, patterns)
-    _sort_by(keys, patterns)  # stable with the same keys: the same order
-    patterns = sorted(patterns)
     typecode = "h" if top < 4096 else "q"  # a key is top << 3 | 7 at most
-    columns = [memoryview(array(typecode, list(map(itemgetter(k), ys)))) for k in range(4)]
-    keys = memoryview(array(typecode, keys))
+    by_pattern = {}
+    for y, key in zip(ys, keys):
+        y0, y1, y2, y3 = y
+        pattern = (y0 > 0) - (y0 < 0), (y1 > 0) - (y1 < 0), (y2 > 0) - (y2 < 0), (y3 > 0) - (y3 < 0)
+        points, group_keys = by_pattern.setdefault(pattern, ([], []))
+        points.append(y)
+        group_keys.append(key)
     groups = []
-    for code in sorted(set(patterns)):
-        cut = slice(bisect_left(patterns, code), bisect_left(patterns, code + 1))
-        pattern = tuple((0, 1, -1)[code // 3 ** (3 - k) % 3] for k in range(4))
-        cols = [col[cut] if sign else None for sign, col in zip(pattern, columns)]
-        groups.append((pattern, cols, keys[cut]))
+    for pattern, (points, group_keys) in by_pattern.items():
+        cols = [array(typecode, col) if sign else None for sign, col in zip(pattern, zip(*points))]
+        groups.append((pattern, cols, array(typecode, group_keys)))
     hx3 = max(rep) ** 3
     heights = [f"|{hx3 * h}|" for h in range(top + 1)]
     text = list(map(str, _signed(top)))
@@ -196,9 +192,7 @@ def _fiber_rows(x, height_bound: int, as_text: bool) -> str:
     else:
         _sort_by(rows, itertools.chain.from_iterable(codes))
     head = ":".join(map(str, x)) + "|"
-    if rows:
-        rows[0] = head + rows[0]  # the join puts the head before every other row
-    return head.join(rows)
+    return head.join(["", *rows])
 
 
 def _values(m: int, cap: int, as_text: bool):
@@ -214,25 +208,20 @@ def _run_segments(steps, trailing, side: int, bound: int, hx3: int, fields, as_t
     its segments, shared by the fibers of a stream with this box shape
     (:func:`_box_rows`; :func:`point_rows` empties the cache as a stream
     starts and ends): the last parameter's multipliers steps
-    and side, the fixed coordinates after its first (trailing), the fiber
+    and side, whether y3 is fixed after its first (trailing), the fiber
     bound, H(x)^3 and the flag fields.
 
     A run takes the t in dump order (:func:`_values`) coprime to g, the gcd
     of the fixed entries, or t = 1 alone when they are all 0.  A segment is
-    the texts of the coordinates from t's first on, in pieces split at the
-    trailing ones, the last ending in |height|flags plus newline for the key
-    max(fixed height, side*|t|) << 3 | bits, or'd with the zero bits at t = 0.
+    the texts of the coordinates from t's first on, ending in |height|flags
+    plus newline for the key max(fixed height, side*|t|) << 3 | bits, or'd
+    with the zero bits at t = 0; in two pieces where a trailing y3 goes.
     """
     n = bound // side
     first = next(m for m in steps if m)
     start = steps.index(first)
     seps = [":", ":", ":", ""]
-    spans = [[]]  # the coordinates of each piece
-    for k in range(start, 4):
-        if k in trailing:
-            spans.append([])
-        else:
-            spans[-1].append(k)
+    spans = [range(start, 3), ()] if trailing else [range(start, 4)]
     tails = [f"|{hx3 * h}|{field}" for h in range(bound + 1) for field in fields]
 
     @lru_cache(maxsize=None)
@@ -268,11 +257,14 @@ def _box_rows(x, height_bound: int, as_text: bool):
     prefix-free.  So the fixed parameters, all but the last, loop in dump
     order, and the last makes one run of rows, prefix + segment
     (:func:`_run_segments`).  A point's height is the fixed part's or
-    side*|t|.  The box, a cone's (:func:`.enumeration._cone_locus`), puts
-    each y_k with x_k nonzero at 0 or on its one curve parameter, so pairing b's pair
-    sum x_0*y_0^3 + x_b*y_b^3 is c*t_p^3 for at most one parameter p: V_b
-    holds on the whole box without one, else exactly where t_p = 0, one test
-    per run for a fixed p and the run's point t = 0 for the last.
+    side*|t|.  Only y3 can be fixed after the last parameter's first, as
+    the second coordinate of a pair parameter over (a, 0, 0, b) or
+    (0, a, 0, b) with -b/a a cube; the last parameter then starts at y2.
+    The box, a cone's (:func:`.enumeration._cone_locus`), puts each y_k with
+    x_k nonzero at 0 or on its one curve parameter, so pairing b's pair sum
+    x_0*y_0^3 + x_b*y_b^3 is c*t_p^3 for at most one parameter p: V_b holds
+    on the whole box without one, else exactly where t_p = 0, one test per
+    run for a fixed p and the run's point t = 0 for the last.
     """
     if x.count(0) < 2:
         raise RuntimeError(f"the base point {x} has fewer than two zero coordinates")
@@ -288,7 +280,7 @@ def _box_rows(x, height_bound: int, as_text: bool):
     # y_k = mults[k] * (*fixed, 0)[places[k]]: the padding 0 at -1 where y_k is not fixed
     places = [p if m and p != last else -1 for p, m in params]
     mults = [m for _, m in params]
-    trailing = tuple(k for k in range(start + 1, 4) if places[k] >= 0)
+    trailing = places[3] >= 0  # y3 fixed, so after the last parameter's first
     fields = _flag_fields(tuple(lifts.values()), singular)
     segments = _run_segments(steps, trailing, sides[-1], bound, hx3, fields, as_text)
     # the bits of the pairings whose pair sum c*t_p^3 rides on each parameter
@@ -312,12 +304,9 @@ def _box_rows(x, height_bound: int, as_text: bool):
             run_bits = bits + sum(bit for p, bit in pair_bits.items() if not fixed[p])
             pieces = segments(math.gcd(*fixed), max(map(abs, y)), run_bits, zero_bits)
             if pieces[0]:
-                # the segments: the pieces with the trailing coordinates' texts between
-                cols = [pieces[0]]
-                for k, piece in zip(trailing, pieces[1:]):
-                    cols += (itertools.repeat(f"{y[k]}:" if k < 3 else str(y[k])), piece)
+                run = map(str(y[3]).join, zip(*pieces)) if trailing else pieces[0]
                 prefix = head + "".join(map(texts.__getitem__, y[:start]))
-                block += (prefix, prefix.join(map("".join, zip(*cols)) if trailing else cols[0]))
+                block += (prefix, prefix.join(run))
         if block:
             yield "".join(block)
 

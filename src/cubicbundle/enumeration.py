@@ -391,9 +391,7 @@ def _box_coords(params, sides, bound: int) -> list[tuple[int, ...]]:
 
 def _fiber_walk(xs, bound: int) -> list[tuple[int, ...]]:
     """Canonical y with H(y) <= bound on the cubic surface above the
-    canonical x, each exactly once, in no particular order."""
-    if bound < 1:
-        return []
+    canonical x, each once, in no particular order; none below bound 1."""
     boxes, ys = _fiber_locus(xs, bound)
     for params, sides, shared, _ in boxes:
         coords = _box_coords(params, sides, bound)
@@ -401,21 +399,17 @@ def _fiber_walk(xs, bound: int) -> list[tuple[int, ...]]:
     return ys
 
 
-def _fiber_coords(xs, bound: int) -> list[tuple[int, ...]]:
-    """The points of :func:`_fiber_walk`, sorted."""
-    return sorted(_fiber_walk(xs, bound))
-
-
 def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectivePoint]:
     """All normalized y with H(y) <= bound on the cubic surface above x,
     each exactly once, sorted by coordinates.
 
     Raises InvalidPoint unless x has four coordinates, and InvalidArgument
-    unless the bound is an integer.  The walk yields canonical tuples; they
-    are checked in one pass, also under python -O, and wrapped unchecked.
+    unless the bound is an integer; below 1 the fiber is empty.  The walk
+    (:func:`_fiber_walk`) yields canonical tuples; they are sorted, checked
+    in one pass, also under python -O, and wrapped unchecked.
     """
     bound = _integer(y_height_bound, "height bound")
-    ys = _fiber_coords(_p3_coords(x), bound)
+    ys = sorted(_fiber_walk(_p3_coords(x), bound))
     # (0, 0, 0, 0) < y: the first nonzero coordinate is positive
     if not (all(map((0, 0, 0, 0).__lt__, ys))
             and all(map((1).__eq__, itertools.starmap(math.gcd, ys)))):

@@ -13,7 +13,6 @@ from cubicbundle.cli import random_surface
 from cubicbundle.dump import _signed
 from cubicbundle.enumeration import (
     _checked_points,
-    _fiber_coords,
     _fiber_walk,
     _half_box,
     base_points,
@@ -110,7 +109,9 @@ def fiber_rows(x_coords, height_bound: int, as_text: bool) -> str:
                    lifts, singular)
         for k in range(8)
     ]
-    ys = (_fiber_walk if as_text else _fiber_coords)(x_coords, height_bound // hx3)
+    ys = _fiber_walk(x_coords, height_bound // hx3)
+    if not as_text:
+        ys.sort()
     keys = _checked_points(x_coords, ys)
     top = max(keys, default=0) >> 3
     text = list(map(str, _signed(top)))

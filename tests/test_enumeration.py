@@ -19,6 +19,7 @@ from cubicbundle.arith import (
     InvalidArgument,
     InvalidPoint,
     ProjectivePoint,
+    exact_cube_root,
     is_canonical,
     naive_height,
     normalize,
@@ -45,7 +46,6 @@ from cubicbundle.enumeration import (
     _checked_points,
     _classify_fiber,
     _fermat_collisions,
-    _fiber_coords,
     _fiber_locus,
     _fiber_walk,
     _flag_fields,
@@ -227,7 +227,13 @@ class TestFiber:
         assert len(fiber) == 13
 
     def test_bound_zero_empty(self):
-        assert enumerate_fiber(normalize([1, 2, 3, 4]), 0) == []
+        # below bound 1 every part of a fiber's description is empty: planes,
+        # a line, curve and vertex-only cones, the Fermat fiber's collisions,
+        # a single pair point (over 1:3:-8:1) and the scan
+        for xs in [(1, 2, 3, 4), (1, 0, 0, 0), (1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, 2),
+                   (0, 1, 1, 1), (0, 3, 4, 5), (1, 1, 1, 1), (1, 3, -8, 1), (1, 1, 2, 2)]:
+            for bound in (0, -1, -10**30):
+                assert enumerate_fiber(normalize(xs), bound) == [], (xs, bound)
 
     def test_two_term_cube_fiber(self):
         fiber = enumerate_fiber(normalize([1, -8, 0, 0]), 4)
@@ -269,7 +275,7 @@ class TestFiber:
             return is_canonical(coords)
 
         monkeypatch.setattr(enumeration, "is_canonical", recording)
-        ys = enumeration._fiber_coords(xs, 10)
+        ys = sorted(enumeration._fiber_walk(xs, 10))
         assert ys and all(map(is_canonical, ys))
         assert len(set(offered)) == len(offered)
         assert not set(offered) & {tuple(-c for c in t) for t in offered}
@@ -722,6 +728,30 @@ class TestBoxRows:
         # planes over x with one or two nonzero coordinates, lines and points
         assert fibers > 900
 
+    def test_only_y3_trails_the_last_parameter(self):
+        # _box_rows writes one trailing coordinate, y3, after a last parameter
+        # that starts at y2: over (a, 0, 0, b) and (0, a, 0, b) with -b/a a cube
+        xss = [xs for xs in canonical_coords(4, 6) if xs.count(0) >= 2]
+        for i, j in itertools.combinations(range(4), 2):
+            for a, b in [(1, 8), (1, -8), (8, 1), (8, -1), (1, 27), (1, -27), (2, 16), (2, -16)]:
+                xs = [0] * 4
+                xs[i], xs[j] = a, b
+                xss.append(tuple(xs))
+        trailing = []
+        for xs in xss:
+            [(params, sides, _, _)], _ = _fiber_locus(xs, 5)
+            last = len(sides) - 1
+            start = next(k for k, (p, m) in enumerate(params) if p == last and m)
+            fixed = [k for k in range(start + 1, 4) if params[k][1] and params[k][0] != last]
+            assert fixed in ([], [3]), xs
+            if fixed:
+                assert start == 2, xs
+                trailing.append(xs)
+        # -b/a is a cube when -b*a^2 is
+        assert trailing == [xs for xs in xss if xs[2] == 0 and xs[3] and xs[:2].count(0) == 1
+                            and exact_cube_root(-xs[3] * max(xs[:2]) ** 2) is not None]
+        assert len(trailing) == 4 + 2 * 8
+
     def test_smooth_and_curve_cones_are_not_one_box(self):
         # the writer goes by the zeros of x: smooth, a cone with curve points,
         # and a cone whose curve has no point of height <= 5, the vertex alone
@@ -808,7 +838,7 @@ class TestFiberRows:
     @pytest.mark.parametrize("xs", ROW_SHAPES)
     def test_keys_decode_to_height_and_pair_loci(self, xs):
         x = normalize(xs)
-        ys = _fiber_coords(x.coords, 12)
+        ys = sorted(_fiber_walk(x.coords, 12))
         keys = _checked_points(x.coords, ys)
         assert len(keys) == len(ys)
         for y, key in zip(map(ProjectivePoint, ys), keys):
@@ -1137,7 +1167,7 @@ class TestSurfaceFibers:
             if xs.count(0) > 1:
                 continue
             expected = surface_oracle(xs, y_bounds[-1])
-            assert _fiber_coords(xs, y_bounds[-1]) == expected, xs
+            assert sorted(_fiber_walk(xs, y_bounds[-1])) == expected, xs
             heights = Counter()
             on_locus = Counter()
             off_loci = []
@@ -1170,11 +1200,13 @@ class TestSurfaceFibers:
     def test_walk_matches_the_oracle_at_every_bound(self, xs):
         expected = surface_oracle(xs, 40)
         for bound in range(41):
-            assert _fiber_coords(xs, bound) == [y for y in expected if max(map(abs, y)) <= bound]
+            assert sorted(_fiber_walk(xs, bound)) == [
+                y for y in expected if max(map(abs, y)) <= bound
+            ]
 
     @pytest.mark.parametrize("xs", SURFACE_SHAPES)
     def test_closed_form_matches_enumeration(self, xs):
-        ys = _fiber_coords(xs, 20)
+        ys = sorted(_fiber_walk(xs, 20))
         hx3 = max(map(abs, xs)) ** 3
         y_bounds = tuple(range(1, 21))
         tally = _classify_fiber((xs, tuple(hx3 * y for y in y_bounds)))
@@ -1225,7 +1257,7 @@ class TestSurfaceFibers:
         # Selmer: 3u^3 + 4v^3 + 5w^3 = 0 has no rational point, so the fiber
         # is its vertex alone, one box on every pair locus
         xs = (0, 3, 4, 5)
-        assert _fiber_coords(xs, 40) == surface_oracle(xs, 40) == [(1, 0, 0, 0)]
+        assert sorted(_fiber_walk(xs, 40)) == surface_oracle(xs, 40) == [(1, 0, 0, 0)]
         y_bounds = tuple(range(1, 41))
         tally = _classify_fiber((xs, tuple(125 * y for y in y_bounds)))
         assert tally["ALL"] == tally["IN_SOME_V"] == [1] * 40
@@ -1286,7 +1318,7 @@ class TestSurfaceFibers:
     def test_box_off_the_fiber_raises(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))
         with pytest.raises(NotOnVariety, match="is not on the fiber over 1:1:1:1"):
-            _fiber_coords((1, 1, 1, 1), 3)
+            sorted(_fiber_walk((1, 1, 1, 1), 3))
 
     def test_box_check_survives_optimize(self):
         code = textwrap.dedent("""

@@ -147,6 +147,18 @@ MUTANTS = {
         "if x.count(0) >= 1:",
         "enumerate 8 bytes",
     ),
+    "a sign pattern with y0's sign reversed": (
+        "dump.py",
+        "(y0 > 0) - (y0 < 0)",
+        "(y0 < 0) - (y0 > 0)",
+        "enumerate 8 bytes",
+    ),
+    "a trailing run with y2's text for y3's": (
+        "dump.py",
+        "str(y[3]).join",
+        "str(y[2]).join",
+        "enumerate 8 bytes",
+    ),
     "parameter sums of m for m^3": (
         "enumeration.py",
         "sums[p] += xs[k] * m ** 3",
