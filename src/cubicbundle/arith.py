@@ -1,11 +1,8 @@
 """Exact rational and projective-point arithmetic.
 
-Everything here is integer/Fraction exact: canonical representatives of
-points in P^n(Q), naive heights, the cube test in Q, integer cube roots and
-the rank of a rational matrix.  No floats anywhere; height comparisons
-H <= B are exact.  ``fractions`` is imported only where a non-integer
-matrix entry needs it, so start-up does not load it (nor ``decimal``, which
-it imports).
+Everything here is integer exact: canonical representatives of points in
+P^n(Q), naive heights, the cube test in Q and integer cube roots.  No
+floats anywhere; height comparisons H <= B are exact.
 """
 
 from __future__ import annotations
@@ -146,45 +143,3 @@ def exact_cube_root(n: int) -> int | None:
     if r * r * r != m:
         return None
     return r if n > 0 else -r
-
-
-def rational_matrix_rank(rows) -> int:
-    """Rank of a matrix whose entries are anything Fraction() accepts, by
-    fraction-free elimination over Z.
-
-    A row of ints is taken as it is; any other row is scaled once by the
-    lcm of its denominators into an integer row of the same span.
-    Eliminating below a pivot p replaces a row r by p*r - r[col]*pivot_row,
-    divided by the gcd of its entries, so the entries stay small and the
-    rank stays exact.  Rows of unequal length raise InvalidArgument.
-    """
-    m = []
-    for row in rows:
-        values = list(row)
-        if not all(isinstance(v, int) for v in values):
-            from fractions import Fraction
-
-            values = [Fraction(v) for v in values]
-            scale = math.lcm(*(v.denominator for v in values))
-            values = [v.numerator * (scale // v.denominator) for v in values]
-        if m and len(values) != len(m[0]):
-            raise InvalidArgument("matrix rows must have equal length")
-        m.append(values)
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col]
-            if f:
-                row = [p * x - f * y for x, y in zip(m[r], top)]
-                g = math.gcd(*row)
-                m[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == len(m):
-            break
-    return rank

@@ -31,8 +31,11 @@ def _fiber_profile(x_coords: tuple[int, ...]):
     """Per-fiber data shared by every point above x: liftability for each
     pairing, the singular flag, and the Picard rank of a smooth fiber.
 
-    Memoized per normalized x; many points share a fiber and the rank
-    computation is the expensive part.
+    Memoized per normalized x, as many points share a fiber.  A profile
+    costs at most 25 integer cube tests (up to two for each of the three
+    liftability ratios and the three Segre ratios, and 13 for the relation
+    lattice) and one lookup of the lattice's rank in a table
+    (:func:`picard_rank`).
     """
     x = ProjectivePoint(x_coords)
     lifts = {p: liftable(x, p) for p in PAIRINGS}

@@ -19,22 +19,21 @@ Two independent rank computations:
   Z/2 x (Z/3)^3 by Kummer duality (a twist must kill every multiplicative
   relation among the cube classes of the ratios a_i/a_0).  The rank over Q
   is the dimension of the span of the orbit sums of the 27 line classes.
-  Seven lines span the Picard lattice and the intersection form is
-  nondegenerate, so D -> (D.l) over those seven lines is injective: the
-  rank is that of the orbit sums' seven intersection numbers, computed by
-  exact fraction-free elimination over Z.
 
 A cube test over Q suffices for Kummer duality over Q(w): a rational is a
 cube in Q(w) iff it is a cube in Q, because [Q(w):Q] = 2 is prime to 3.
 
 The Galois route depends on the coefficients only through the relation
 lattice, one of the 28 subgroups of (Z/3)^3: the twist group, the orbits of
-the 27 lines and the rank of their sums are all functions of it.  They are
-computed once per lattice, on line indices, and cached (:func:`_lattice_orbits`),
-so a rank costs 13 integer cube tests for the lattice, a cache lookup and the
-Segre check (three more cube tests on integer products), which runs on every
-surface so that the two routes stay independent.  Both routes run on plain
-ints; no Fraction is built per surface.
+the 27 lines and the rank of their sums are all functions of it.  So the
+rank, the orbit sizes and the group order of each lattice are a table
+(:data:`_LATTICE_TYPES`), keyed by the mask of 13 integer cube tests
+(:func:`_relation_mask`); the tests derive every entry from the Galois
+orbits of the 27 lines (tests/oracles.py) and hold the table to them.  A
+rank costs those 13 cube tests, one lookup and the Segre check (three more
+cube tests on integer products), which runs on every surface so that the
+two routes stay independent.  Both run on plain ints; no Fraction is built
+per surface.
 
 The incidence rules of the 27 lines (:func:`incidence`) are mod-3 rules on
 the labels; the tests check them against a 50-digit numeric oracle that
@@ -43,13 +42,10 @@ uses none of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 
-from .arith import (
-    InvalidArgument, _checked_tuple, _integer, exact_cube_root, is_cube, rational_matrix_rank
-)
+from .arith import InvalidArgument, _checked_tuple, _integer, exact_cube_root, is_cube
 from .geometry import PAIRINGS, pairing_pairs
 
 
@@ -132,6 +128,17 @@ _RELATION_TESTS = tuple(
 )
 
 
+def _relation_mask(s: DiagonalCubic) -> int:
+    """The relation lattice as 13 bits: bit i is set when the first triple e
+    of _RELATION_TESTS[i] is a relation (:func:`relation_lattice`)."""
+    p0, p1, p2, p3 = ((1, a, a * a) for a in s.coefficients)
+    mask = 0
+    for bit, ((e1, e2, e3), _, f) in enumerate(_RELATION_TESTS):
+        if exact_cube_root(p1[e1] * p2[e2] * p3[e3] * p0[f]) is not None:
+            mask |= 1 << bit
+    return mask
+
+
 def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     """Exponent triples (e1, e2, e3) in (Z/3)^3 with
     (a1/a0)^e1 * (a2/a0)^e2 * (a3/a0)^e3 a cube in Q, in lexicographic order.
@@ -140,48 +147,51 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     cube iff the integer a1^e1 * a2^e2 * a3^e3 * a0^((-e1-e2-e3) mod 3) is
     an integer cube (-1 is a cube, so signs need no care).  The integer for
     2e is a cube exactly when the one for e is (x is a cube iff x^2 is), so
-    13 tests decide all 27 triples.
+    13 tests decide all 27 triples (:func:`_relation_mask`).
     """
-    p0, p1, p2, p3 = ((1, a, a * a) for a in s.coefficients)
+    mask = _relation_mask(s)
     found = [(0, 0, 0)]
-    for e, double, f in _RELATION_TESTS:
-        if exact_cube_root(p1[e[0]] * p2[e[1]] * p3[e[2]] * p0[f]) is not None:
+    for bit, (e, double, _) in enumerate(_RELATION_TESTS):
+        if mask >> bit & 1:
             found += (e, double)
     found.sort()
     return found
 
 
-#: what the Galois route derives from one relation lattice: the group, a tuple
-#: of GaloisElement; the rank; the sorted sizes of the line orbits
-LatticeOrbits = namedtuple("LatticeOrbits", "group rank orbit_sizes")
-
-
-@functools.lru_cache(maxsize=28)
-def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbits:
-    """Galois group, rank over Q and line-orbit sizes of a relation lattice.
-
-    The key is ``tuple(relation_lattice(s))``, a subgroup of (Z/3)^3 in
-    lexicographic order; there are 28 such subgroups, so the cache never
-    evicts.  Valid twists form the annihilator of the lattice.  The
-    invariant part of the Neron-Severi space is spanned by the orbit sums of
-    the 27 line classes; D -> (D.l) over the seven :data:`_SPANNING_LINES`
-    is injective, as they span and the intersection form is nondegenerate,
-    so the rank is that of the orbit sums' rows of seven incidences.
-    """
-    twists = [
-        (k1, k2, k3)
-        for k1, k2, k3 in itertools.product(range(3), repeat=3)
-        if not any((e1 * k1 + e2 * k2 + e3 * k3) % 3 for e1, e2, e3 in relations)
-    ]
-    group = tuple(GaloisElement(c, k) for c in (0, 1) for k in twists)
-    parts = _line_orbits(group)
-    table = _spanning_incidences()
-    sums = [list(map(sum, zip(*(table[i] for i in o)))) for o in parts]
-    return LatticeOrbits(
-        group=group,
-        rank=rational_matrix_rank(sums),
-        orbit_sizes=tuple(sorted(map(len, parts))),
-    )
+#: (rank over Q, sorted line-orbit sizes, Galois group order) of each of the
+#: 28 relation lattices, keyed by :func:`_relation_mask`; each comment gives
+#: the lattice's order.  tests/oracles.py derives every entry from the
+#: Galois orbits of the 27 lines and their intersection numbers.
+_LATTICE_TYPES = {
+    0x0000: (1, (9, 9, 9), 54),  # 1
+    0x0001: (1, (3, 6, 9, 9), 18),  # 3
+    0x0002: (1, (3, 6, 9, 9), 18),  # 3
+    0x0004: (1, (9, 9, 9), 18),  # 3
+    0x0008: (1, (3, 6, 9, 9), 18),  # 3
+    0x0010: (1, (3, 6, 9, 9), 18),  # 3
+    0x0020: (1, (9, 9, 9), 18),  # 3
+    0x0040: (1, (3, 6, 9, 9), 18),  # 3
+    0x0080: (1, (9, 9, 9), 18),  # 3
+    0x0100: (1, (9, 9, 9), 18),  # 3
+    0x0200: (2, (3, 3, 6, 6, 9), 18),  # 3
+    0x0400: (1, (3, 6, 9, 9), 18),  # 3
+    0x0800: (2, (3, 3, 6, 6, 9), 18),  # 3
+    0x1000: (2, (3, 3, 6, 6, 9), 18),  # 3
+    0x000f: (1, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0071: (1, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0381: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0492: (1, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0548: (1, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0624: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x08c4: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0922: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x0a18: (3, (1, 2, 2, 2, 2, 3, 3, 6, 6), 6),  # 9
+    0x10a8: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x1114: (2, (3, 3, 3, 6, 6, 6), 6),  # 9
+    0x1242: (3, (1, 2, 2, 2, 2, 3, 3, 6, 6), 6),  # 9
+    0x1c01: (3, (1, 2, 2, 2, 2, 3, 3, 6, 6), 6),  # 9
+    0x1fff: (4, (1, 1, 1) + (2,) * 12, 2),  # 27
+}
 
 
 def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
@@ -191,7 +201,13 @@ def galois_group(s: DiagonalCubic) -> list[GaloisElement]:
     order is 2 * 3^d with d the rank of the subgroup of Q*/(Q*)^3 generated
     by the three coefficient ratios.
     """
-    return list(_lattice_orbits(tuple(relation_lattice(s))).group)
+    relations = relation_lattice(s)
+    twists = [
+        (k1, k2, k3)
+        for k1, k2, k3 in itertools.product(range(3), repeat=3)
+        if not any((e1 * k1 + e2 * k2 + e3 * k3) % 3 for e1, e2, e3 in relations)
+    ]
+    return [GaloisElement(c, k) for c in (0, 1) for k in twists]
 
 
 def _image(g: GaloisElement, line: int) -> int:
@@ -239,19 +255,6 @@ def incidence(l1: LineLabel, l2: LineLabel) -> int:
     return 1 if meet else 0
 
 
-#: the first seven independent lines, by index; the 27 classes span a space
-#: of dimension 7, the rank of incidence_gram(), so these seven span it
-_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 10)
-
-
-@functools.lru_cache(maxsize=None)
-def _spanning_incidences() -> tuple[tuple[int, ...], ...]:
-    """The intersection numbers of each of the 27 lines, by index, with the
-    seven _SPANNING_LINES, built on first use, not at import."""
-    spanning = [ALL_LINE_LABELS[i] for i in _SPANNING_LINES]
-    return tuple(tuple(incidence(label, line) for line in spanning) for label in ALL_LINE_LABELS)
-
-
 def incidence_gram() -> list[list[int]]:
     """Gram matrix of the 27 line classes under the intersection form."""
     return [[incidence(l1, l2) for l2 in ALL_LINE_LABELS] for l1 in ALL_LINE_LABELS]
@@ -284,16 +287,15 @@ def orbits(group) -> list[tuple[LineLabel, ...]]:
 def picard_rank(s: DiagonalCubic) -> PicardReport:
     """Rank over Q by the Galois-orbit route, cross-checked against Segre.
 
-    The orbit rank is looked up per relation lattice (:func:`_lattice_orbits`);
+    The orbit rank is looked up per relation lattice (:data:`_LATTICE_TYPES`);
     the Segre criterion is evaluated afresh for every surface.
     """
-    lattice = _lattice_orbits(tuple(relation_lattice(s)))
+    rank, orbit_sizes, order = _LATTICE_TYPES[_relation_mask(s)]
     segre = segre_rank_one(s)
     return PicardReport(
-        rank_over_Q=lattice.rank,
+        rank_over_Q=rank,
         segre_rank_one=segre,
-        orbit_sizes=lattice.orbit_sizes,
-        agreement=segre == (lattice.rank == 1),
-        galois_order=len(lattice.group),
+        orbit_sizes=orbit_sizes,
+        agreement=segre == (rank == 1),
+        galois_order=order,
     )
-

@@ -2,12 +2,16 @@
 program against.  The program never calls them.
 """
 
+import functools
 import itertools
 import math
 import random
+from collections import namedtuple
 from decimal import Decimal, localcontext
 
-from cubicbundle.arith import ProjectivePoint, _integer, exact_cube_root, naive_height, normalize
+from cubicbundle.arith import (
+    InvalidArgument, ProjectivePoint, _integer, exact_cube_root, naive_height, normalize
+)
 from cubicbundle.classify import _fiber_profile
 from cubicbundle.cli import random_surface
 from cubicbundle.dump import _signed
@@ -19,6 +23,15 @@ from cubicbundle.enumeration import (
     enumerate_fiber,
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, pairing_pairs
+from cubicbundle.picard import (
+    ALL_LINE_LABELS,
+    GaloisElement,
+    PicardReport,
+    _line_orbits,
+    incidence,
+    relation_lattice,
+    segre_rank_one,
+)
 
 
 def random_surfaces(count, seed):
@@ -206,3 +219,107 @@ def incidence_numeric(s, l1, l2) -> int:
                 det_q += q
         tiny = Decimal("1e-20")
         return 1 if abs(det_p) < tiny and abs(det_q) < tiny else 0
+
+
+def rational_matrix_rank(rows) -> int:
+    """Rank of a matrix whose entries are anything Fraction() accepts, by
+    fraction-free elimination over Z.
+
+    A row of ints is taken as it is; any other row is scaled once by the
+    lcm of its denominators into an integer row of the same span.
+    Eliminating below a pivot p replaces a row r by p*r - r[col]*pivot_row,
+    divided by the gcd of its entries, so the entries stay small and the
+    rank stays exact.  Rows of unequal length raise InvalidArgument.
+    """
+    m = []
+    for row in rows:
+        values = list(row)
+        if not all(isinstance(v, int) for v in values):
+            from fractions import Fraction
+
+            values = [Fraction(v) for v in values]
+            scale = math.lcm(*(v.denominator for v in values))
+            values = [v.numerator * (scale // v.denominator) for v in values]
+        if m and len(values) != len(m[0]):
+            raise InvalidArgument("matrix rows must have equal length")
+        m.append(values)
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            if f:
+                row = [p * x - f * y for x, y in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+#: the first seven independent lines, by index; the 27 classes span a space
+#: of dimension 7, the rank of incidence_gram(), so these seven span it
+_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 10)
+
+
+@functools.lru_cache(maxsize=None)
+def _spanning_incidences() -> tuple[tuple[int, ...], ...]:
+    """The intersection numbers of each of the 27 lines, by index, with the
+    seven _SPANNING_LINES, built on first use, not at import."""
+    spanning = [ALL_LINE_LABELS[i] for i in _SPANNING_LINES]
+    return tuple(tuple(incidence(label, line) for line in spanning) for label in ALL_LINE_LABELS)
+
+
+#: what the Galois route derives from one relation lattice: the group, a tuple
+#: of GaloisElement; the rank; the sorted sizes of the line orbits
+LatticeOrbits = namedtuple("LatticeOrbits", "group rank orbit_sizes")
+
+
+@functools.lru_cache(maxsize=28)
+def _lattice_orbits(relations: tuple[tuple[int, int, int], ...]) -> LatticeOrbits:
+    """Galois group, rank over Q and line-orbit sizes of a relation lattice.
+
+    The key is ``tuple(relation_lattice(s))``, a subgroup of (Z/3)^3 in
+    lexicographic order; there are 28 such subgroups, so the cache never
+    evicts.  Valid twists form the annihilator of the lattice.  The
+    invariant part of the Neron-Severi space is spanned by the orbit sums of
+    the 27 line classes; D -> (D.l) over the seven :data:`_SPANNING_LINES`
+    is injective, as they span and the intersection form is nondegenerate,
+    so the rank is that of the orbit sums' rows of seven incidences.
+    """
+    twists = [
+        (k1, k2, k3)
+        for k1, k2, k3 in itertools.product(range(3), repeat=3)
+        if not any((e1 * k1 + e2 * k2 + e3 * k3) % 3 for e1, e2, e3 in relations)
+    ]
+    group = tuple(GaloisElement(c, k) for c in (0, 1) for k in twists)
+    parts = _line_orbits(group)
+    table = _spanning_incidences()
+    sums = [list(map(sum, zip(*(table[i] for i in o)))) for o in parts]
+    return LatticeOrbits(
+        group=group,
+        rank=rational_matrix_rank(sums),
+        orbit_sizes=tuple(sorted(map(len, parts))),
+    )
+
+
+def orbit_report(s) -> PicardReport:
+    """picard_rank by the Galois-orbit route: the group, the line orbits and
+    the rank of s's relation lattice from _lattice_orbits, and the Segre
+    check afresh.  picard.picard_rank, which reads them from its table, is
+    compared against it."""
+    lattice = _lattice_orbits(tuple(relation_lattice(s)))
+    segre = segre_rank_one(s)
+    return PicardReport(
+        rank_over_Q=lattice.rank,
+        segre_rank_one=segre,
+        orbit_sizes=lattice.orbit_sizes,
+        agreement=segre == (lattice.rank == 1),
+        galois_order=len(lattice.group),
+    )

@@ -9,7 +9,7 @@ import itertools
 import math
 import time
 
-from cubicbundle.arith import normalize, rational_matrix_rank
+from cubicbundle.arith import normalize
 from cubicbundle.classify import classify_point
 from cubicbundle.cli import main
 from cubicbundle.enumeration import (
@@ -29,6 +29,7 @@ from oracles import (
     enumerate_bundle,
     incidence_numeric,
     random_surfaces,
+    rational_matrix_rank,
     search_lift,
 )
 

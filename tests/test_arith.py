@@ -14,11 +14,11 @@ from cubicbundle.arith import (
     is_cube,
     naive_height,
     normalize,
-    rational_matrix_rank,
 )
 from cubicbundle.classify import classify_point
 from cubicbundle.dump import point_rows
 from cubicbundle.geometry import BundlePoint
+from oracles import rational_matrix_rank
 
 coord_lists = st.lists(st.integers(-1000, 1000), min_size=2, max_size=4).filter(any)
 

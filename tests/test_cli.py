@@ -19,6 +19,7 @@ from cubicbundle import cli, dump
 from cubicbundle.cli import main
 from cubicbundle.dump import point_rows
 from cubicbundle.enumeration import CLASS_LABELS, CountSeries
+from test_picard import LATTICE_SURFACES
 
 # a prime above 10^15, too large to factor by trial division within a test's time
 BIG_PRIME = 1000000000000037
@@ -34,6 +35,17 @@ ENUMERATE_8_SHA256 = "ee34843c7e5d5d8d4e0e442b0eb343abca5a5ed9fc682ce6cb93f775cb
 # streams hold base points of height 3
 ENUMERATE_27_SHA256 = "e27184773420fc7d8f730e10d22b4d5fad9658838474acf5c951e3cb0b7f5929"
 COUNT_27_POINTS_SHA256 = "a8f639d58003c59355c6c6105fc82f430d1e0eda4dd4ea772bfb3550732c9826"
+
+# SHA-256 of the stdout of `fiber-rank` over one surface of each of the 28
+# relation lattices (test_picard.LATTICE_SURFACES), run after one another,
+# and of `lines` over the trivial lattice, a rank-2 one and the full one,
+# recorded while the ranks came from the Galois orbits at run time
+FIBER_RANK_LATTICES_SHA256 = "bd80c6e20401ed5b1015573a85e6b3ade4d2d23fd7126f20f5735b8fb7222524"
+LINES_SHA256 = {
+    (1, 5, 3, 2): "7be1523194eb4db3b1ccd6c4d616f23ef41e642306b90777e343e442f17ad545",
+    (1, 2, 4, 1): "80c872da873e275f1a25eeed04c98b534eabaaff6e20acf1bc0bf0361fc57361",
+    (1, 1, 1, 1): "7fcf3271dd19f1c552ded67de68005e103b9e2eff9363cc8a6ee1e363af2ea5b",
+}
 
 
 def run(capsys, *argv):
@@ -305,6 +317,14 @@ class TestFiberRank:
         code, _, err = run(capsys, "fiber-rank", "1", "0", "1", "1")
         assert code == 65
 
+    def test_every_lattice_output_pinned(self, capsys):
+        stdout = ""
+        for s in LATTICE_SURFACES:
+            code, out, _ = run(capsys, "fiber-rank", *map(str, s.coefficients))
+            assert code == 0
+            stdout += out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == FIBER_RANK_LATTICES_SHA256
+
 
 class TestLines:
     def test_row_sums_and_orbits(self, capsys):
@@ -316,6 +336,12 @@ class TestLines:
         sizes_row = next(l for l in stdout.splitlines() if l.startswith("orbit_sizes"))
         sizes = eval(sizes_row.split(": ")[1])
         assert sum(sizes) == 27
+
+    @pytest.mark.parametrize("coefficients", LINES_SHA256, ids=str)
+    def test_output_pinned(self, capsys, coefficients):
+        code, stdout, _ = run(capsys, "lines", *map(str, coefficients))
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == LINES_SHA256[coefficients]
 
 
 class TestVerifyIntersections:

@@ -19,26 +19,49 @@ from pathlib import Path
 import pytest
 
 from test_cli import ENUMERATE_8_SHA256
-from test_picard import subgroups_of_z3_cubed
+from test_picard import LATTICE_SURFACES, subgroups_of_z3_cubed
 
 PACKAGE = Path(__file__).parents[1] / "src" / "cubicbundle"
 
+LATTICE_COEFFICIENTS = [s.coefficients for s in LATTICE_SURFACES]
+
 CHECKS = {
-    # the lattice ranks cannot tell a dependent line from a spanning one
-    "seven lines span": """
-        from cubicbundle import picard
-        from cubicbundle.arith import rational_matrix_rank
-        assert rational_matrix_rank(picard._spanning_incidences()) == 7
-    """,
-    # (galois order, rank over Q) of each of the 28 relation lattices
+    # (galois order, rank over Q) of one surface of each of the 28 relation
+    # lattices, and the group and line orbits that the lines command shows
     "lattice ranks": f"""
-        from cubicbundle import picard
-        lattices = map(picard._lattice_orbits, {subgroups_of_z3_cubed()!r})
-        assert [(len(lattice.group), lattice.rank) for lattice in lattices] == [
+        from cubicbundle.picard import DiagonalCubic, galois_group, orbits, picard_rank
+        surfaces = [DiagonalCubic(c) for c in {LATTICE_COEFFICIENTS!r}]
+        reports = list(map(picard_rank, surfaces))
+        assert [(report.galois_order, report.rank_over_Q) for report in reports] == [
             (54, 1), (18, 1), (6, 1), (2, 4), (6, 1), (6, 2), (6, 3), (18, 1), (6, 1), (6, 2),
             (6, 3), (18, 1), (6, 2), (6, 2), (6, 2), (18, 1), (6, 3), (6, 2), (6, 1), (18, 1),
             (18, 1), (18, 1), (18, 1), (18, 1), (18, 2), (18, 1), (18, 2), (18, 2),
         ]
+        for s, report in zip(surfaces, reports):
+            group = galois_group(s)
+            assert len(group) == report.galois_order
+            assert tuple(sorted(map(len, orbits(group)))) == report.orbit_sizes
+    """,
+    # the relation lattice of one surface of each of the 28 subgroups
+    "relation lattices": f"""
+        from cubicbundle.picard import DiagonalCubic, relation_lattice
+        lattices = [tuple(relation_lattice(DiagonalCubic(c))) for c in {LATTICE_COEFFICIENTS!r}]
+        assert lattices == {subgroups_of_z3_cubed()!r}
+    """,
+    # smooth fibers whose pair-locus lines have multipliers other than +-1
+    "smooth meet": """
+        import hashlib
+        from cubicbundle.arith import ProjectivePoint
+        from cubicbundle.enumeration import enumerate_fiber
+        xs = [(1, 8, 27, 64), (1, -8, 27, -64), (1, 1, 8, 8), (1, 8, -27, 1)]
+        try:
+            points = [[y.coords for y in enumerate_fiber(ProjectivePoint(x), 14)] for x in xs]
+        except TypeError as error:
+            raise AssertionError(error) from error
+        assert list(map(len, points)) == [110, 110, 433, 187]
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == (
+            "0e7fc2310b3a9c106467e626485311d51208e1afdd13614d44e3e344d75ea683"
+        )
     """,
     # the one pair point (1, 2) of pairing 1 over 1:3:-8:1 has height 2
     "pair point height": """
@@ -93,11 +116,11 @@ CHECKS = {
 }
 
 MUTANTS = {
-    "a dependent spanning line": (
+    "a wrong rank in the lattice table": (
         "picard.py",
-        "_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 10)",
-        "_SPANNING_LINES = (0, 1, 2, 3, 4, 9, 5)",
-        "seven lines span",
+        "0x0200: (2, (3, 3, 6, 6, 9), 18),",
+        "0x0200: (1, (3, 3, 6, 6, 9), 18),",
+        "lattice ranks",
     ),
     "the line action without conjugation": (
         "picard.py",
@@ -110,6 +133,18 @@ MUTANTS = {
         "for e1, e2, e3 in relations)",
         "for e1, e2, e3 in relations[-1:])",
         "lattice ranks",
+    ),
+    "a relation lattice without the doubled exponent": (
+        "picard.py",
+        "found += (e, double)",
+        "found += (e,)",
+        "relation lattices",
+    ),
+    "the smooth meet of m for m^3": (
+        "enumeration.py",
+        "_cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)",
+        "_cube_pair(xs[0] * m0, xs[b] * mb)",
+        "smooth meet",
     ),
     "a pair point's height from a signed d": (
         "enumeration.py",

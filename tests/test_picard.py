@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicbundle import picard
-from cubicbundle.arith import InvalidArgument, is_cube, rational_matrix_rank
+from cubicbundle.arith import InvalidArgument, is_cube
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -24,7 +25,15 @@ from cubicbundle.picard import (
     relation_lattice,
     segre_rank_one,
 )
-from oracles import incidence_numeric, random_surfaces
+from oracles import (
+    _SPANNING_LINES,
+    _lattice_orbits,
+    _spanning_incidences,
+    incidence_numeric,
+    orbit_report,
+    random_surfaces,
+    rational_matrix_rank,
+)
 from test_arith import fraction_matrix_rank
 
 nonzero_small = st.integers(-20, 20).filter(bool)
@@ -186,6 +195,31 @@ def subgroups_of_z3_cubed():
     return sorted(found)
 
 
+def lattice_surface(relations) -> DiagonalCubic:
+    """A surface whose relation lattice is the subgroup relations of
+    (Z/3)^3: a_0 = 1 and a_i = 2^k_i * 3^k'_i * 5^k''_i over a basis k, k',
+    k'' of the twists that annihilate it, so that e is a relation iff it is
+    orthogonal to that basis, that is iff e lies in relations."""
+    twists = [
+        k for k in itertools.product(range(3), repeat=3)
+        if all(sum(ei * ki for ei, ki in zip(e, k)) % 3 == 0 for e in relations)
+    ]
+    basis, span = [], {(0, 0, 0)}
+    for k in twists:
+        if k not in span:
+            basis.append(k)
+            span = {tuple((v + c * ki) % 3 for v, ki in zip(u, k)) for u in span for c in range(3)}
+    coefficients = [1, 1, 1]
+    for prime, k in zip((2, 3, 5), basis):
+        coefficients = [a * prime ** ki for a, ki in zip(coefficients, k)]
+    return DiagonalCubic((1, *coefficients))
+
+
+#: one surface for each of the 28 relation lattices, in the order of
+#: subgroups_of_z3_cubed()
+LATTICE_SURFACES = [lattice_surface(relations) for relations in subgroups_of_z3_cubed()]
+
+
 def searched_orbits(group):
     """Orbit partition of the 27 line labels by breadth-first search under
     the generators in group, each orbit sorted, orbits ordered by their least
@@ -232,15 +266,22 @@ class TestRelationLattice:
         assert len(subgroups) == 28
         assert sorted(len(g) for g in subgroups) == [1] + [3] * 13 + [9] * 13 + [27]
 
+    def test_each_lattice_surface_has_its_lattice(self):
+        for relations, s in zip(subgroups_of_z3_cubed(), LATTICE_SURFACES):
+            assert relation_lattice(s) == fraction_relation_lattice(s) == list(relations)
+
 
 class TestLatticeCache:
+    """The table of the 28 relation lattices against the cached orbit route
+    of tests/oracles.py that derives it."""
+
     @pytest.mark.parametrize("relations", subgroups_of_z3_cubed(), ids=len)
     def test_cached_equals_unmemoized(self, relations):
-        assert picard._lattice_orbits(relations) == picard._lattice_orbits.__wrapped__(relations)
+        assert _lattice_orbits(relations) == _lattice_orbits.__wrapped__(relations)
 
     @pytest.mark.parametrize("relations", subgroups_of_z3_cubed(), ids=len)
     def test_matches_orbit_search_and_incidence_oracle(self, relations):
-        lattice = picard._lattice_orbits(relations)
+        lattice = _lattice_orbits(relations)
         parts = searched_orbits(lattice.group)
         gram = [
             [sum(incidence(l1, l2) for l1 in o1 for l2 in o2) for o2 in parts]
@@ -250,21 +291,52 @@ class TestLatticeCache:
         assert lattice.rank == rational_matrix_rank(gram) == fraction_matrix_rank(gram)
         assert lattice.orbit_sizes == tuple(sorted(len(o) for o in parts))
 
-    def test_incidence_table_is_built_on_first_use(self):
-        code = "import cubicbundle.cli, cubicbundle.picard as p; print(p._spanning_incidences.cache_info())"
+    def test_table_matches_the_orbit_route(self):
+        masks = []
+        for relations, s in zip(subgroups_of_z3_cubed(), LATTICE_SURFACES):
+            mask = sum(1 << bit for bit, (e, _, _) in enumerate(picard._RELATION_TESTS)
+                       if e in relations)
+            lattice = _lattice_orbits(relations)
+            assert picard._relation_mask(s) == mask
+            assert picard._LATTICE_TYPES[mask] == (
+                lattice.rank, lattice.orbit_sizes, len(lattice.group)
+            )
+            assert galois_group(s) == list(lattice.group)
+            masks.append(mask)
+        assert sorted(masks) == sorted(picard._LATTICE_TYPES)
+
+    def test_picard_rank_matches_the_orbit_route(self):
+        for s in random_surfaces(1000, seed=2024):
+            assert picard_rank(s) == orbit_report(s), s
+
+    def test_no_orbit_code_runs_when_a_surface_is_ranked(self):
+        # _image is the line action that every orbit computation goes through
+        code = textwrap.dedent(f"""
+            import contextlib, io
+            from cubicbundle import cli, picard
+
+            def refuse(g, line):
+                raise RuntimeError("the line action ran")
+
+            picard._image = refuse
+            surfaces = [picard.DiagonalCubic(c) for c in {[s.coefficients for s in LATTICE_SURFACES]!r}]
+            try:
+                picard.orbits(picard.galois_group(surfaces[0]))
+            except RuntimeError:
+                pass
+            else:
+                raise SystemExit("the patch did not reach the orbits")
+            reports = list(map(picard.picard_rank, surfaces))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["count", "--bounds", "16"])
+            print(len(reports), code)
+        """)
         env = dict(os.environ, PYTHONPATH=str(Path(picard.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
         )
-        assert "currsize=0" in result.stdout
-
-    def test_survey_fills_at_most_28_entries(self):
-        picard._lattice_orbits.cache_clear()
-        for s in random_surfaces(1000, seed=2024):
-            picard_rank(s)
-        info = picard._lattice_orbits.cache_info()
-        assert info.hits + info.misses == 1000
-        assert info.misses == info.currsize <= 28
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "28 0\n"
 
     def test_galois_group_is_a_fresh_list(self):
         s = DiagonalCubic((1, 2, 4, 1))
@@ -341,8 +413,8 @@ class TestIncidence:
         # the lattice ranks cannot catch a wrong basis: with any one of lines
         # 0, 1, 2, 3, 9 or 10 dropped, all 28 ranks stay the same
         gram = incidence_gram()
-        table = picard._spanning_incidences()
-        assert table == tuple(tuple(row[i] for i in picard._SPANNING_LINES) for row in gram)
+        table = _spanning_incidences()
+        assert table == tuple(tuple(row[i] for i in _SPANNING_LINES) for row in gram)
         assert rational_matrix_rank(table) == rational_matrix_rank(gram) == 7
 
     def test_matches_numeric_oracle(self):
