@@ -24,7 +24,7 @@ kinds of fiber:
 * no zero coordinate: a smooth cubic surface, each pair locus the join of
   its two pair points (a line, one point or nothing; lines meet pairwise
   in one point), and the points off every pair locus (:func:`_smooth_locus`):
-  over (1, 1, 1, 1) the collisions of one table of a^3 + b^3
+  over every x with all |x_k| = 1 the collisions of one table of a^3 + b^3
   (:func:`_fermat_collisions`), else a meet-in-the-middle scan of the
   quadruple box that drops each hit on a pair locus before building it
   (:func:`_surface_scan`), both after Bernstein, Enumerating solutions to
@@ -211,8 +211,10 @@ def _smooth_locus(xs, bound: int):
     Two lines meet in one rational point, where every y_k is nonzero, and
     no point is on all three: the earlier line in pairing order counts the
     meet, the later one shares it.  The points off every pair locus come
-    from :func:`_fermat_collisions` over (1, 1, 1, 1), the one
-    representative with equal entries, else from :func:`_surface_scan`.
+    from :func:`_surface_scan`, or, over the Fermat orbit (all |x_k| = 1),
+    from :func:`_fermat_collisions` mapped by z_k = x_k*y_k: a bijection
+    from the fiber over (1, 1, 1, 1), as x_k*(x_k*y_k)^3 = y_k^3, that keeps
+    every pair sum, primitivity, height, and z_0 = y_0 > 0 (x_0 = 1).
     """
     lines, points = {}, []
     for pairing, pairs in PAIRINGS.items():
@@ -235,13 +237,19 @@ def _smooth_locus(xs, bound: int):
         t[p0], t[pb] = _cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)
         meet = tuple(m * t[p] for p, m in params)
         shared[b] += (meet if meet[0] > 0 else tuple(-y for y in meet),)
-    off_loci = _fermat_collisions(bound) if xs == (1, 1, 1, 1) else _surface_scan(xs, bound)
+    if set(map(abs, xs)) == {1}:
+        x0, x1, x2, x3 = xs
+        off_loci = [(x0 * y0, x1 * y1, x2 * y2, x3 * y3)
+                    for y0, y1, y2, y3 in _fermat_collisions(bound)]
+    else:
+        off_loci = _surface_scan(xs, bound)
     return [(*line, shared[p]) for p, line in lines.items()], points + off_loci
 
 
 def _fermat_collisions(bound: int) -> list[tuple[int, ...]]:
     """The points of :func:`_surface_scan` over (1, 1, 1, 1), from the
-    collisions a^3 + b^3 = c^3 + d^3 (Bernstein 2001).
+    collisions a^3 + b^3 = c^3 + d^3 (Bernstein 2001), and through them
+    those of the whole Fermat orbit (:func:`_smooth_locus`).
 
     Off line 1, y or -y has y0^3 + y1^3 = k = -(y2^3 + y3^3) > 0, and
     (y0, y1) and (-y2, -y3) order representatives a >= 1, -a < b <= a of
@@ -543,7 +551,7 @@ def _checked_points(x_coords, ys) -> list[int]:
     keys = []
     for y in ys:
         y0, y1, y2, y3 = y
-        t0, t1, t2, t3 = x0 * y0 ** 3, x1 * y1 ** 3, x2 * y2 ** 3, x3 * y3 ** 3
+        t0, t1, t2, t3 = x0 * y0 * y0 * y0, x1 * y1 * y1 * y1, x2 * y2 * y2 * y2, x3 * y3 * y3 * y3
         if t0 + t1 + t2 + t3:
             x, y = (":".join(map(str, c)) for c in (x_coords, y))
             raise NotOnVariety(f"({x}, {y}) is not on the bundle")

@@ -13,11 +13,16 @@ classifier:
 * the cube cover T_tau over P^3_x with equation s^3*A = t^3*B for
   A = x_i*x_j, B = x_k*x_l; a rational point of T_tau above x exists iff
   A = 0, B = 0, or A/B is a rational cube ("liftability").
+
+The classifier reads liftability and the singular flag (some x_k = 0) off
+the plain coordinates of a base point, once per fiber
+(``classify._fiber_profile``); the one-pairing definitions it is checked
+against live in the tests' oracles.
 """
 
 from __future__ import annotations
 
-from .arith import InvalidArgument, InvalidPoint, ProjectivePoint, _checked_tuple, is_cube
+from .arith import InvalidArgument, InvalidPoint, ProjectivePoint, _checked_tuple
 
 
 class NotOnVariety(ValueError):
@@ -60,7 +65,7 @@ def on_bundle(x: ProjectivePoint, y: ProjectivePoint) -> bool:
         (x0, x1, x2, x3), (y0, y1, y2, y3) = x.coords, y.coords
     except ValueError:
         raise InvalidPoint(f"({x}, {y}) is not a point of P^3 x P^3") from None
-    return x0 * y0 ** 3 + x1 * y1 ** 3 + x2 * y2 ** 3 + x3 * y3 ** 3 == 0
+    return x0 * y0 * y0 * y0 + x1 * y1 * y1 * y1 + x2 * y2 * y2 * y2 + x3 * y3 * y3 * y3 == 0
 
 
 def _p3_coords(x: ProjectivePoint) -> tuple[int, ...]:
@@ -70,28 +75,3 @@ def _p3_coords(x: ProjectivePoint) -> tuple[int, ...]:
         raise InvalidPoint(f"{x} is not a point of P^3")
     return x.coords
 
-
-def pair_products(x: ProjectivePoint, pairing: int) -> tuple[int, int]:
-    """(A, B) = (x_i*x_j, x_k*x_l) for the pairing."""
-    (i, j), (k, l) = pairing_pairs(pairing)
-    c = _p3_coords(x)
-    return c[i] * c[j], c[k] * c[l]
-
-
-def liftable(x: ProjectivePoint, pairing: int) -> bool:
-    """Does the cube cover for this pairing have a rational point above x?
-
-    With A = x_i*x_j and B = x_k*x_l the fiber is {(s:t) : s^3*A = t^3*B}.
-    When A*B != 0 that is rational iff A/B is a cube in Q; when A or B
-    vanishes, (0:1) or (1:0) is an explicit rational point.
-    """
-    a, b = pair_products(x, pairing)
-    if a == 0 or b == 0:
-        return True
-    return is_cube(a, b)
-
-
-def over_singular_fiber(x: ProjectivePoint) -> bool:
-    """True iff the cubic surface fiber above x is singular, i.e. some
-    coordinate of x vanishes."""
-    return any(c == 0 for c in _p3_coords(x))

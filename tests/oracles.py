@@ -10,7 +10,7 @@ from collections import namedtuple
 from decimal import Decimal, localcontext
 
 from cubicbundle.arith import (
-    InvalidArgument, ProjectivePoint, _integer, exact_cube_root, naive_height, normalize
+    InvalidArgument, ProjectivePoint, _integer, exact_cube_root, is_cube, naive_height, normalize
 )
 from cubicbundle.classify import _fiber_profile
 from cubicbundle.cli import random_surface
@@ -22,13 +22,15 @@ from cubicbundle.enumeration import (
     base_points,
     enumerate_fiber,
 )
-from cubicbundle.geometry import PAIRINGS, BundlePoint, pairing_pairs
+from cubicbundle.geometry import PAIRINGS, BundlePoint, _p3_coords, pairing_pairs
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
+    DiagonalCubic,
     GaloisElement,
     PicardReport,
     _line_orbits,
     incidence,
+    picard_rank,
     relation_lattice,
     segre_rank_one,
 )
@@ -164,6 +166,42 @@ def in_pair_locus(p, pairing: int) -> bool:
     x, y = p.x.coords, p.y.coords
     return (x[i] * y[i] ** 3 + x[j] * y[j] ** 3 == 0
             and x[k] * y[k] ** 3 + x[l] * y[l] ** 3 == 0)
+
+
+def pair_products(x: ProjectivePoint, pairing: int) -> tuple[int, int]:
+    """(A, B) = (x_i*x_j, x_k*x_l) for the pairing."""
+    (i, j), (k, l) = pairing_pairs(pairing)
+    c = _p3_coords(x)
+    return c[i] * c[j], c[k] * c[l]
+
+
+def liftable(x: ProjectivePoint, pairing: int) -> bool:
+    """Does the cube cover for this pairing have a rational point above x?
+
+    With A = x_i*x_j and B = x_k*x_l the fiber is {(s:t) : s^3*A = t^3*B}.
+    When A*B != 0 that is rational iff A/B is a cube in Q; when A or B
+    vanishes, (0:1) or (1:0) is an explicit rational point.
+    """
+    a, b = pair_products(x, pairing)
+    if a == 0 or b == 0:
+        return True
+    return is_cube(a, b)
+
+
+def over_singular_fiber(x: ProjectivePoint) -> bool:
+    """True iff the cubic surface fiber above x is singular, i.e. some
+    coordinate of x vanishes."""
+    return any(c == 0 for c in _p3_coords(x))
+
+
+def fiber_profile(x_coords):
+    """classify._fiber_profile by the definitions, through a point object:
+    liftable for each pairing, over_singular_fiber, and the Picard rank of a
+    smooth fiber or None."""
+    x = ProjectivePoint(x_coords)
+    singular = over_singular_fiber(x)
+    rank = None if singular else picard_rank(DiagonalCubic(x_coords)).rank_over_Q
+    return {p: liftable(x, p) for p in PAIRINGS}, singular, rank
 
 
 def search_lift(a: int, b: int, cap: int = 100) -> bool:

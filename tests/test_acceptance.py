@@ -17,7 +17,7 @@ from cubicbundle.enumeration import (
     count_series,
     primitive_count,
 )
-from cubicbundle.geometry import PAIRINGS, liftable, pair_products
+from cubicbundle.geometry import PAIRINGS
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
     incidence,
@@ -28,6 +28,8 @@ from oracles import (
     brute_force_bundle,
     enumerate_bundle,
     incidence_numeric,
+    liftable,
+    pair_products,
     random_surfaces,
     rational_matrix_rank,
     search_lift,

@@ -8,10 +8,17 @@ import pytest
 
 import cubicbundle
 from cubicbundle.arith import normalize
-from cubicbundle.classify import classify_point
-from cubicbundle.enumeration import enumerate_fiber
+from cubicbundle.classify import _fiber_profile, classify_point
+from cubicbundle.enumeration import canonical_coords, enumerate_fiber
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety
-from oracles import enumerate_bundle, in_pair_locus
+from oracles import enumerate_bundle, fiber_profile, in_pair_locus
+
+#: base points whose pair points have multipliers other than 1, among them
+#: cones over two and three nonzero coordinates
+MULTIPLIER_BASE_POINTS = [
+    (1, 8, 27, 64), (1, -8, 27, -64), (8, 27, 1, -125), (2, 16, 27, 128), (1, 1, 8, 8),
+    (0, 1, 8, 27), (0, 2, 16, -27), (0, 0, 8, 27), (1, 27, 2, 54), (1, 8, -27, 1),
+]
 
 
 def bundle_point(xs, ys):
@@ -139,3 +146,20 @@ class TestFiberMemoization:
             )
         }
         assert len(flags) > 1
+
+
+class TestFiberProfile:
+    """The profile on plain ints against the definitions, through a point
+    object (oracles.fiber_profile)."""
+
+    def test_matches_the_definitions(self):
+        # (1, 1, 2, 4) lifts for pairing 1 alone: the one rank 2 here
+        xs = [*canonical_coords(4, 3), *MULTIPLIER_BASE_POINTS, (1, 1, 2, 4)]
+        assert len(xs) == 1131
+        ranks = set()
+        for x in xs:
+            lifts, singular, rank = _fiber_profile.__wrapped__(x)
+            assert (lifts, singular, rank) == fiber_profile(x), x
+            assert all(type(v) is bool for v in (*lifts.values(), singular)), x
+            ranks.add(rank)
+        assert ranks == {None, 1, 2, 3, 4}

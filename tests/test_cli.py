@@ -36,6 +36,23 @@ ENUMERATE_8_SHA256 = "ee34843c7e5d5d8d4e0e442b0eb343abca5a5ed9fc682ce6cb93f775cb
 ENUMERATE_27_SHA256 = "e27184773420fc7d8f730e10d22b4d5fad9658838474acf5c951e3cb0b7f5929"
 COUNT_27_POINTS_SHA256 = "a8f639d58003c59355c6c6105fc82f430d1e0eda4dd4ea772bfb3550732c9826"
 
+# the first point (x, y) of each of the 22 distinct flag fields of
+# `enumerate --bound 8`, in dump order, then a point over the signed Fermat
+# base point 1:1:-1:1; and SHA-256 of the stdout of `classify x y` over them,
+# run after one another, recorded while the fiber profile was read through a
+# point object
+CLASSIFY_POINTS = [
+    ("0:0:0:1", "0:0:1:0"), ("0:0:1:-1", "0:0:1:1"), ("0:1:-2:-1", "0:1:0:1"),
+    ("0:1:-2:-1", "0:1:1:-1"), ("0:1:-1:-2", "0:1:1:0"), ("1:-2:-2:-2", "0:0:1:-1"),
+    ("1:-2:-2:-2", "0:1:-1:0"), ("1:-2:-2:-2", "0:1:0:-1"), ("1:-2:-2:-1", "0:1:-1:0"),
+    ("1:-2:-2:-1", "1:0:1:-1"), ("1:-2:-1:-2", "0:1:0:-1"), ("1:-2:-1:-2", "1:0:-1:1"),
+    ("1:-2:-1:-1", "0:1:-1:-1"), ("1:-1:-2:-2", "0:0:1:-1"), ("1:-1:-2:-2", "1:-1:0:1"),
+    ("1:-1:-1:-1", "0:0:1:-1"), ("1:-1:-1:-1", "0:1:-1:0"), ("1:-1:-1:-1", "0:1:0:-1"),
+    ("1:-1:-1:-1", "1:-1:1:1"), ("1:-1:-1:-1", "1:1:-1:1"), ("1:-1:-1:-1", "1:1:1:-1"),
+    ("1:-1:-1:-1", "3:-5:-4:6"), ("1:1:-1:1", "1:0:1:0"),
+]
+CLASSIFY_SHA256 = "8121c05c1280ae25cf68ad0cae7824d1a9014e37b4fa7cd8b8a71df34df7677f"
+
 # SHA-256 of the stdout of `fiber-rank` over one surface of each of the 28
 # relation lattices (test_picard.LATTICE_SURFACES), run after one another,
 # and of `lines` over the trivial lattice, a rank-2 one and the full one,
@@ -284,6 +301,21 @@ class TestClassify:
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "classify", "1:1:1", "1:-1:1:-1")
         assert code == 65
+
+    def test_stdout_pinned(self, tmp_path, capsys):
+        out = tmp_path / "points.txt"
+        assert run(capsys, "enumerate", "--bound", "8", "--out", str(out))[0] == 0
+        firsts = {}
+        for row in out.read_text().splitlines():
+            x, y, _, flags = row.split("|")
+            firsts.setdefault(flags, (x, y))
+        assert list(firsts.values()) == CLASSIFY_POINTS[:-1]
+        stdout = ""
+        for x, y in CLASSIFY_POINTS:
+            code, text, _ = run(capsys, "classify", x, y)
+            assert code == 0
+            stdout += text
+        assert hashlib.sha256(stdout.encode()).hexdigest() == CLASSIFY_SHA256
 
     def test_large_prime_coordinates_finish(self, capsys):
         start = time.perf_counter()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -51,6 +52,7 @@ from cubicbundle.enumeration import (
     _flag_fields,
     _half_box,
     _join,
+    _smooth_locus,
     _surface_scan,
     base_points,
     canonical_coords,
@@ -80,6 +82,15 @@ LINEAR_SHAPES = [
     (1, -2, 0, 0),
     (0, 3, 0, 5),
 ]
+
+#: the base points of the Fermat orbit, 1:+-1:+-1:+-1, whose points off
+#: every pair locus are the collisions of one table of a^3 + b^3
+FERMAT_ORBIT = [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+
+#: SHA-256 of the repr of the list of enumerate_fiber walks, as coordinate
+#: tuples, over each x of FERMAT_ORBIT at Y = 16 and then at Y = 64, taken
+#: when only 1:1:1:1 was found from the collisions and the rest by the scan
+FERMAT_ORBIT_WALKS_SHA256 = "db5c4eeefb307cfdb66ae2bf220647fb03ab9e9f3836f82d7e4d4272e00d9490"
 
 #: cone and smooth fibers: a cone whose curve has only trivial points, cones
 #: with a curve point off every pair locus (zero at index 0 and at index 2),
@@ -1297,6 +1308,28 @@ class TestSurfaceFibers:
     def test_fermat_collision_counts(self):
         counts = [len(_fermat_collisions(bound)) for bound in (16, 32, 64, 128, 256)]
         assert counts == [96, 240, 648, 2064, 5664]
+
+    @pytest.mark.parametrize("xs", FERMAT_ORBIT, ids=str)
+    def test_fermat_orbit_off_loci_match_the_scan(self, xs):
+        for bound in [*range(41), 64, 128]:
+            boxes, points = _smooth_locus(xs, bound)
+            # three lines, so no single pair point: every point is off the loci
+            assert len(boxes) == 3
+            assert sorted(points) == sorted(_surface_scan(xs, bound)), bound
+
+    def test_fermat_orbit_walks(self):
+        walks = [[y.coords for y in enumerate_fiber(ProjectivePoint(xs), bound)]
+                 for bound in (16, 64) for xs in FERMAT_ORBIT]
+        assert list(map(len, walks)) == [1053] * 8 + [15765] * 8
+        assert hashlib.sha256(repr(walks).encode()).hexdigest() == FERMAT_ORBIT_WALKS_SHA256
+
+    def test_fermat_orbit_walks_without_a_scan(self, monkeypatch):
+        def scan(xs, bound):
+            raise AssertionError(f"scanned {xs}")
+
+        monkeypatch.setattr(enumeration, "_surface_scan", scan)
+        for xs in FERMAT_ORBIT:
+            assert len(enumerate_fiber(ProjectivePoint(xs), 16)) == 1053
 
     def test_scan_over_1_1_2_2_is_the_collisions_of_one_table(self):
         # pairing 2 has (x1, x3) = (x0, x2), so y is off every pair locus

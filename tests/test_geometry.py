@@ -13,16 +13,15 @@ import cubicbundle
 from cubicbundle.arith import InvalidPoint, ProjectivePoint, normalize
 from cubicbundle.classify import classify_point
 from cubicbundle.enumeration import enumerate_fiber
-from cubicbundle.geometry import (
-    PAIRINGS,
-    BundlePoint,
-    NotOnVariety,
+from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
+from oracles import (
+    enumerate_bundle,
+    in_pair_locus,
     liftable,
-    on_bundle,
     over_singular_fiber,
     pair_products,
+    search_lift,
 )
-from oracles import enumerate_bundle, in_pair_locus, search_lift
 
 
 nonzero_coord = st.integers(-10, 10).filter(bool)
@@ -93,11 +92,12 @@ class TestBasePointDimension:
     def test_dimension_check_survives_optimize(self):
         code = textwrap.dedent("""
             from cubicbundle.arith import ProjectivePoint
-            from cubicbundle.geometry import over_singular_fiber
+            from oracles import over_singular_fiber
             assert False, "asserts must be off"
             over_singular_fiber(ProjectivePoint((1, -1)))
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        path = [str(Path(cubicbundle.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         result = subprocess.run(
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
             timeout=60,

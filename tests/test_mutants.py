@@ -9,6 +9,7 @@ check is a script that asserts; it must pass on an unchanged copy and fail
 with an AssertionError on the mutant, not with some other error.
 """
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -18,12 +19,31 @@ from pathlib import Path
 
 import pytest
 
+from cubicbundle.enumeration import canonical_coords
+from oracles import fiber_profile
 from test_cli import ENUMERATE_8_SHA256
 from test_picard import LATTICE_SURFACES, subgroups_of_z3_cubed
 
 PACKAGE = Path(__file__).parents[1] / "src" / "cubicbundle"
 
 LATTICE_COEFFICIENTS = [s.coefficients for s in LATTICE_SURFACES]
+
+#: SHA-256 of the repr of the fiber profiles of the canonical x with
+#: H(x) <= 3, in lexicographic order, by the definitions
+PROFILES_SHA256 = hashlib.sha256(
+    repr(list(map(fiber_profile, canonical_coords(4, 3)))).encode()
+).hexdigest()
+
+#: the CSV of count_series((1, 2, 4, 8, 16, 32))
+COUNT_32_ROWS = [
+    "B,ALL,IN_Z,NOT_IN_Z,IN_SOME_V,LIFTABLE_ONLY,SINGULAR_FIBER",
+    "1,440,440,0,440,0,368",
+    "2,1304,1304,0,1304,0,1136",
+    "4,6296,6296,0,6296,0,5744",
+    "8,39944,39848,96,39416,432,37088",
+    "16,260840,260744,96,259544,1200,251648",
+    "32,1928872,1927976,896,1924376,3600,1892288",
+]
 
 CHECKS = {
     # (galois order, rank over Q) of one surface of each of the 28 relation
@@ -79,6 +99,41 @@ CHECKS = {
         points = sorted(_fermat_collisions(32))
         assert len(points) == 240
         assert points == sorted(_surface_scan((1, 1, 1, 1), 32))
+    """,
+    # the fibers over 1:+-1:+-1:+-1 from the Fermat collisions, with no scan
+    "fermat orbit": """
+        import itertools
+        from cubicbundle import enumeration
+        orbit = [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+        expected = [sorted(enumeration._surface_scan(xs, 24)) for xs in orbit]
+
+        def scan(xs, bound):
+            raise AssertionError(f"scanned {xs}")
+
+        enumeration._surface_scan = scan
+        for xs, off_loci in zip(orbit, expected):
+            _, points = enumeration._smooth_locus(xs, 24)
+            assert sorted(points) == off_loci, xs
+    """,
+    # liftability, singularity and rank of every fiber over H(x) <= 3
+    "fiber profiles": f"""
+        import hashlib
+        from cubicbundle.classify import _fiber_profile
+        from cubicbundle.enumeration import canonical_coords
+        try:
+            profiles = list(map(_fiber_profile, canonical_coords(4, 3)))
+        except ValueError as error:
+            raise AssertionError(error) from error
+        assert hashlib.sha256(repr(profiles).encode()).hexdigest() == {PROFILES_SHA256!r}
+    """,
+    # the count to B = 32; a point that fails its bundle check fails it
+    "count to 32": f"""
+        from cubicbundle.enumeration import count_series
+        try:
+            csv = count_series((1, 2, 4, 8, 16, 32)).csv_text()
+        except ValueError as error:
+            raise AssertionError(error) from error
+        assert csv.splitlines() == {COUNT_32_ROWS!r}
     """,
     # the plane over 1:1:0:0, whose curve point (-1, 1) has a negative first entry
     "walk over 1:1:0:0": """
@@ -163,6 +218,48 @@ MUTANTS = {
         "itertools.permutations(reps, 2)",
         "itertools.product(reps, repeat=2)",
         "fermat collisions",
+    ),
+    "the Fermat collisions over 1:1:1:1 alone": (
+        "enumeration.py",
+        "if set(map(abs, xs)) == {1}:",
+        "if xs == (1, 1, 1, 1):",
+        "fermat orbit",
+    ),
+    "the Fermat orbit map dropped": (
+        "enumeration.py",
+        "(x0 * y0, x1 * y1, x2 * y2, x3 * y3)",
+        "(y0, y1, y2, y3)",
+        "fermat orbit",
+    ),
+    "a profile lifting only when both pair products vanish": (
+        "classify.py",
+        "not (a and b)",
+        "not (a or b)",
+        "fiber profiles",
+    ),
+    "a checked point with y0^2 for y0^3": (
+        "enumeration.py",
+        "t0, t1, t2, t3 = x0 * y0 * y0 * y0,",
+        "t0, t1, t2, t3 = x0 * y0 * y0,",
+        "count to 32",
+    ),
+    "a Moebius sum one divisor short": (
+        "enumeration.py",
+        "for d in range(1, bound + 1):",
+        "for d in range(1, bound):",
+        "count to 32",
+    ),
+    "LIFTABLE_ONLY from the points on a pair locus": (
+        "enumeration.py",
+        '"LIFTABLE_ONLY": off_loci if liftable else zeros,',
+        '"LIFTABLE_ONLY": on_loci if liftable else zeros,',
+        "count to 32",
+    ),
+    "an orbit weight without its signs": (
+        "enumeration.py",
+        "perms * 2 ** (4 - rep.count(0) - 1)",
+        "perms",
+        "count to 32",
     ),
     "a join without its sign flip": (
         "enumeration.py",
