@@ -102,16 +102,12 @@ def naive_height(p: ProjectivePoint) -> int:
 def is_cube(numerator: int, denominator: int) -> bool:
     """True iff numerator/denominator is the cube of a rational.
 
-    A reduced fraction is a cube exactly when its numerator and denominator
-    are both integer cubes, so no factoring is needed.
+    n/d = n*d^2 / d^3, so it is a rational cube exactly when the integer
+    n*d^2 is an integer cube: one test, no gcd and no factoring.
     """
     if numerator == 0 or denominator == 0:
         raise InvalidArgument("is_cube needs a nonzero rational")
-    g = math.gcd(numerator, denominator)
-    return (
-        exact_cube_root(numerator // g) is not None
-        and exact_cube_root(denominator // g) is not None
-    )
+    return exact_cube_root(numerator * denominator * denominator) is not None
 
 
 def floor_cube_root(n: int) -> int:

@@ -37,10 +37,11 @@ def _fiber_profile(x_coords: tuple[int, ...]):
     fiber is singular iff some x_k vanishes (geometry; the definitions one
     pairing at a time are the tests' oracle).
     Memoized per normalized x, as many points share a fiber.  A profile
-    costs at most 25 integer cube tests (up to two for each of the three
+    costs at most 19 integer cube tests (one for each of the three
     liftability ratios and the three Segre ratios, and 13 for the relation
-    lattice) and one lookup of the lattice's rank in a table
-    (:func:`picard_rank`): about 6 us on a 2 GHz Xeon core, CPython 3.11.
+    lattice), most of them turned away by their residue mod 819, and one
+    lookup of the lattice's rank in a table (:func:`picard_rank`): about
+    4.5 us on a 2 GHz Xeon core, CPython 3.11.
     """
     lifts = {}
     for p, ((i, j), (k, l)) in PAIRINGS.items():

@@ -30,10 +30,9 @@ rank, the orbit sizes and the group order of each lattice are a table
 (:data:`_LATTICE_TYPES`), keyed by the mask of 13 integer cube tests
 (:func:`_relation_mask`); the tests derive every entry from the Galois
 orbits of the 27 lines (tests/oracles.py) and hold the table to them.  A
-rank costs those 13 cube tests, one lookup and the Segre check (three more
-cube tests on integer products), which runs on every surface so that the
-two routes stay independent.  Both run on plain ints; no Fraction is built
-per surface.
+rank costs those 13 cube tests, a lookup and the Segre check (3 more, run
+on every surface to keep the routes independent), each on a plain int and
+inline: a residue mod 819 that no cube has turns most away with no call.
 
 The incidence rules of the 27 lines (:func:`incidence`) are mod-3 rules on
 the labels; the tests check them against a 50-digit numeric oracle that
@@ -43,9 +42,10 @@ uses none of them.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 
-from .arith import InvalidArgument, _checked_tuple, _integer, exact_cube_root, is_cube
+from .arith import _CUBE_RESIDUES, InvalidArgument, _checked_tuple, exact_cube_root
 from .geometry import PAIRINGS, pairing_pairs
 
 
@@ -60,9 +60,13 @@ class DiagonalCubic(_checked_tuple("DiagonalCubic", "coefficients")):
 
     def __new__(cls, coefficients):
         try:
-            ints = tuple(_integer(c, "a coefficient") for c in coefficients)
+            indexed = map(operator.index, coefficients)
         except TypeError:
             raise InvalidArgument("the coefficients must be a sequence of integers") from None
+        try:
+            ints = tuple(indexed)
+        except TypeError:
+            raise InvalidArgument("a coefficient must be an integer") from None
         if len(ints) != 4:
             raise InvalidArgument("a diagonal cubic needs exactly 4 coefficients")
         if 0 in ints:
@@ -112,11 +116,16 @@ def segre_rank_one(s: DiagonalCubic) -> bool:
     """Rank 1 over Q iff no pairing ratio is a rational cube.
 
     Three ratios suffice: inverting a ratio or swapping within a pair does
-    not change cube-ness.  Each ratio is tested as the integer pair
-    (a_i*a_j, a_k*a_l), without building :meth:`DiagonalCubic.pairing_ratio`.
+    not change cube-ness.  With A = a_i*a_j and B = a_k*a_l, A/B is a cube
+    iff the integer A*B^2 is (:func:`~cubicbundle.arith.is_cube`).
     """
     a = s.coefficients
-    return not any(is_cube(a[i] * a[j], a[k] * a[l]) for (i, j), (k, l) in PAIRINGS.values())
+    for (i, j), (k, l) in PAIRINGS.values():
+        b = a[k] * a[l]
+        ab2 = a[i] * a[j] * b * b
+        if ab2 % 819 in _CUBE_RESIDUES and exact_cube_root(ab2) is not None:
+            return False
+    return True
 
 
 # The 13 nonzero e in (Z/3)^3 whose first nonzero entry is 1, each with 2e
@@ -131,10 +140,12 @@ _RELATION_TESTS = tuple(
 def _relation_mask(s: DiagonalCubic) -> int:
     """The relation lattice as 13 bits: bit i is set when the first triple e
     of _RELATION_TESTS[i] is a relation (:func:`relation_lattice`)."""
-    p0, p1, p2, p3 = ((1, a, a * a) for a in s.coefficients)
+    a0, a1, a2, a3 = s.coefficients
+    p0, p1, p2, p3 = (1, a0, a0 * a0), (1, a1, a1 * a1), (1, a2, a2 * a2), (1, a3, a3 * a3)
     mask = 0
     for bit, ((e1, e2, e3), _, f) in enumerate(_RELATION_TESTS):
-        if exact_cube_root(p1[e1] * p2[e2] * p3[e3] * p0[f]) is not None:
+        m = p1[e1] * p2[e2] * p3[e3] * p0[f]
+        if m % 819 in _CUBE_RESIDUES and exact_cube_root(m) is not None:
             mask |= 1 << bit
     return mask
 
@@ -154,8 +165,7 @@ def relation_lattice(s: DiagonalCubic) -> list[tuple[int, int, int]]:
     for bit, (e, double, _) in enumerate(_RELATION_TESTS):
         if mask >> bit & 1:
             found += (e, double)
-    found.sort()
-    return found
+    return sorted(found)
 
 
 #: (rank over Q, sorted line-orbit sizes, Galois group order) of each of the
@@ -292,10 +302,4 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
     """
     rank, orbit_sizes, order = _LATTICE_TYPES[_relation_mask(s)]
     segre = segre_rank_one(s)
-    return PicardReport(
-        rank_over_Q=rank,
-        segre_rank_one=segre,
-        orbit_sizes=orbit_sizes,
-        agreement=segre == (rank == 1),
-        galois_order=order,
-    )
+    return PicardReport(rank, segre, orbit_sizes, segre == (rank == 1), order)

@@ -62,6 +62,21 @@ CHECKS = {
             assert len(group) == report.galois_order
             assert tuple(sorted(map(len, orbits(group)))) == report.orbit_sizes
     """,
+    # Segre's criterion against the lattice rank on one surface of each of the
+    # 28 lattices and on three where one pairing ratio alone is a cube, each
+    # also with a0 times 820: 820 = 1 mod 819 is no cube, so a product with it
+    # passes the residue test and only the cube root turns it away
+    "segre and residues": f"""
+        from cubicbundle.picard import DiagonalCubic, picard_rank
+        surfaces = {LATTICE_COEFFICIENTS!r} + [(2, 3, 1, 6), (2, 1, 3, 6), (1, 2, 3, 6)]
+        surfaces += [(820 * a0, a1, a2, a3) for a0, a1, a2, a3 in surfaces]
+        reports = [picard_rank(DiagonalCubic(c)) for c in surfaces]
+        assert all(report.agreement for report in reports)
+        assert [report.rank_over_Q for report in reports] == [
+            1, 1, 1, 4, 1, 2, 3, 1, 1, 2, 3, 1, 2, 2, 2, 1, 3, 2, 1, 1, 1, 1, 1, 1, 2, 1, 2, 2,
+            2, 2, 2,
+        ] + [1] * 31
+    """,
     # the relation lattice of one surface of each of the 28 subgroups
     "relation lattices": f"""
         from cubicbundle.picard import DiagonalCubic, relation_lattice
@@ -122,7 +137,7 @@ CHECKS = {
         from cubicbundle.enumeration import canonical_coords
         try:
             profiles = list(map(_fiber_profile, canonical_coords(4, 3)))
-        except ValueError as error:
+        except (ValueError, RuntimeError) as error:
             raise AssertionError(error) from error
         assert hashlib.sha256(repr(profiles).encode()).hexdigest() == {PROFILES_SHA256!r}
     """,
@@ -188,6 +203,24 @@ MUTANTS = {
         "for e1, e2, e3 in relations)",
         "for e1, e2, e3 in relations[-1:])",
         "lattice ranks",
+    ),
+    "a cube test of n*d for n*d^2": (
+        "arith.py",
+        "exact_cube_root(numerator * denominator * denominator)",
+        "exact_cube_root(numerator * denominator)",
+        "fiber profiles",
+    ),
+    "a relation mask on the residue alone": (
+        "picard.py",
+        "if m % 819 in _CUBE_RESIDUES and exact_cube_root(m) is not None:",
+        "if m % 819 in _CUBE_RESIDUES:",
+        "segre and residues",
+    ),
+    "a Segre check that stops before its third pairing": (
+        "picard.py",
+        "for (i, j), (k, l) in PAIRINGS.values():",
+        "for (i, j), (k, l) in list(PAIRINGS.values())[:2]:",
+        "segre and residues",
     ),
     "a relation lattice without the doubled exponent": (
         "picard.py",

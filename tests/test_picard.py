@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicbundle import picard
-from cubicbundle.arith import InvalidArgument, is_cube
+from cubicbundle.arith import InvalidArgument, exact_cube_root, is_cube
 from cubicbundle.picard import (
     ALL_LINE_LABELS,
     DiagonalCubic,
@@ -69,19 +69,35 @@ def compose(g: GaloisElement, h: GaloisElement) -> GaloisElement:
     return GaloisElement((g.conj + h.conj) % 2, twist)
 
 
+NOT_AN_INTEGER = "a coefficient must be an integer"
+NOT_A_SEQUENCE = "the coefficients must be a sequence of integers"
+
+
 class TestSurfaceValidation:
     def test_zero_coefficient_rejected(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument) as error:
             DiagonalCubic((1, 0, 1, 1))
+        assert str(error.value) == "zero coefficient: the surface is singular"
 
     @pytest.mark.parametrize(
-        "coefficients",
-        [(1, 1, 1, 1.0), (1, 2, 3, "4"), (1, 2, 3, None), (1, 2, 3, Fraction(4)), 5, None, (1, 2, 3)],
-        ids=repr,
+        "coefficients, message",
+        [
+            pytest.param(coefficients, message, id=repr(coefficients))
+            for coefficients, message in [
+                ((1, 1, 1, 1.0), NOT_AN_INTEGER),
+                ((1, 2, 3, "4"), NOT_AN_INTEGER),
+                ((1, 2, 3, None), NOT_AN_INTEGER),
+                ((1, 2, 3, Fraction(4)), NOT_AN_INTEGER),
+                (5, NOT_A_SEQUENCE),
+                (None, NOT_A_SEQUENCE),
+                ((1, 2, 3), "a diagonal cubic needs exactly 4 coefficients"),
+            ]
+        ],
     )
-    def test_non_integer_coefficients_rejected(self, coefficients):
-        with pytest.raises(InvalidArgument):
+    def test_non_integer_coefficients_rejected(self, coefficients, message):
+        with pytest.raises(InvalidArgument) as error:
             picard_rank(DiagonalCubic(coefficients))
+        assert str(error.value) == message
 
     def test_coefficients_stored_as_an_int_tuple(self):
         s = DiagonalCubic([True, 2, 3, 5])
@@ -249,6 +265,19 @@ class TestRelationLattice:
     def test_matches_fraction_oracle(self, coeffs):
         s = DiagonalCubic(coeffs)
         assert relation_lattice(s) == fraction_relation_lattice(s)
+
+    @given(st.tuples(large_coefficient, large_coefficient, large_coefficient, large_coefficient))
+    @settings(max_examples=300, deadline=None)
+    def test_mask_matches_unfiltered_cube_roots(self, coeffs):
+        # every product of _RELATION_TESTS through exact_cube_root, with no
+        # residue test in front of it
+        a0, a1, a2, a3 = coeffs
+        mask = sum(
+            1 << bit
+            for bit, ((e1, e2, e3), _, f) in enumerate(picard._RELATION_TESTS)
+            if exact_cube_root(a1 ** e1 * a2 ** e2 * a3 ** e3 * a0 ** f) is not None
+        )
+        assert picard._relation_mask(DiagonalCubic(coeffs)) == mask
 
     def test_examples(self):
         assert relation_lattice(DiagonalCubic((1, 2, 3, 5))) == [(0, 0, 0)]
