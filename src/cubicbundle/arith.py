@@ -130,10 +130,17 @@ def exact_cube_root(n: int) -> int | None:
     Sign-preserving: exact_cube_root(-64) == -4.  An n whose residue modulo
     819 = 7 * 9 * 13 is not one of the 45 cube residues is no cube; that one
     test turns away about 94% of non-cubes.  The rest take
-    :func:`floor_cube_root` of |n|.
+    :func:`_root_of_cube`.
     """
     if n % 819 not in _CUBE_RESIDUES:
         return None
+    return _root_of_cube(n)
+
+
+def _root_of_cube(n: int) -> int | None:
+    """The root step of :func:`exact_cube_root`, with no residue test:
+    :func:`floor_cube_root` of |n|, kept with n's sign when it cubes back to
+    |n|, else None.  For callers that have tested the residue already."""
     m = abs(n)
     r = floor_cube_root(m)
     if r * r * r != m:

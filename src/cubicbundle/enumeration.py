@@ -414,12 +414,14 @@ def enumerate_fiber(x: ProjectivePoint, y_height_bound: int) -> list[ProjectiveP
     Raises InvalidPoint unless x has four coordinates, and InvalidArgument
     unless the bound is an integer; below 1 the fiber is empty.  The walk
     (:func:`_fiber_walk`) yields canonical tuples; they are sorted, checked
-    in one pass, also under python -O, and wrapped unchecked.
+    (the sign on the least, the gcd on each), also under python -O, and
+    wrapped unchecked.
     """
     bound = _integer(y_height_bound, "height bound")
     ys = sorted(_fiber_walk(_p3_coords(x), bound))
-    # (0, 0, 0, 0) < y: the first nonzero coordinate is positive
-    if not (all(map((0, 0, 0, 0).__lt__, ys))
+    # (0, 0, 0, 0) < y: the first nonzero coordinate is positive, and after
+    # the sort the least y decides that for all
+    if not ((not ys or (0, 0, 0, 0) < ys[0])
             and all(map((1).__eq__, itertools.starmap(math.gcd, ys)))):
         bad = next(y for y in ys if not is_canonical(y))
         raise InvalidPoint(f"coordinates {bad} are not canonical")

@@ -31,8 +31,9 @@ rank, the orbit sizes and the group order of each lattice are a table
 (:func:`_relation_mask`); the tests derive every entry from the Galois
 orbits of the 27 lines (tests/oracles.py) and hold the table to them.  A
 rank costs those 13 cube tests, a lookup and the Segre check (3 more, run
-on every surface to keep the routes independent), each on a plain int and
-inline: a residue mod 819 that no cube has turns most away with no call.
+on every surface to keep the routes independent), each on a plain int
+written out over shared powers: a residue mod 819 that no cube has, tested
+inline, turns most away with no call, and the rest take the root step.
 
 The incidence rules of the 27 lines (:func:`incidence`) are mod-3 rules on
 the labels; the tests check them against a 50-digit numeric oracle that
@@ -45,7 +46,7 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .arith import _CUBE_RESIDUES, InvalidArgument, _checked_tuple, exact_cube_root
+from .arith import _CUBE_RESIDUES, InvalidArgument, _checked_tuple, _root_of_cube
 from .geometry import PAIRINGS, pairing_pairs
 
 
@@ -119,11 +120,11 @@ def segre_rank_one(s: DiagonalCubic) -> bool:
     not change cube-ness.  With A = a_i*a_j and B = a_k*a_l, A/B is a cube
     iff the integer A*B^2 is (:func:`~cubicbundle.arith.is_cube`).
     """
-    a = s.coefficients
-    for (i, j), (k, l) in PAIRINGS.values():
-        b = a[k] * a[l]
-        ab2 = a[i] * a[j] * b * b
-        if ab2 % 819 in _CUBE_RESIDUES and exact_cube_root(ab2) is not None:
+    a0, a1, a2, a3 = s.coefficients
+    b1, b2, b3 = a2 * a3, a1 * a3, a1 * a2
+    # the pairings of geometry.PAIRINGS: {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}
+    for m in (a0 * a1 * b1 * b1, a0 * a2 * b2 * b2, a0 * a3 * b3 * b3):
+        if m % 819 in _CUBE_RESIDUES and _root_of_cube(m) is not None:
             return False
     return True
 
@@ -139,13 +140,33 @@ _RELATION_TESTS = tuple(
 
 def _relation_mask(s: DiagonalCubic) -> int:
     """The relation lattice as 13 bits: bit i is set when the first triple e
-    of _RELATION_TESTS[i] is a relation (:func:`relation_lattice`)."""
+    of _RELATION_TESTS[i] is a relation (:func:`relation_lattice`).
+
+    The 13 integers a1^e1 * a2^e2 * a3^e3 * a0^f of _RELATION_TESTS are
+    written out over shared powers, in its order, each commented with its
+    (e1, e2, e3).  Each residue mod 819 is tested once; only the products
+    that pass it take the root step.
+    """
     a0, a1, a2, a3 = s.coefficients
-    p0, p1, p2, p3 = (1, a0, a0 * a0), (1, a1, a1 * a1), (1, a2, a2 * a2), (1, a3, a3 * a3)
+    q0, q3, a12 = a0 * a0, a3 * a3, a1 * a2
+    a122 = a12 * a2
     mask = 0
-    for bit, ((e1, e2, e3), _, f) in enumerate(_RELATION_TESTS):
-        m = p1[e1] * p2[e2] * p3[e3] * p0[f]
-        if m % 819 in _CUBE_RESIDUES and exact_cube_root(m) is not None:
+    for bit, m in enumerate((
+        a3 * q0,  # (0, 0, 1)
+        a2 * q0,  # (0, 1, 0)
+        a2 * a3 * a0,  # (0, 1, 1)
+        a2 * q3,  # (0, 1, 2)
+        a1 * q0,  # (1, 0, 0)
+        a1 * a3 * a0,  # (1, 0, 1)
+        a1 * q3,  # (1, 0, 2)
+        a12 * a0,  # (1, 1, 0)
+        a12 * a3,  # (1, 1, 1)
+        a12 * q3 * q0,  # (1, 1, 2)
+        a122,  # (1, 2, 0)
+        a122 * a3 * q0,  # (1, 2, 1)
+        a122 * q3 * a0,  # (1, 2, 2)
+    )):
+        if m % 819 in _CUBE_RESIDUES and _root_of_cube(m) is not None:
             mask |= 1 << bit
     return mask
 
@@ -302,4 +323,5 @@ def picard_rank(s: DiagonalCubic) -> PicardReport:
     """
     rank, orbit_sizes, order = _LATTICE_TYPES[_relation_mask(s)]
     segre = segre_rank_one(s)
-    return PicardReport(rank, segre, orbit_sizes, segre == (rank == 1), order)
+    # what PicardReport(...) does, without the Python-level __new__ of a namedtuple
+    return tuple.__new__(PicardReport, (rank, segre, orbit_sizes, segre == (rank == 1), order))

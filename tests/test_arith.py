@@ -9,6 +9,7 @@ from cubicbundle.arith import (
     InvalidArgument,
     InvalidPoint,
     ProjectivePoint,
+    _root_of_cube,
     exact_cube_root,
     is_canonical,
     is_cube,
@@ -264,9 +265,10 @@ class TestExactCubeRoot:
             assert exact_cube_root(m ** 3 - 1) in (None, 0, -1)
 
     def test_matches_newton_on_every_small_integer(self):
-        # non-cubes too: the residue filter must turn away only non-cubes
+        # non-cubes too: the residue filter must turn away only non-cubes,
+        # and the root step alone must turn away the rest
         for n in range(-(10 ** 5), 10 ** 5 + 1):
-            assert exact_cube_root(n) == newton_cube_root(n), n
+            assert exact_cube_root(n) == _root_of_cube(n) == newton_cube_root(n), n
 
     @given(st.integers(10 ** 29, 10 ** 300 - 1), st.sampled_from([1, -1]))
     @settings(max_examples=300)

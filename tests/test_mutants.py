@@ -77,6 +77,15 @@ CHECKS = {
             2, 2, 2,
         ] + [1] * 31
     """,
+    # the relation mask of one surface of each of the 28 lattices, all of
+    # whose a0 are 1, against the same surfaces scaled by a non-cube
+    "masks under scaling": f"""
+        from cubicbundle.picard import DiagonalCubic, _relation_mask
+        for c in {LATTICE_COEFFICIENTS!r}:
+            mask = _relation_mask(DiagonalCubic(c))
+            for scale in (2, 7, 12):
+                assert _relation_mask(DiagonalCubic([scale * a for a in c])) == mask, (c, scale)
+    """,
     # the relation lattice of one surface of each of the 28 subgroups
     "relation lattices": f"""
         from cubicbundle.picard import DiagonalCubic, relation_lattice
@@ -212,15 +221,27 @@ MUTANTS = {
     ),
     "a relation mask on the residue alone": (
         "picard.py",
-        "if m % 819 in _CUBE_RESIDUES and exact_cube_root(m) is not None:",
-        "if m % 819 in _CUBE_RESIDUES:",
+        "if m % 819 in _CUBE_RESIDUES and _root_of_cube(m) is not None:\n            mask |=",
+        "if m % 819 in _CUBE_RESIDUES:\n            mask |=",
         "segre and residues",
     ),
     "a Segre check that stops before its third pairing": (
         "picard.py",
-        "for (i, j), (k, l) in PAIRINGS.values():",
-        "for (i, j), (k, l) in list(PAIRINGS.values())[:2]:",
+        "for m in (a0 * a1 * b1 * b1, a0 * a2 * b2 * b2, a0 * a3 * b3 * b3):",
+        "for m in (a0 * a1 * b1 * b1, a0 * a2 * b2 * b2):",
         "segre and residues",
+    ),
+    "a lattice product with a wrong exponent of a0": (
+        "picard.py",
+        "a12 * q3 * q0,  # (1, 1, 2)",
+        "a12 * q3 * a0,  # (1, 1, 2)",
+        "masks under scaling",
+    ),
+    "two lattice products swapped": (
+        "picard.py",
+        "a3 * q0,  # (0, 0, 1)\n        a2 * q0,  # (0, 1, 0)",
+        "a2 * q0,  # (0, 0, 1)\n        a3 * q0,  # (0, 1, 0)",
+        "relation lattices",
     ),
     "a relation lattice without the doubled exponent": (
         "picard.py",

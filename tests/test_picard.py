@@ -279,6 +279,16 @@ class TestRelationLattice:
         )
         assert picard._relation_mask(DiagonalCubic(coeffs)) == mask
 
+    @pytest.mark.parametrize("scale", [2, 7, 12])
+    def test_mask_is_blind_to_a_common_scale(self, scale):
+        # every lattice surface has a0 = 1, so only a common non-cube scale
+        # reaches the exponents of a0: each product has degree
+        # e1 + e2 + e3 + f = 0 mod 3 and gains a cube, while a wrong
+        # exponent of a0 would leave it a non-cube power of the scale
+        for s in LATTICE_SURFACES:
+            scaled = DiagonalCubic(tuple(scale * a for a in s.coefficients))
+            assert picard._relation_mask(scaled) == picard._relation_mask(s), s
+
     def test_examples(self):
         assert relation_lattice(DiagonalCubic((1, 2, 3, 5))) == [(0, 0, 0)]
         assert len(relation_lattice(DiagonalCubic((1, 1, 1, 1)))) == 27
@@ -463,7 +473,19 @@ class TestPicardRank:
 
     def test_fermat_rank_four(self):
         report = picard_rank(DiagonalCubic((1, 1, 1, 1)))
+        assert type(report) is picard.PicardReport
         assert report.rank_over_Q == 4
+        assert report == (4, False, (1, 1, 1) + (2,) * 12, True, 2)
+
+    def test_same_report_under_permutations_and_sign_flips(self):
+        # permuting the coefficients or negating one is an isomorphism of
+        # the surface over Q (y_i <-> y_j, y_i -> -y_i)
+        for s in LATTICE_SURFACES:
+            report = picard_rank(s)
+            for order in itertools.permutations(s.coefficients):
+                for signs in itertools.product((1, -1), repeat=4):
+                    twin = DiagonalCubic(tuple(map(int.__mul__, signs, order)))
+                    assert picard_rank(twin) == report, twin
 
     def test_orbit_sizes_partition_the_lines(self):
         for s in random_surfaces(20, seed=5):
