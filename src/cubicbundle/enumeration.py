@@ -24,11 +24,11 @@ kinds of fiber:
 * no zero coordinate: a smooth cubic surface, each pair locus the join of
   its two pair points (a line, one point or nothing; lines meet pairwise
   in one point), and the points off every pair locus (:func:`_smooth_locus`):
-  over every x with all |x_k| = 1 the collisions of one table of a^3 + b^3
-  (:func:`_fermat_collisions`), else a meet-in-the-middle scan of the
-  quadruple box that drops each hit on a pair locus before building it
-  (:func:`_surface_scan`), both after Bernstein, Enumerating solutions to
-  p(a) + q(b) = r(c) + s(d), Math. Comp. 70 (2001).
+  those over |x|, mapped by the signs of x, from one join of the
+  representatives of each positive key |x_0|*a^3 + |x_1|*b^3 with those
+  of |x_2|*c^3 + |x_3|*d^3 (:func:`_cube_sum_join`), after Bernstein,
+  Enumerating solutions to p(a) + q(b) = r(c) + s(d), Math. Comp. 70
+  (2001).
 
 Every box is checked against the fiber equation once, which also tells
 whether it lies in a pair locus, every remaining point one by one, also
@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from functools import lru_cache
 
@@ -210,11 +210,11 @@ def _smooth_locus(xs, bound: int):
     with one, that point alone, on no other pair locus; with none, nothing.
     Two lines meet in one rational point, where every y_k is nonzero, and
     no point is on all three: the earlier line in pairing order counts the
-    meet, the later one shares it.  The points off every pair locus come
-    from :func:`_surface_scan`, or, over the Fermat orbit (all |x_k| = 1),
-    from :func:`_fermat_collisions` mapped by z_k = x_k*y_k: a bijection
-    from the fiber over (1, 1, 1, 1), as x_k*(x_k*y_k)^3 = y_k^3, that keeps
-    every pair sum, primitivity, height, and z_0 = y_0 > 0 (x_0 = 1).
+    meet, the later one shares it.  The points off every pair locus are
+    those of :func:`_cube_sum_join` over |x|, mapped by z_k = e_k*y_k with
+    e_k the sign of x_k: a bijection, as x_k*(e_k*y_k)^3 = |x_k|*y_k^3,
+    that keeps every pair sum, primitivity and height.  z_0 = y_0 (x_0 >
+    0), so z is negated only when y_0 = 0 and z_1 < 0.
     """
     lines, points = {}, []
     for pairing, pairs in PAIRINGS.items():
@@ -237,94 +237,79 @@ def _smooth_locus(xs, bound: int):
         t[p0], t[pb] = _cube_pair(xs[0] * m0 ** 3, xs[b] * mb ** 3)
         meet = tuple(m * t[p] for p, m in params)
         shared[b] += (meet if meet[0] > 0 else tuple(-y for y in meet),)
-    if set(map(abs, xs)) == {1}:
-        x0, x1, x2, x3 = xs
-        off_loci = [(x0 * y0, x1 * y1, x2 * y2, x3 * y3)
-                    for y0, y1, y2, y3 in _fermat_collisions(bound)]
-    else:
-        off_loci = _surface_scan(xs, bound)
+    positive = tuple(map(abs, xs))
+    off_loci = _cube_sum_join(positive, bound)
+    if xs != positive:
+        _, e1, e2, e3 = (1 if x > 0 else -1 for x in xs)
+        # when y0 = 0, y1 > 0, and e1*z is canonical
+        off_loci = [(y0, e1 * y1, e2 * y2, e3 * y3) if y0 else (0, y1, e1 * e2 * y2, e1 * e3 * y3)
+                    for y0, y1, y2, y3 in off_loci]
     return [(*line, shared[p]) for p, line in lines.items()], points + off_loci
 
 
-def _fermat_collisions(bound: int) -> list[tuple[int, ...]]:
-    """The points of :func:`_surface_scan` over (1, 1, 1, 1), from the
-    collisions a^3 + b^3 = c^3 + d^3 (Bernstein 2001), and through them
-    those of the whole Fermat orbit (:func:`_smooth_locus`).
-
-    Off line 1, y or -y has y0^3 + y1^3 = k = -(y2^3 + y3^3) > 0, and
-    (y0, y1) and (-y2, -y3) order representatives a >= 1, -a < b <= a of
-    the key k = a^3 + b^3 (b = -a is key 0, line 1).  A row dict per a maps
-    keys to b, ints of one shared list; keys met in earlier rows collect
-    their representatives.  Two orderings of one representative put y on
-    line 2 or 3, so the points are the orderings of each ordered pair of
-    distinct representatives of a key, kept at gcd 1 and signed; y0 is
-    never 0, as no cube is a sum of two nonzero cubes.
-    """
+def _cube_sum_rows(p: int, q: int, bound: int):
+    """The representatives (a, b) of the positive keys p*a^3 + q*b^3 with
+    |a|, |b| <= bound, for p, q > 0, a row (a, {key: b}) per a; each b is
+    an int of one shared list.  When p == q only b <= a are kept, one of
+    each swap: a >= 1 and -a < b <= a.  A row's b are one slice of the
+    increasing q*b^3, from the first above -p*a^3."""
     bs = list(range(-bound, bound + 1))
-    cubes = [b ** 3 for b in bs]
-    table: dict[int, int] = {}
-    collided: dict[int, list[tuple[int, int]]] = {}
-    for a in range(1, bound + 1):
-        low, high = bound - a + 1, bound + a + 1
-        row = dict(zip(map(cubes[bound + a].__add__, cubes[low:high]), bs[low:high]))
-        for key in row.keys() & table.keys():
-            b = table[key]  # an earlier representative, whose a^3 is key - b^3
-            collided.setdefault(key, [(exact_cube_root(key - b ** 3), b)]).append((a, row[key]))
-        table.update(row)
-    points = []
-    for reps in collided.values():
-        for (a, b), (c, d) in itertools.permutations(reps, 2):
-            if math.gcd(a, b, c, d) == 1:
-                for y0, y1 in {(a, b), (b, a)}:
-                    for y2, y3 in {(c, d), (d, c)}:
-                        points.append((y0, y1, -y2, -y3) if y0 > 0 else (-y0, -y1, y2, y3))
-    return points
+    q_cubes = [q * b ** 3 for b in bs]
+    for a in bs[bound + 1:] if p == q else bs:
+        t = p * a ** 3
+        low = bisect_right(q_cubes, -t)
+        high = bound + a + 1 if p == q else None
+        yield a, {t + c: b for c, b in zip(q_cubes[low:high], bs[low:high])}
 
 
-def _surface_scan(xs, bound: int) -> list[tuple[int, ...]]:
-    """Canonical y with H(y) <= bound on the smooth fiber over xs, off
-    every pair locus, in no particular order.
+def _cube_sum_join(xs, bound: int) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the smooth fiber over the positive
+    xs, off every pair locus, in no particular order (Bernstein 2001).
 
-    Meet in the middle over the box, one of each solution pair y, -y: hash
-    x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) and scan
-    (yc, yd) over the whole square, a row at a time.  The table maps a key
-    to the code ya*width + yb + bound of one pair, and keys of several pairs
-    also to the list of their codes; plain ints keep it small.  Hits on a
-    pair locus are dropped before a tuple is built: the key 0 for pairing
-    1, t0 + t2 == 0 for pairing 2 and t0 + t3 == 0 for pairing 3 (on the
-    fiber the other pair sum vanishes too).  Every point with ya = yb = 0
-    lies on pairing 1's locus, so the half plane misses none off the loci.
-    is_canonical keeps the primitive hits.
+    Off line 1, y or -y has x0*y0^3 + x1*y1^3 = k = -(x2*y2^3 + x3*y3^3)
+    > 0, so (y0, y1) is a representative (a, b) of k on the rows of (x0, x1)
+    (:func:`_cube_sum_rows`) and (-y2, -y3) one (c, d) on those of (x2, x3).
+    One table of the first rows maps each key to b; keys met in several
+    rows collect their representatives, the first one's a read back from
+    x0*a^3 = k - x1*b^3.  The matches are the ordered pairs of distinct
+    representatives of a collided key when (x0, x1) == (x2, x3), else each
+    row of (x2, x3) meets the table.  A side with equal coefficients holds
+    one of each swap, so a match takes both orders of its pair there.  Each
+    y = (a, b, -c, -d) of a match at gcd 1 off the loci of pairings 2 and 3
+    (x0*a^3 = x2*c^3, x0*a^3 = x3*d^3) is a point, negated when a < 0
+    (a = 0 gives k = x1*b^3, so b > 0).
     """
     x0, x1, x2, x3 = xs
-    rng = range(-bound, bound + 1)
-    width = len(rng)
-    cubes = [y ** 3 for y in rng]
-    x1_cubes = [x1 * c for c in cubes]
-    x0_cubes = [x0 * ya ** 3 for ya in range(bound + 1)]
+    a_of = {x0 * a ** 3: a for a in range(-bound, bound + 1)}
     table: dict[int, int] = {}
-    collided: dict[int, list[int]] = {}
-    for ya, t0 in enumerate(x0_cubes):
-        low = 0 if ya else bound + 1
-        codes = range(ya * width + low, (ya + 1) * width)
-        row = dict(zip(map(t0.__add__, x1_cubes[low:]), codes))
-        for key in row.keys() & table.keys():
-            collided.setdefault(key, [table[key]]).append(row[key])
+    collided: dict[int, list[tuple[int, int]]] = {}
+
+    def first(key):
+        """The representative (a, b) of key whose b the table holds."""
+        b = table[key]
+        return a_of[key - x1 * b ** 3], b
+
+    for a, row in _cube_sum_rows(x0, x1, bound):
+        for key in filter(table.__contains__, row):
+            collided.setdefault(key, [first(key)]).append((a, row[key]))
         table.update(row)
-    table.pop(0, None)
-    x3_cubes = [x3 * c for c in cubes]
-    hits = []
-    for yc in rng:
-        t2 = x2 * yc ** 3
-        keys = [-t2 - t3 for t3 in x3_cubes]
-        for idx in itertools.compress(range(width), map(table.__contains__, keys)):
-            key, t3 = keys[idx], x3_cubes[idx]
-            for code in collided.get(key) or (table[key],):
-                t0 = x0_cubes[code // width]
-                if t0 + t2 and t0 + t3:
-                    ya, yb = divmod(code, width)
-                    hits.append((ya, yb - bound, yc, idx - bound))
-    return list(filter(is_canonical, hits))
+    if (x0, x1) == (x2, x3):
+        matches = [m for reps in collided.values() for m in itertools.permutations(reps, 2)]
+    else:
+        matches = [(rep, (c, row[key])) for c, row in _cube_sum_rows(x2, x3, bound)
+                   for key in filter(table.__contains__, row)
+                   for rep in collided.get(key) or [first(key)]]
+    points = []
+    for (a, b), (c, d) in matches:
+        if math.gcd(a, b, c, d) == 1:
+            # x2*y2^3 and x3*y3^3, which both orders of (c, d) share when x2 == x3
+            t2, t3 = x2 * c ** 3, x3 * d ** 3
+            for y0, y1 in {(a, b), (b, a)} if x0 == x1 else ((a, b),):
+                t0 = x0 * y0 ** 3
+                if t0 != t2 and t0 != t3:
+                    for y2, y3 in {(c, d), (d, c)} if x2 == x3 else ((c, d),):
+                        points.append((y0, y1, -y2, -y3) if y0 >= 0 else (-y0, -y1, y2, y3))
+    return points
 
 
 def _param_sums(xs, params, indices) -> list[int]:
@@ -374,7 +359,7 @@ def _fiber_locus(xs, bound: int):
     check of the box against the fiber equation, once per box
     (:func:`_check_box`).  The points are the rest, with H(y) <= bound, each
     to be tested one by one: the cone vertex, the single pair points of
-    smooth pairings, and the smooth scan hits off every pair locus.
+    smooth pairings, and the smooth join's points off every pair locus.
     """
     boxes, points = (_cone_locus if 0 in xs else _smooth_locus)(xs, bound)
     boxes = [(params, sides, shared, _check_box(xs, params)) for params, sides, shared in boxes]

@@ -10,7 +10,8 @@ from collections import namedtuple
 from decimal import Decimal, localcontext
 
 from cubicbundle.arith import (
-    InvalidArgument, ProjectivePoint, _integer, exact_cube_root, is_cube, naive_height, normalize
+    InvalidArgument, ProjectivePoint, _integer, exact_cube_root, is_canonical, is_cube, naive_height,
+    normalize,
 )
 from cubicbundle.classify import _fiber_profile
 from cubicbundle.cli import random_surface
@@ -91,6 +92,89 @@ def brute_force_bundle(height_bound):
                 continue
             found.add((normalize(xs).coords, normalize(ys).coords))
     return found
+
+
+def _fermat_collisions(bound: int) -> list[tuple[int, ...]]:
+    """The points of _surface_scan over (1, 1, 1, 1), from the collisions
+    a^3 + b^3 = c^3 + d^3 (Bernstein 2001): the one-table Fermat path that
+    enumeration._cube_sum_join replaced, and is compared against.
+
+    Off line 1, y or -y has y0^3 + y1^3 = k = -(y2^3 + y3^3) > 0, and
+    (y0, y1) and (-y2, -y3) order representatives a >= 1, -a < b <= a of
+    the key k = a^3 + b^3 (b = -a is key 0, line 1).  A row dict per a maps
+    keys to b, ints of one shared list; keys met in earlier rows collect
+    their representatives.  Two orderings of one representative put y on
+    line 2 or 3, so the points are the orderings of each ordered pair of
+    distinct representatives of a key, kept at gcd 1 and signed; y0 is
+    never 0, as no cube is a sum of two nonzero cubes.
+    """
+    bs = list(range(-bound, bound + 1))
+    cubes = [b ** 3 for b in bs]
+    table: dict[int, int] = {}
+    collided: dict[int, list[tuple[int, int]]] = {}
+    for a in range(1, bound + 1):
+        low, high = bound - a + 1, bound + a + 1
+        row = dict(zip(map(cubes[bound + a].__add__, cubes[low:high]), bs[low:high]))
+        for key in row.keys() & table.keys():
+            b = table[key]  # an earlier representative, whose a^3 is key - b^3
+            collided.setdefault(key, [(exact_cube_root(key - b ** 3), b)]).append((a, row[key]))
+        table.update(row)
+    points = []
+    for reps in collided.values():
+        for (a, b), (c, d) in itertools.permutations(reps, 2):
+            if math.gcd(a, b, c, d) == 1:
+                for y0, y1 in {(a, b), (b, a)}:
+                    for y2, y3 in {(c, d), (d, c)}:
+                        points.append((y0, y1, -y2, -y3) if y0 > 0 else (-y0, -y1, y2, y3))
+    return points
+
+
+def _surface_scan(xs, bound: int) -> list[tuple[int, ...]]:
+    """Canonical y with H(y) <= bound on the smooth fiber over xs, off
+    every pair locus, in no particular order: the scan of the signed box
+    that enumeration._cube_sum_join, mapped by the signs of x in
+    enumeration._smooth_locus, replaced, and is compared against.
+
+    Meet in the middle over the box, one of each solution pair y, -y: hash
+    x0*ya^3 + x1*yb^3 over the half plane (ya, yb) > (0, 0) and scan
+    (yc, yd) over the whole square, a row at a time.  The table maps a key
+    to the code ya*width + yb + bound of one pair, and keys of several pairs
+    also to the list of their codes; plain ints keep it small.  Hits on a
+    pair locus are dropped before a tuple is built: the key 0 for pairing
+    1, t0 + t2 == 0 for pairing 2 and t0 + t3 == 0 for pairing 3 (on the
+    fiber the other pair sum vanishes too).  Every point with ya = yb = 0
+    lies on pairing 1's locus, so the half plane misses none off the loci.
+    is_canonical keeps the primitive hits.
+    """
+    x0, x1, x2, x3 = xs
+    rng = range(-bound, bound + 1)
+    width = len(rng)
+    cubes = [y ** 3 for y in rng]
+    x1_cubes = [x1 * c for c in cubes]
+    x0_cubes = [x0 * ya ** 3 for ya in range(bound + 1)]
+    table: dict[int, int] = {}
+    collided: dict[int, list[int]] = {}
+    for ya, t0 in enumerate(x0_cubes):
+        low = 0 if ya else bound + 1
+        codes = range(ya * width + low, (ya + 1) * width)
+        row = dict(zip(map(t0.__add__, x1_cubes[low:]), codes))
+        for key in row.keys() & table.keys():
+            collided.setdefault(key, [table[key]]).append(row[key])
+        table.update(row)
+    table.pop(0, None)
+    x3_cubes = [x3 * c for c in cubes]
+    hits = []
+    for yc in rng:
+        t2 = x2 * yc ** 3
+        keys = [-t2 - t3 for t3 in x3_cubes]
+        for idx in itertools.compress(range(width), map(table.__contains__, keys)):
+            key, t3 = keys[idx], x3_cubes[idx]
+            for code in collided.get(key) or (table[key],):
+                t0 = x0_cubes[code // width]
+                if t0 + t2 and t0 + t3:
+                    ya, yb = divmod(code, width)
+                    hits.append((ya, yb - bound, yc, idx - bound))
+    return list(filter(is_canonical, hits))
 
 
 def flag_field(in_z: bool, in_v, lifts, singular: bool) -> str:

@@ -46,14 +46,13 @@ from cubicbundle.enumeration import (
     _box_coords,
     _checked_points,
     _classify_fiber,
-    _fermat_collisions,
+    _cube_sum_join,
     _fiber_locus,
     _fiber_walk,
     _flag_fields,
     _half_box,
     _join,
     _smooth_locus,
-    _surface_scan,
     base_points,
     canonical_coords,
     count_series,
@@ -63,6 +62,8 @@ from cubicbundle.enumeration import (
 )
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety, on_bundle
 from oracles import (
+    _fermat_collisions,
+    _surface_scan,
     box_coords,
     brute_force_bundle,
     enumerate_bundle,
@@ -105,6 +106,24 @@ SURFACE_SHAPES = [
     (1, -1, 2, -2),
     (1, 2, 3, 4),
     (1, -8, 1, -1),
+]
+
+#: smooth fibers whose join meets one side's table with itself, (1, 1, 8, 8)
+#: with both sides swap-folded, and base points with multipliers other than
+#: 1, three of them cones or a plane, which the join does not see
+JOIN_SHAPES = [
+    (1, 2, 1, 2),
+    (1, 8, 1, 8),
+    (1, 1, 8, 8),
+    (1, 8, 27, 64),
+    (1, -8, 27, -64),
+    (8, 27, 1, -125),
+    (2, 16, 27, 128),
+    (0, 1, 8, 27),
+    (0, 2, 16, -27),
+    (0, 0, 8, 27),
+    (1, 27, 2, 54),
+    (1, 8, -27, 1),
 ]
 
 #: dump-row fibers: every linear and surface shape, and the smooth fiber over
@@ -780,11 +799,9 @@ class TestBoxRows:
 
     def test_no_scan_beyond_one_per_smooth_representative(self, monkeypatch):
         scanned = []
-        real, real_fermat = enumeration._surface_scan, enumeration._fermat_collisions
-        monkeypatch.setattr(enumeration, "_surface_scan",
+        real = enumeration._cube_sum_join
+        monkeypatch.setattr(enumeration, "_cube_sum_join",
                             lambda xs, bound: scanned.append(xs) or real(xs, bound))
-        monkeypatch.setattr(enumeration, "_fermat_collisions",
-                            lambda bound: scanned.append((1, 1, 1, 1)) or real_fermat(bound))
         for as_text in (False, True):
             scanned.clear()
             "".join(point_rows(12, as_text=as_text))
@@ -1204,6 +1221,8 @@ class TestSurfaceFibers:
             ), xs
             if 0 not in xs:
                 assert sorted(_surface_scan(xs, y_bounds[-1])) == off_loci, xs
+                if min(xs) > 0:
+                    assert sorted(_cube_sum_join(xs, y_bounds[-1])) == off_loci, xs
             checked += 1
         assert checked == 1032
 
@@ -1285,7 +1304,9 @@ class TestSurfaceFibers:
 
     @pytest.mark.parametrize("xs", [(1, 1, 1, 1), (1, -1, 2, -2), (1, -8, 1, -1)])
     def test_scan_leaves_every_pair_locus_out(self, xs):
-        hits = _surface_scan(xs, 20)
+        # three lines or one, and no single pair point: every point is off the loci
+        _, hits = _smooth_locus(xs, 20)
+        assert sorted(hits) == sorted(_surface_scan(xs, 20))
         assert hits and all(map(is_canonical, hits))
         for y in hits:
             t0, t1, t2, t3 = (x * c ** 3 for x, c in zip(xs, y))
@@ -1295,18 +1316,20 @@ class TestSurfaceFibers:
 
     def test_fermat_collisions_match_the_scan(self):
         for bound in [*range(41), 64, 128, 256]:
-            assert sorted(_fermat_collisions(bound)) == sorted(_surface_scan((1, 1, 1, 1), bound))
+            collisions = sorted(_cube_sum_join((1, 1, 1, 1), bound))
+            assert collisions == sorted(_fermat_collisions(bound))
+            assert collisions == sorted(_surface_scan((1, 1, 1, 1), bound))
 
     def test_fermat_collisions_match_the_oracle(self):
         off_loci = [y for y in surface_oracle((1, 1, 1, 1), 40)
                     if all(y[0] ** 3 + y[k] ** 3 for k in (1, 2, 3))]
         for bound in range(41):
-            assert sorted(_fermat_collisions(bound)) == [
+            assert sorted(_cube_sum_join((1, 1, 1, 1), bound)) == [
                 y for y in off_loci if max(map(abs, y)) <= bound
             ]
 
     def test_fermat_collision_counts(self):
-        counts = [len(_fermat_collisions(bound)) for bound in (16, 32, 64, 128, 256)]
+        counts = [len(_cube_sum_join((1, 1, 1, 1), bound)) for bound in (16, 32, 64, 128, 256)]
         assert counts == [96, 240, 648, 2064, 5664]
 
     @pytest.mark.parametrize("xs", FERMAT_ORBIT, ids=str)
@@ -1324,17 +1347,22 @@ class TestSurfaceFibers:
         assert hashlib.sha256(repr(walks).encode()).hexdigest() == FERMAT_ORBIT_WALKS_SHA256
 
     def test_fermat_orbit_walks_without_a_scan(self, monkeypatch):
-        def scan(xs, bound):
-            raise AssertionError(f"scanned {xs}")
+        # every signed fiber is found from the one join over 1:1:1:1
+        real = enumeration._cube_sum_join
 
-        monkeypatch.setattr(enumeration, "_surface_scan", scan)
+        def join(xs, bound):
+            assert xs == (1, 1, 1, 1), f"joined {xs}"
+            return real(xs, bound)
+
+        monkeypatch.setattr(enumeration, "_cube_sum_join", join)
         for xs in FERMAT_ORBIT:
             assert len(enumerate_fiber(ProjectivePoint(xs), 16)) == 1053
 
     def test_scan_over_1_1_2_2_is_the_collisions_of_one_table(self):
         # pairing 2 has (x1, x3) = (x0, x2), so y is off every pair locus
         # exactly when (y0, y2) and (-y1, -y3) are distinct pairs of one
-        # nonzero key a^3 + 2*b^3; a future collision path's oracle
+        # nonzero key a^3 + 2*b^3; the join probes the keys of pairing 1
+        # instead, and a self-join over pairing 2 would need this table alone
         side = range(-64, 65)
         pairs_of = {}
         for a, b in itertools.product(side, side):
@@ -1347,6 +1375,51 @@ class TestSurfaceFibers:
         off_loci = sorted(filter(is_canonical, collisions))
         assert len(off_loci) == 370
         assert sorted(_surface_scan((1, 1, 2, 2), 64)) == off_loci
+        assert sorted(_cube_sum_join((1, 1, 2, 2), 64)) == off_loci
+
+    @staticmethod
+    def off_every_pair_locus(xs, points):
+        """The points of the fiber over xs on no pair locus, sorted: on the
+        fiber, pairing k's pair sums vanish when x0*y0^3 + xk*yk^3 does."""
+        return sorted(y for y in points
+                      if all(xs[0] * y[0] ** 3 + xs[k] * y[k] ** 3 for k in (1, 2, 3)))
+
+    def test_smooth_locus_matches_the_scan_on_small_base_points(self):
+        # the join over |x| mapped by the signs of x, against the scan of the
+        # signed box, on every smooth x with H(x) <= 4
+        checked = 0
+        for xs in canonical_coords(4, 4):
+            if 0 not in xs:
+                for bound in (0, 1, 2, 3, 6, 11, 17):
+                    _, points = _smooth_locus(xs, bound)
+                    off_loci = self.off_every_pair_locus(xs, points)
+                    assert off_loci == sorted(_surface_scan(xs, bound)), (xs, bound)
+                    assert len(points) - len(off_loci) <= 3  # the single pair points
+                    checked += 1
+        assert checked == 13384
+
+    @pytest.mark.parametrize("xs", JOIN_SHAPES, ids=str)
+    def test_join_shapes_match_the_oracles(self, xs):
+        expected = surface_oracle(xs, 64)
+        heights = [max(map(abs, y)) for y in expected]
+        for bound in [*range(9), 16, 32, 64]:
+            assert sorted(_fiber_walk(xs, bound)) == [
+                y for y, height in zip(expected, heights) if height <= bound
+            ]
+            if 0 not in xs:
+                scan = sorted(_surface_scan(xs, bound))
+                assert self.off_every_pair_locus(xs, _smooth_locus(xs, bound)[1]) == scan
+                if min(xs) > 0:
+                    assert sorted(_cube_sum_join(xs, bound)) == scan
+
+    def test_signed_join_points_are_canonical(self):
+        # the join's (0, 1, 1, -1) over 1:1:1:2 maps to (0, -1, -1, -1) over
+        # 1:-1:-1:2, which is negated; of the other five points (1, 0, -1, -1)
+        # and (1, -1, 0, -1) are the join's, the rest single pair points.  The
+        # count and the dumps pass positive x only, so only a walk sees this
+        assert [y.coords for y in enumerate_fiber(ProjectivePoint((1, -1, -1, 2)), 1)] == [
+            (0, 1, -1, 0), (0, 1, 1, 1), (1, -1, 0, -1), (1, 0, -1, -1), (1, 0, 1, 0), (1, 1, 0, 0),
+        ]
 
     def test_box_off_the_fiber_raises(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_cube_pair", lambda alpha, beta: (1, 1))

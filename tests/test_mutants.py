@@ -10,6 +10,7 @@ with an AssertionError on the mutant, not with some other error.
 """
 
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -20,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from cubicbundle.enumeration import canonical_coords
-from oracles import fiber_profile
+from oracles import _fermat_collisions, _surface_scan, fiber_profile
 from test_cli import ENUMERATE_8_SHA256
+from test_enumeration import surface_oracle
 from test_picard import LATTICE_SURFACES, subgroups_of_z3_cubed
 
 PACKAGE = Path(__file__).parents[1] / "src" / "cubicbundle"
@@ -33,6 +35,30 @@ LATTICE_COEFFICIENTS = [s.coefficients for s in LATTICE_SURFACES]
 PROFILES_SHA256 = hashlib.sha256(
     repr(list(map(fiber_profile, canonical_coords(4, 3)))).encode()
 ).hexdigest()
+
+
+def sha256_of(value) -> str:
+    """SHA-256 of the repr of value, as the checks take it."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+FERMAT_ORBIT = [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+
+#: positive smooth fibers: one probe per shape of swap folding, a
+#: self-join, and pairing 3's single pair point (0, 1, -1, 0) over 1:1:1:2
+JOIN_CHECK_SHAPES = [(1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (1, 2, 1, 2), (1, 2, 3, 5)]
+
+#: cones whose curve has a point with a multiple of height <= 20
+CONE_CHECK_SHAPES = [(0, 1, 1, 1), (0, 1, 1, -2), (0, 1, 2, 3)]
+
+#: SHA-256 of the sorted points off every pair locus by the one-table
+#: oracles: over 1:1:1:1 at Y = 32, over each x of FERMAT_ORBIT at Y = 24,
+#: and over each x of JOIN_CHECK_SHAPES at Y = 12; and of the cone fibers
+#: of CONE_CHECK_SHAPES at Y = 20 by the meet in the middle over the box
+FERMAT_32_SHA256 = sha256_of(sorted(_fermat_collisions(32)))
+FERMAT_ORBIT_24_SHA256 = sha256_of([sorted(_surface_scan(xs, 24)) for xs in FERMAT_ORBIT])
+JOINS_12_SHA256 = sha256_of([sorted(_surface_scan(xs, 12)) for xs in JOIN_CHECK_SHAPES])
+CONES_20_SHA256 = sha256_of([surface_oracle(xs, 20) for xs in CONE_CHECK_SHAPES])
 
 #: the CSV of count_series((1, 2, 4, 8, 16, 32))
 COUNT_32_ROWS = [
@@ -117,27 +143,48 @@ CHECKS = {
             (0, 0, 1, 2), (1, 0, 0, -1), (2, -2, -1, 2), (2, 0, 1, 0),
         ]
     """,
-    # the Fermat fiber's points off every pair locus, by its collisions
-    "fermat collisions": """
-        from cubicbundle.enumeration import _fermat_collisions, _surface_scan
-        points = sorted(_fermat_collisions(32))
+    # the Fermat fiber's points off every pair locus, by its self-join
+    "fermat collisions": f"""
+        import hashlib
+        from cubicbundle.enumeration import _cube_sum_join
+        points = sorted(_cube_sum_join((1, 1, 1, 1), 32))
         assert len(points) == 240
-        assert points == sorted(_surface_scan((1, 1, 1, 1), 32))
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == {FERMAT_32_SHA256!r}
     """,
-    # the fibers over 1:+-1:+-1:+-1 from the Fermat collisions, with no scan
-    "fermat orbit": """
-        import itertools
+    # the fibers over 1:+-1:+-1:+-1, each from the one join over 1:1:1:1
+    "fermat orbit": f"""
+        import hashlib
         from cubicbundle import enumeration
-        orbit = [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
-        expected = [sorted(enumeration._surface_scan(xs, 24)) for xs in orbit]
+        real = enumeration._cube_sum_join
 
-        def scan(xs, bound):
-            raise AssertionError(f"scanned {xs}")
+        def join(xs, bound):
+            assert xs == (1, 1, 1, 1), xs
+            return real(xs, bound)
 
-        enumeration._surface_scan = scan
-        for xs, off_loci in zip(orbit, expected):
-            _, points = enumeration._smooth_locus(xs, 24)
-            assert sorted(points) == off_loci, xs
+        enumeration._cube_sum_join = join
+        points = [sorted(enumeration._smooth_locus(xs, 24)[1]) for xs in {FERMAT_ORBIT!r}]
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == {FERMAT_ORBIT_24_SHA256!r}
+    """,
+    # probes and a self-join over positive smooth x
+    "smooth joins": f"""
+        import hashlib
+        from cubicbundle.enumeration import _cube_sum_join
+        points = [sorted(_cube_sum_join(xs, 12)) for xs in {JOIN_CHECK_SHAPES!r}]
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == {JOINS_12_SHA256!r}
+    """,
+    # the join's (0, 1, 1, -1) over 1:1:1:2, mapped onto 1:-1:-1:2 and negated
+    "signed join": """
+        from cubicbundle.enumeration import _fiber_walk
+        assert sorted(_fiber_walk((1, -1, -1, 2), 1)) == [
+            (0, 1, -1, 0), (0, 1, 1, 1), (1, -1, 0, -1), (1, 0, -1, -1), (1, 0, 1, 0), (1, 1, 0, 0),
+        ]
+    """,
+    # cones whose plane cubic has points of height up to 20
+    "cone walks": f"""
+        import hashlib
+        from cubicbundle.enumeration import _fiber_walk
+        walks = [sorted(_fiber_walk(xs, 20)) for xs in {CONE_CHECK_SHAPES!r}]
+        assert hashlib.sha256(repr(walks).encode()).hexdigest() == {CONES_20_SHA256!r}
     """,
     # liftability, singularity and rank of every fiber over H(x) <= 3
     "fiber profiles": f"""
@@ -150,12 +197,13 @@ CHECKS = {
             raise AssertionError(error) from error
         assert hashlib.sha256(repr(profiles).encode()).hexdigest() == {PROFILES_SHA256!r}
     """,
-    # the count to B = 32; a point that fails its bundle check fails it
+    # the count to B = 32; a point that fails its bundle check fails it, and
+    # so does one counted past the last bound
     "count to 32": f"""
         from cubicbundle.enumeration import count_series
         try:
             csv = count_series((1, 2, 4, 8, 16, 32)).csv_text()
-        except ValueError as error:
+        except (ValueError, IndexError) as error:
             raise AssertionError(error) from error
         assert csv.splitlines() == {COUNT_32_ROWS!r}
     """,
@@ -263,27 +311,65 @@ MUTANTS = {
     ),
     "a Fermat collision without the swapped ordering": (
         "enumeration.py",
-        "for y0, y1 in {(a, b), (b, a)}:",
-        "for y0, y1 in {(a, b)}:",
+        "for y0, y1 in {(a, b), (b, a)} if x0 == x1",
+        "for y0, y1 in {(a, b)} if x0 == x1",
         "fermat collisions",
     ),
+    # a representative paired with itself is on a pair locus, so the join
+    # drops it; this one takes the row's representative as the first as well
     "a Fermat representative paired with itself": (
         "enumeration.py",
-        "itertools.permutations(reps, 2)",
-        "itertools.product(reps, repeat=2)",
+        "collided.setdefault(key, [first(key)])",
+        "collided.setdefault(key, [(a, row[key])])",
         "fermat collisions",
     ),
     "the Fermat collisions over 1:1:1:1 alone": (
         "enumeration.py",
-        "if set(map(abs, xs)) == {1}:",
-        "if xs == (1, 1, 1, 1):",
+        "_cube_sum_join(positive, bound)",
+        "_cube_sum_join(xs, bound)",
         "fermat orbit",
     ),
     "the Fermat orbit map dropped": (
         "enumeration.py",
-        "(x0 * y0, x1 * y1, x2 * y2, x3 * y3)",
-        "(y0, y1, y2, y3)",
+        "(y0, e1 * y1, e2 * y2, e3 * y3) if y0",
+        "(y0, y1, y2, y3) if y0",
         "fermat orbit",
+    ),
+    "a row that keeps key 0": (
+        "enumeration.py",
+        "low = bisect_right(q_cubes, -t)",
+        "low = bisect_left(q_cubes, -t)",
+        "fermat collisions",
+    ),
+    "the swap dropped on the right side": (
+        "enumeration.py",
+        "for y2, y3 in {(c, d), (d, c)} if x2 == x3",
+        "for y2, y3 in {(c, d)} if x2 == x3",
+        "fermat collisions",
+    ),
+    "the pairing-3 locus test dropped": (
+        "enumeration.py",
+        "if t0 != t2 and t0 != t3:",
+        "if t0 != t2:",
+        "smooth joins",
+    ),
+    "the sign flip dropped": (
+        "enumeration.py",
+        "else (0, y1, e1 * e2 * y2, e1 * e3 * y3)",
+        "else (0, e1 * y1, e2 * y2, e3 * y3)",
+        "signed join",
+    ),
+    "a plane cubic point without its gcd test": (
+        "enumeration.py",
+        "if math.gcd(u, v, w) == 1:",
+        "if True:",
+        "cone walks",
+    ),
+    "a point counted at the bound above its height": (
+        "enumeration.py",
+        "bisect_left(bounds, hx3 * (key >> 3))",
+        "bisect_right(bounds, hx3 * (key >> 3))",
+        "count to 32",
     ),
     "a profile lifting only when both pair products vanish": (
         "classify.py",
