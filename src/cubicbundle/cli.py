@@ -3,7 +3,8 @@
 Subcommands: count, enumerate, classify, fiber-rank, lines,
 verify-intersections, rank-survey, plot.  Exit codes: 0 success, 2 I/O
 error (a closed or full stdout included), 64 usage error, 65 domain error
-(bad point or surface), 66 missing input file, 130 interrupted (Ctrl-C).
+(bad point or surface), 66 missing input file, 71 out of memory, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_NOINPUT = 66
+EXIT_NOMEMORY = 71  # sysexits' EX_OSERR: the system could not supply the memory
 EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
@@ -478,6 +480,9 @@ def _run(argv) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_NOMEMORY
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe needs no message
             print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
+import copy
+import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -8,7 +11,7 @@ import pytest
 
 import cubicbundle
 from cubicbundle.arith import normalize
-from cubicbundle.classify import _fiber_profile, classify_point
+from cubicbundle.classify import _IN_V, _fiber_profile, classify_point
 from cubicbundle.enumeration import canonical_coords, enumerate_fiber
 from cubicbundle.geometry import PAIRINGS, BundlePoint, NotOnVariety
 from oracles import enumerate_bundle, fiber_profile, in_pair_locus
@@ -163,3 +166,137 @@ class TestFiberProfile:
             assert all(type(v) is bool for v in (*lifts.values(), singular)), x
             ranks.add(rank)
         assert ranks == {None, 1, 2, 3, 4}
+
+
+#: every way to change a dict in place, each as a function of the map
+MUTATIONS = {
+    "item assignment": lambda m: m.__setitem__(1, False),
+    "new item": lambda m: m.__setitem__(4, True),
+    "del": lambda m: m.__delitem__(1),
+    "clear": lambda m: m.clear(),
+    "pop": lambda m: m.pop(1),
+    "pop with default": lambda m: m.pop(4, None),
+    "popitem": lambda m: m.popitem(),
+    "setdefault": lambda m: m.setdefault(4, True),
+    "update": lambda m: m.update({1: False}),
+    "empty update": lambda m: m.update(),
+    "|=": lambda m: m.__ior__({1: False}),
+}
+
+# Every mutation of both maps of a record, in a subprocess, so that it also
+# runs under python -O: each must raise TypeError and leave the map as it was.
+MUTATE_RECORD = textwrap.dedent("""
+    import sys
+    from cubicbundle.arith import normalize
+    from cubicbundle.classify import classify_point
+    from cubicbundle.geometry import BundlePoint
+
+    record = classify_point(BundlePoint(normalize((1, 1, 2, 4)), normalize((1, 1, -1, 0))))
+    mutations = [
+        lambda m: m.__setitem__(1, False), lambda m: m.__delitem__(1), lambda m: m.clear(),
+        lambda m: m.pop(1), lambda m: m.popitem(), lambda m: m.setdefault(4, True),
+        lambda m: m.update({1: False}),
+    ]
+    for flags in (record.in_V, record.liftable):
+        before = dict(flags)
+        for mutate in mutations:
+            try:
+                mutate(flags)
+            except TypeError:
+                pass
+            else:
+                sys.exit(f"{flags} took a change")
+        try:
+            flags |= {1: False}
+        except TypeError:
+            pass
+        else:
+            sys.exit(f"{flags} took |=")
+        if flags != before:
+            sys.exit(f"{flags} changed from {before}")
+    print("optimize", sys.flags.optimize)
+""")
+
+
+def liftable_record():
+    """A record over the rank-2 fiber 1:1:2:4, which lifts for pairing 1
+    alone, at a point off every pair locus."""
+    return classify_point(bundle_point([1, 1, 2, 4], [1, 1, -1, 0]))
+
+
+class TestSharedFlagMaps:
+    """A record's in_V and liftable maps are read-only dicts shared between
+    records: one per fiber, and one of eight per pair-locus pattern."""
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+    @pytest.mark.parametrize("field", ["in_V", "liftable"])
+    def test_every_mutator_raises(self, field, mutate):
+        flags = getattr(liftable_record(), field)
+        before = dict(flags)
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(flags)
+        assert flags == before
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_every_mutator_raises_in_a_subprocess(self, flags):
+        env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", MUTATE_RECORD], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"optimize {len(flags)}\n"
+
+    def test_a_failed_mutation_leaves_the_cached_profile_unchanged(self):
+        x = (1, 1, 2, 4)
+        record = liftable_record()
+        for mutate in MUTATIONS.values():
+            with pytest.raises(TypeError):
+                mutate(record.liftable)
+        assert _fiber_profile(x) == _fiber_profile.__wrapped__(x) == fiber_profile(x)
+        assert _fiber_profile(x)[0] == {1: True, 2: False, 3: False}
+        assert liftable_record() == record
+
+    def test_records_over_one_fiber_share_one_liftable_map(self):
+        x = normalize([1, 1, 1, 1])
+        records = [classify_point(BundlePoint(x, y)) for y in enumerate_fiber(x, 12)]
+        assert len(records) == 621
+        assert all(record.liftable is _fiber_profile(x.coords)[0] for record in records)
+        shared = {id(flags) for flags in _IN_V}
+        assert len(shared) == 8
+        assert {id(record.in_V) for record in records} <= shared
+        # every pattern but all three loci at once, which only y = 0 meets
+        patterns = {sum(v << p - 1 for p, v in record.in_V.items()) for record in records}
+        assert patterns == {0, 1, 2, 3, 4, 5, 6}
+
+    def test_each_pattern_is_its_bits(self):
+        assert [dict(flags) for flags in _IN_V] == [
+            {p: bool(k >> p - 1 & 1) for p in PAIRINGS} for k in range(8)
+        ]
+        assert all(type(v) is bool for flags in _IN_V for v in flags.values())
+
+    @pytest.mark.parametrize("field", ["in_V", "liftable"])
+    def test_copy_is_a_plain_mutable_dict(self, field):
+        flags = getattr(liftable_record(), field)
+        mutable = flags.copy()
+        assert type(mutable) is dict and mutable == flags
+        mutable[1] = not mutable[1]
+        del mutable[2]
+        assert dict(flags) == getattr(liftable_record(), field)
+        assert flags != mutable
+        assert type(flags | {4: True}) is dict
+
+    def test_pickle_deepcopy_and_json_keep_values_and_repr(self):
+        record = liftable_record()
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(record), copy.copy(record)]
+        for other in copies:
+            assert other == record and repr(other) == repr(record)
+            for field in ("in_V", "liftable"):
+                assert type(getattr(other, field)) is type(getattr(record, field))
+                assert repr(getattr(other, field)) == repr(getattr(record, field))
+        assert repr(record.in_V) == "{1: False, 2: False, 3: False}"
+        assert repr(record.liftable) == "{1: True, 2: False, 3: False}"
+        assert json.dumps(record.in_V) == json.dumps(dict(record.in_V))
+        assert json.loads(json.dumps(record.liftable)) == {"1": True, "2": False, "3": False}

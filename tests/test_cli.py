@@ -789,6 +789,36 @@ def test_full_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
+#: a bound whose base-point walk (count) or half box (enumerate) cannot be
+#: allocated: the package asks for a tuple of about 10^10 entries or more
+HUGE_BOUND = str(10 ** 30)
+
+
+def _limit_address_space():
+    """Cap the child's address space at 2 GiB, so that the huge request
+    fails at once however the system overcommits memory."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "--bounds", HUGE_BOUND], ["enumerate", "--bound", HUGE_BOUND]],
+    ids=["count", "enumerate"],
+)
+def test_out_of_memory_exits_71_with_one_error_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cubicbundle.__file__).parents[1]))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cubicbundle", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 10
+    assert (result.returncode, result.stdout, result.stderr) == (71, "", "error: out of memory\n")
+
+
 #: the commands that dump points to a file, run with --out out
 DUMPS = [["enumerate", "--bound", "8"], ["count", "--bounds", "8", "--emit-points"]]
 

@@ -197,6 +197,46 @@ CHECKS = {
             raise AssertionError(error) from error
         assert hashlib.sha256(repr(profiles).encode()).hexdigest() == {PROFILES_SHA256!r}
     """,
+    # each record's in_V against the pair sums, and in_Z against them and
+    # liftability, over a rank-1, a singular liftable and a rank-2 fiber, each
+    # with points off every pair locus, and the Fermat fiber, which meets
+    # every pattern of pair loci but all three
+    "classified points": """
+        from cubicbundle.arith import ProjectivePoint
+        from cubicbundle.classify import classify_point
+        from cubicbundle.enumeration import enumerate_fiber
+        from cubicbundle.geometry import BundlePoint
+        fibers = [((1, 2, 3, 5), 6, False), ((0, 1, 2, 3), 3, True), ((1, 1, 2, 4), 10, True),
+                  ((1, 1, 1, 1), 12, True)]
+        for xs, bound, lifts in fibers:
+            x = ProjectivePoint(xs)
+            for y in enumerate_fiber(x, bound):
+                record = classify_point(BundlePoint(x, y))
+                t0, t1, t2, t3 = (a * b ** 3 for a, b in zip(xs, y.coords))
+                in_v = {1: t0 + t1 == 0 == t2 + t3, 2: t0 + t2 == 0 == t1 + t3,
+                        3: t0 + t3 == 0 == t1 + t2}
+                assert record.in_V == in_v, (xs, y)
+                assert record.in_Z == (any(in_v.values()) or lifts), (xs, y)
+    """,
+    # records over a liftable and a non-liftable fiber through pickle at every
+    # protocol, deepcopy and copy: same values, reprs and map types
+    "pickled records": """
+        import copy, pickle
+        from cubicbundle.arith import normalize
+        from cubicbundle.classify import classify_point
+        from cubicbundle.geometry import BundlePoint
+        points = [((1, 1, 2, 4), (1, 1, -1, 0)), ((1, 2, 3, 5), (1, 1, -1, 0))]
+        records = [classify_point(BundlePoint(normalize(x), normalize(y))) for x, y in points]
+        try:
+            copies = [pickle.loads(pickle.dumps(records, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.deepcopy(records), copy.copy(records)]
+        except TypeError as error:
+            raise AssertionError(error) from error
+        for other in copies:
+            assert other == records and repr(other) == repr(records)
+            assert [list(map(type, r)) for r in other] == [list(map(type, r)) for r in records]
+    """,
     # the count to B = 32; a point that fails its bundle check fails it, and
     # so does one counted past the last bound
     "count to 32": f"""
@@ -376,6 +416,24 @@ MUTANTS = {
         "not (a and b)",
         "not (a or b)",
         "fiber profiles",
+    ),
+    "the in_V table with the bits of pairings 2 and 3 swapped": (
+        "classify.py",
+        "bool(k >> p - 1 & 1)",
+        "bool(k >> (1 - p) % 3 & 1)",
+        "classified points",
+    ),
+    "in_Z without liftability": (
+        "classify.py",
+        "in_z = k != 0 or any(lifts.values())",
+        "in_z = k != 0",
+        "classified points",
+    ),
+    "the flag map without __reduce__": (
+        "classify.py",
+        "\n    def __reduce__(self):\n        return type(self), (dict(self),)\n",
+        "\n",
+        "pickled records",
     ),
     "a checked point with y0^2 for y0^3": (
         "enumeration.py",

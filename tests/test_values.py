@@ -82,10 +82,13 @@ def test_make_and_replace_keep_valid_values():
 def public_values():
     x, y = normalize((1, 1, 1, 1)), normalize((1, -1, 0, 0))
     cubic = DiagonalCubic((1, 1, 2, 2))
+    # over the rank-2 fiber 1:1:2:4, liftable for pairing 1 alone, off every pair locus
+    lifted = BundlePoint(normalize((1, 1, 2, 4)), normalize((1, 1, -1, 0)))
     return [
         x,
         BundlePoint(x, y),
         classify_point(BundlePoint(x, y)),
+        pytest.param(classify_point(lifted), id="ClassificationRecord-liftable"),
         count_series([1, 2]),
         cubic,
         ALL_LINE_LABELS[7],
